@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test verify vet-race race-packed obs-race serve-race fabric-race vm-race lint lint-fixtures lint-audit lint-baseline ci bench bench-engines bench-agents bench-packed-scale bench-fabric-scale fuzz-fault fuzz-vm bench-smoke
+.PHONY: build test verify vet-race race-packed obs-race serve-race fabric-race vm-race lint lint-fixtures lint-audit lint-baseline ci bench bench-compare bench-packed-scale bench-fabric-scale fuzz-fault fuzz-vm bench-smoke
 
 build:
 	$(GO) build ./...
@@ -117,24 +117,19 @@ ci: verify vet-race race-packed obs-race serve-race fabric-race vm-race lint lin
 bench:
 	$(GO) test -bench . -benchtime 1x .
 
-# Engine micro-benchmark smoke run: times serial vs. sharded agents and
-# cached vs. uncached batched stepping, appending one JSON record to
-# BENCH_engines.json so perf history accumulates across commits.
-bench-engines:
-	$(GO) run ./cmd/bitbench -suite engines -out BENCH_engines.json
-
-# Agent-engine comparison at the acceptance size n = 2²⁰: literal
-# byte-per-opinion body vs. bit-packed fast path vs. aggregated
-# opinion-class engine, appending one JSON record (with pack_speedup and
-# agg_speedup fields) to BENCH_engines.json.
-bench-agents:
-	$(GO) run ./cmd/bitbench -suite agents -n 1048576 -out BENCH_engines.json
+# Paired comparison of two record files written by the repo benchmark
+# (bash benchmark/run.sh --workload W --seed S ... > FILE): medians,
+# quartiles, pairs won, and regressions beyond each metric's bound in
+# BENCHMARK.json. Not part of `ci`. Usage:
+#   make bench-compare OLD=parent.jsonl NEW=change.jsonl
+bench-compare:
+	bash benchmark/run.sh -compare $(OLD) $(NEW)
 
 # Multi-core scaling matrix: GOMAXPROCS × shards × n cells of the packed
-# and chunked engines, each cell recording ns/op and agent-rounds/sec in
+# and chunked layouts, each cell recording ns/op and agent-rounds/sec in
 # one JSON record. Axes default to powers of two up to NumCPU, n ∈
 # {2²⁰, 2²⁴} and shards ∈ {1, NumCPU}; override with SCALE_ARGS, e.g.
-# SCALE_ARGS='-scale-ns 4294967296 -scale-shards 4' for a chunked-only
+# SCALE_ARGS='-scale-ns 4294967296 -scale-shards 4' for a multi-chunk
 # huge-n record.
 bench-packed-scale:
 	$(GO) run ./cmd/bitbench -suite packed-scale -out BENCH_engines.json $(SCALE_ARGS)

@@ -110,8 +110,8 @@ type (
 	// AgentOptions tunes the literal agent-level simulator; its Shards
 	// field splits the per-round loop across goroutines with independent
 	// split-derived streams (deterministic per (seed, shards)), and its
-	// Chunked field selects the streaming chunked-bitset body that lifts
-	// the packed engine's n < 2³² gate (taken automatically at n ≥ 2³²).
+	// Chunked field selects the chunked bitset layout, which changes
+	// addressing but not the realization.
 	AgentOptions = engine.AgentOptions
 	// AdoptCache memoizes a rule's Eq. 4 adopt probabilities per exact
 	// one-count for a fixed population, the engine behind batched replica

@@ -1,14 +1,15 @@
-// Command bitbench is the engine benchmark smoke runner: it times the hot
-// paths of the simulation stack — the literal vs. bit-packed vs.
-// aggregated agent engines, the serial vs. sharded agent engine and the
-// cached vs. uncached batched count engine — and appends one JSON record
-// per invocation to a trajectory file (default BENCH_engines.json), so
-// performance across commits accumulates into a machine-readable history.
+// Command bitbench records the scaling matrices of the simulation stack:
+// the packed-scale suite times the bitset agent engine over a GOMAXPROCS ×
+// shards × n matrix, and the fabric-scale suite times the distributed
+// sweep's lease-compute-merge cycle over worker counts. Each invocation
+// appends one JSON record to a trajectory file (default
+// BENCH_engines.json), so performance across commits accumulates into a
+// machine-readable history. The repo's end-to-end and per-layer benchmark
+// lives in benchmark/ (bash benchmark/run.sh); bitbench keeps only the
+// matrices that benchmark does not cover.
 //
-// Benchmarks run at -gomaxprocs (default NumCPU, recorded per run: earlier
-// trajectory entries measured shard speedups at GOMAXPROCS=1, which
-// undersold sharding). -cpuprofile/-memprofile write pprof profiles of the
-// run, so engine hot paths can be profiled without a separate harness.
+// -cpuprofile/-memprofile write pprof profiles of the run, so engine hot
+// paths can be profiled without a separate harness.
 //
 // SIGINT/SIGTERM stop the run at the next benchmark boundary and still
 // flush a record with the measurements taken so far (flagged
@@ -16,11 +17,7 @@
 //
 // Examples:
 //
-//	bitbench                               # defaults, appends to BENCH_engines.json
-//	bitbench -suite agents -n 1048576      # literal vs packed vs aggregated at n=2²⁰
-//	bitbench -n 262144 -budget 500ms       # bigger instance, longer timing windows
-//	bitbench -out - -budget 20ms           # quick look, write the record to stdout
-//	bitbench -suite agents -cpuprofile cpu.pb.gz   # profile the agent engines
+//	bitbench -suite packed-scale -out - -budget 20ms   # quick look, record to stdout
 //	bitbench -suite packed-scale -scale-procs 1,2,4 -scale-shards 1,4
 //	                                       # GOMAXPROCS × shards × n matrix
 //	bitbench -suite fabric-scale -fabric-workers 1,2,4
@@ -34,7 +31,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -64,9 +60,8 @@ func main() {
 
 // measurement is one timed benchmark in the output record.
 type measurement struct {
-	// NsPerOp is the wall time per operation; the operation is one full
-	// engine run for the agent benchmarks and one replica-round for the
-	// batch benchmarks.
+	// NsPerOp is the wall time per operation: one full engine run for the
+	// packed-scale cells, one merged checkpoint for the fabric-scale ones.
 	NsPerOp float64 `json:"ns_per_op"`
 	// Ops is how many operations the timing window executed.
 	Ops int64 `json:"ops"`
@@ -88,19 +83,7 @@ type record struct {
 	Timestamp  string                 `json:"timestamp"`
 	GoVersion  string                 `json:"go_version"`
 	GoMaxProcs int                    `json:"gomaxprocs"`
-	N          int64                  `json:"n"`
-	Shards     int                    `json:"shards"`
-	Replicas   int                    `json:"replicas"`
 	Benchmarks map[string]measurement `json:"benchmarks"`
-	// ShardSpeedup is serial/sharded agent-engine time per run;
-	// CacheSpeedup maps ℓ to uncached/cached time per replica-round.
-	ShardSpeedup float64            `json:"shard_speedup,omitempty"`
-	CacheSpeedup map[string]float64 `json:"cache_speedup"`
-	// PackSpeedup is unpacked-literal/bit-packed time per run and
-	// AggSpeedup is unpacked-literal/aggregated time per run, both from
-	// the agents suite.
-	PackSpeedup float64 `json:"pack_speedup,omitempty"`
-	AggSpeedup  float64 `json:"agg_speedup,omitempty"`
 	// Interrupted marks a record flushed after SIGINT/SIGTERM: the
 	// benchmarks map holds only what finished before the signal.
 	Interrupted bool `json:"interrupted,omitempty"`
@@ -112,36 +95,36 @@ func run(ctx context.Context, args []string, w io.Writer) (err error) {
 	prof.Register(fs)
 	var (
 		out         = fs.String("out", "BENCH_engines.json", "trajectory file to append the JSON record to (- for stdout)")
-		n           = fs.Int64("n", 1<<16, "population size for the benchmarks")
-		shards      = fs.Int("shards", runtime.NumCPU(), "shard count for the sharded agent benchmark")
-		replicas    = fs.Int("replicas", 1024, "batch width for the count-level benchmarks")
-		budget      = fs.Duration("budget", 200*time.Millisecond, "minimum timing window per benchmark")
+		budget      = fs.Duration("budget", 200*time.Millisecond, "minimum timing window per packed-scale cell")
 		maxProcs    = fs.Int("gomaxprocs", runtime.NumCPU(), "GOMAXPROCS for the benchmark run (recorded in the output)")
-		suite       = fs.String("suite", "all", "benchmark suite: engines (shard/cache), agents (literal vs packed vs aggregated), packed-scale (GOMAXPROCS × shards × n matrix), fabric-scale (distributed-sweep workers × partitions matrix), all")
+		suite       = fs.String("suite", "packed-scale", "benchmark suite: packed-scale (GOMAXPROCS × shards × n matrix) or fabric-scale (distributed-sweep workers × partitions matrix)")
 		fabWorkers  = fs.String("fabric-workers", "1,2,4", "fabric-scale worker counts, CSV")
 		fabParts    = fs.Int("fabric-partitions", 4, "fabric-scale partitions per cell (more partitions than workers exercises the lease queue)")
 		fabExps     = fs.String("fabric-exp", "T2", "fabric-scale experiment IDs, comma-separated")
 		scaleProcs  = fs.String("scale-procs", "", "packed-scale GOMAXPROCS values, CSV (default: 1,2,4,… up to NumCPU)")
-		scaleNs     = fs.String("scale-ns", "1048576,16777216", "packed-scale population sizes, CSV (n ≥ 2³² runs the chunked path only)")
+		scaleNs     = fs.String("scale-ns", "1048576,16777216", "packed-scale population sizes, CSV")
 		scaleShards = fs.String("scale-shards", "", "packed-scale shard counts, CSV (default: 1 and NumCPU)")
-		metricsPath = fs.String("metrics", "", `attach the standard engine probe to the agent benchmarks and write a metrics snapshot at exit ("-": stdout); measures the instrumented hot path`)
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *n < 4 {
-		return fmt.Errorf("population %d too small", *n)
-	}
+	var specs []benchSpec
 	switch *suite {
-	case "engines", "agents", "packed-scale", "fabric-scale", "all":
+	case "packed-scale":
+		specs, err = packedScaleSpecs(ctx, *scaleProcs, *scaleNs, *scaleShards, *budget)
+		// Each cell sets its own GOMAXPROCS; restore the flag value for
+		// whatever runs after the matrix.
+		defer runtime.GOMAXPROCS(*maxProcs)
+	case "fabric-scale":
+		specs, err = fabricScaleSpecs(ctx, *fabWorkers, *fabParts, *fabExps)
 	default:
-		return fmt.Errorf("unknown suite %q (want engines, agents, packed-scale, fabric-scale or all)", *suite)
+		return fmt.Errorf("unknown suite %q (want packed-scale or fabric-scale; the end-to-end and per-layer benchmark is bash benchmark/run.sh)", *suite)
+	}
+	if err != nil {
+		return err
 	}
 	if *maxProcs > 0 {
 		runtime.GOMAXPROCS(*maxProcs)
-	}
-	if ctx == nil {
-		ctx = context.Background()
 	}
 	if err := prof.Start(); err != nil {
 		return err
@@ -152,83 +135,15 @@ func run(ctx context.Context, args []string, w io.Writer) (err error) {
 		}
 	}()
 
-	// A nil engine.Probe interface keeps the uninstrumented fast path; it
-	// is only non-nil when -metrics asks for the instrumented measurement
-	// (assigning a typed-nil *obs.Metrics here would re-enable the hook).
-	var reg *obs.Registry
-	var benchProbe engine.Probe
-	if *metricsPath != "" {
-		reg = obs.NewRegistry()
-		benchProbe = obs.NewMetrics(reg)
-		defer func() {
-			if merr := obs.WriteSnapshot(reg, *metricsPath, w); merr != nil && err == nil {
-				err = merr
-			}
-		}()
-	}
-
 	rec := record{
 		//bitlint:wallclock record timestamp is provenance metadata; no simulation state depends on it
-		Timestamp:    time.Now().UTC().Format(time.RFC3339),
-		GoVersion:    runtime.Version(),
-		GoMaxProcs:   runtime.GOMAXPROCS(0),
-		N:            *n,
-		Shards:       *shards,
-		Replicas:     *replicas,
-		Benchmarks:   map[string]measurement{},
-		CacheSpeedup: map[string]float64{},
+		Timestamp:  time.Now().UTC().Format(time.RFC3339),
+		GoVersion:  runtime.Version(),
+		GoMaxProcs: runtime.GOMAXPROCS(0),
+		Benchmarks: map[string]measurement{},
 	}
-
 	// The benchmarks run in a fixed order; a signal stops the sequence at
 	// the next boundary and whatever finished is still flushed below.
-	ells := []int{1, 3, protocol.SqrtNLogN(1).Of(*n)}
-	var specs []benchSpec
-	if *suite == "packed-scale" {
-		specs, err = packedScaleSpecs(ctx, *scaleProcs, *scaleNs, *scaleShards, *budget)
-		if err != nil {
-			return err
-		}
-		// Each cell sets its own GOMAXPROCS; restore the flag value for
-		// whatever runs after the matrix.
-		defer runtime.GOMAXPROCS(*maxProcs)
-	}
-	if *suite == "fabric-scale" {
-		specs, err = fabricScaleSpecs(ctx, *fabWorkers, *fabParts, *fabExps)
-		if err != nil {
-			return err
-		}
-	}
-	if *suite != "engines" && *suite != "packed-scale" && *suite != "fabric-scale" {
-		specs = append(specs,
-			benchSpec{"agents/literal", func() measurement {
-				return benchAgents(ctx, *n, engine.AgentOptions{Unpacked: true}, benchProbe, *budget)
-			}},
-			benchSpec{"agents/packed", func() measurement {
-				return benchAgents(ctx, *n, engine.AgentOptions{}, benchProbe, *budget)
-			}},
-			benchSpec{"agents/aggregated", func() measurement {
-				return benchAggregated(ctx, *n, benchProbe, *budget)
-			}},
-		)
-	}
-	if *suite != "agents" && *suite != "packed-scale" && *suite != "fabric-scale" {
-		specs = append(specs,
-			benchSpec{"agents/serial", func() measurement {
-				return benchAgents(ctx, *n, engine.AgentOptions{}, benchProbe, *budget)
-			}},
-			benchSpec{"agents/sharded", func() measurement {
-				return benchAgents(ctx, *n, engine.AgentOptions{Shards: *shards}, benchProbe, *budget)
-			}},
-		)
-		for _, ell := range ells {
-			rule := protocol.Minority(ell)
-			key := fmt.Sprintf("ell=%d", ell)
-			specs = append(specs,
-				benchSpec{"batch/uncached/" + key, func() measurement { return benchBatch(ctx, rule, *n, *replicas, false, *budget) }},
-				benchSpec{"batch/cached/" + key, func() measurement { return benchBatch(ctx, rule, *n, *replicas, true, *budget) }},
-			)
-		}
-	}
 	for _, s := range specs {
 		if ctx.Err() != nil {
 			rec.Interrupted = true
@@ -237,30 +152,7 @@ func run(ctx context.Context, args []string, w io.Writer) (err error) {
 		rec.Benchmarks[s.key] = s.bench()
 	}
 
-	// Derived ratios, from whichever pairs completed.
-	if serial, ok := rec.Benchmarks["agents/serial"]; ok {
-		if sharded, ok := rec.Benchmarks["agents/sharded"]; ok {
-			rec.ShardSpeedup = serial.NsPerOp / sharded.NsPerOp
-		}
-	}
-	if literal, ok := rec.Benchmarks["agents/literal"]; ok {
-		if packed, ok := rec.Benchmarks["agents/packed"]; ok {
-			rec.PackSpeedup = literal.NsPerOp / packed.NsPerOp
-		}
-		if agg, ok := rec.Benchmarks["agents/aggregated"]; ok {
-			rec.AggSpeedup = literal.NsPerOp / agg.NsPerOp
-		}
-	}
-	for _, ell := range ells {
-		key := fmt.Sprintf("ell=%d", ell)
-		uncached, okU := rec.Benchmarks["batch/uncached/"+key]
-		cached, okC := rec.Benchmarks["batch/cached/"+key]
-		if okU && okC {
-			rec.CacheSpeedup[key] = uncached.NsPerOp / cached.NsPerOp
-		}
-	}
-
-	if err := flushRecord(w, *out, rec, ells); err != nil {
+	if err := flushRecord(w, *out, rec); err != nil {
 		return err
 	}
 	if rec.Interrupted {
@@ -311,9 +203,7 @@ func defaultScaleProcs() []int64 {
 // the packed-scale suite. Each cell pins GOMAXPROCS before timing (the
 // recorded key carries the value, so one record can hold the whole sweep).
 // Shard counts a population cannot satisfy (a shard must own at least one
-// whole bitset word) are skipped, and populations at or above the packed
-// engine's 2³² index-sampling gate run the chunked variant only — the
-// packed variant would be silently routed there anyway.
+// whole bitset word) are skipped.
 func packedScaleSpecs(ctx context.Context, procsCSV, nsCSV, shardsCSV string, budget time.Duration) ([]benchSpec, error) {
 	procs := defaultScaleProcs()
 	if procsCSV != "" {
@@ -348,9 +238,6 @@ func packedScaleSpecs(ctx context.Context, procsCSV, nsCSV, shardsCSV string, bu
 				{"packed", engine.AgentOptions{}},
 				{"chunked", engine.AgentOptions{Chunked: true}},
 			}
-			if n > int64(math.MaxUint32) {
-				variants = variants[1:]
-			}
 			for _, s := range shardAxis {
 				if s > int64(engine.MaxPackedShards(n)) {
 					continue
@@ -373,8 +260,8 @@ func packedScaleSpecs(ctx context.Context, procsCSV, nsCSV, shardsCSV string, bu
 	return specs, nil
 }
 
-// benchScaleCell times one packed-scale matrix cell — the two-round
-// Minority(3) instance of benchAgents — and derives the agent-rounds/sec
+// benchScaleCell times one packed-scale matrix cell — full two-round runs
+// of the Minority(3) trap instance — and derives the agent-rounds/sec
 // throughput from it.
 func benchScaleCell(ctx context.Context, n int64, opts engine.AgentOptions, budget time.Duration) measurement {
 	cfg := engine.Config{
@@ -541,7 +428,7 @@ func benchFabricCell(ctx context.Context, spec fabric.SweepSpec, w, partitions i
 
 // flushRecord appends the record to the trajectory file (or stdout) and
 // prints the human summary.
-func flushRecord(w io.Writer, out string, rec record, ells []int) error {
+func flushRecord(w io.Writer, out string, rec record) error {
 	line, err := json.Marshal(rec)
 	if err != nil {
 		return err
@@ -561,23 +448,7 @@ func flushRecord(w io.Writer, out string, rec record, ells []int) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "appended %d benchmarks to %s (gomaxprocs %d", len(rec.Benchmarks), out, rec.GoMaxProcs)
-	if rec.PackSpeedup > 0 {
-		fmt.Fprintf(w, ", packed %.2fx", rec.PackSpeedup)
-	}
-	if rec.AggSpeedup > 0 {
-		fmt.Fprintf(w, ", aggregated %.1fx", rec.AggSpeedup)
-	}
-	if rec.ShardSpeedup > 0 {
-		fmt.Fprintf(w, ", shard %.2fx", rec.ShardSpeedup)
-		for _, ell := range ells {
-			key := fmt.Sprintf("ell=%d", ell)
-			if v, ok := rec.CacheSpeedup[key]; ok {
-				fmt.Fprintf(w, ", cache %s %.2fx", key, v)
-			}
-		}
-	}
-	fmt.Fprintln(w, ")")
+	fmt.Fprintf(w, "appended %d benchmarks to %s (gomaxprocs %d)\n", len(rec.Benchmarks), out, rec.GoMaxProcs)
 	return nil
 }
 
@@ -604,87 +475,4 @@ func timeIt(ctx context.Context, budget time.Duration, f func(iters int)) measur
 		}
 	}
 	return measurement{NsPerOp: float64(total.Nanoseconds()) / float64(ops), Ops: ops}
-}
-
-// benchAgents times full two-round agent-engine runs at ℓ = 3, the
-// configuration of the repo's BenchmarkRunAgents acceptance target. A
-// non-nil probe measures the instrumented hot path (-metrics).
-func benchAgents(ctx context.Context, n int64, opts engine.AgentOptions, probe engine.Probe, budget time.Duration) measurement {
-	cfg := engine.Config{
-		N:         n,
-		Rule:      protocol.Minority(3),
-		Z:         1,
-		X0:        n / 2,
-		MaxRounds: 2,
-		Probe:     probe,
-	}
-	g := rng.New(1)
-	return timeIt(ctx, budget, func(iters int) {
-		for i := 0; i < iters; i++ {
-			if _, err := engine.RunAgents(cfg, opts, g); err != nil {
-				panic(err)
-			}
-		}
-	})
-}
-
-// benchAggregated times the aggregated opinion-class engine on the same
-// two-round instance as benchAgents, so agg_speedup is apples-to-apples
-// against agents/literal.
-func benchAggregated(ctx context.Context, n int64, probe engine.Probe, budget time.Duration) measurement {
-	cfg := engine.Config{
-		N:         n,
-		Rule:      protocol.Minority(3),
-		Z:         1,
-		X0:        n / 2,
-		MaxRounds: 2,
-		Probe:     probe,
-	}
-	g := rng.New(1)
-	return timeIt(ctx, budget, func(iters int) {
-		for i := 0; i < iters; i++ {
-			if _, err := engine.RunAggregated(cfg, g); err != nil {
-				panic(err)
-			}
-		}
-	})
-}
-
-// benchBatch times one replica-round of the count engine over a batch,
-// with or without the adopt-probability cache. Replicas that absorb are
-// re-seeded at n/2 so the batch stays in the band where Eq. 4 is
-// evaluated.
-func benchBatch(ctx context.Context, rule *protocol.Rule, n int64, replicas int, cached bool, budget time.Duration) measurement {
-	const z = 1
-	xs := make([]int64, replicas)
-	gs := make([]*rng.RNG, replicas)
-	master := rng.New(7)
-	for i := range xs {
-		xs[i] = n / 2
-		gs[i] = rng.New(master.Uint64())
-	}
-	var cache *protocol.AdoptCache
-	if cached {
-		cache = protocol.NewAdoptCache(rule, n)
-	}
-	m := timeIt(ctx, budget, func(iters int) {
-		for i := 0; i < iters; i++ {
-			if cached {
-				engine.StepCountBatch(cache, z, xs, gs)
-			} else {
-				for r := range xs {
-					xs[r] = engine.StepCount(rule, n, z, xs[r], gs[r])
-				}
-			}
-			for r := range xs {
-				if xs[r] <= 1 || xs[r] >= n-1 {
-					xs[r] = n / 2
-				}
-			}
-		}
-	})
-	// Report per replica-round, matching BenchmarkStepCountBatch.
-	m.NsPerOp /= float64(replicas)
-	m.Ops *= int64(replicas)
-	return m
 }

@@ -11,10 +11,11 @@ import (
 	"testing"
 )
 
-// quickArgs keeps the smoke test fast: tiny instance, minimal timing
-// windows.
+// quickArgs keeps the smoke test fast: a tiny packed-scale matrix with
+// minimal timing windows.
 func quickArgs(out string) []string {
-	return []string{"-out", out, "-n", "2048", "-replicas", "16", "-budget", "2ms"}
+	return []string{"-out", out, "-suite", "packed-scale", "-scale-procs", "1",
+		"-scale-ns", "2048", "-scale-shards", "1,2", "-budget", "2ms"}
 }
 
 func TestRunAppendsTrajectory(t *testing.T) {
@@ -42,24 +43,17 @@ func TestRunAppendsTrajectory(t *testing.T) {
 		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
 			t.Fatalf("line %d is not valid JSON: %v", lines, err)
 		}
-		if rec.N != 2048 || rec.Timestamp == "" || rec.GoVersion == "" {
+		if rec.Timestamp == "" || rec.GoVersion == "" || rec.GoMaxProcs <= 0 {
 			t.Errorf("line %d metadata incomplete: %+v", lines, rec)
 		}
 		for _, key := range []string{
-			"agents/serial", "agents/sharded",
-			"batch/uncached/ell=1", "batch/cached/ell=1",
-			"batch/uncached/ell=3", "batch/cached/ell=3",
+			"packed-scale/packed/p=1/shards=1/n=2048", "packed-scale/packed/p=1/shards=2/n=2048",
+			"packed-scale/chunked/p=1/shards=1/n=2048", "packed-scale/chunked/p=1/shards=2/n=2048",
 		} {
 			m, ok := rec.Benchmarks[key]
 			if !ok || m.NsPerOp <= 0 || m.Ops <= 0 {
 				t.Errorf("line %d: benchmark %q missing or empty (%+v)", lines, key, m)
 			}
-		}
-		if rec.ShardSpeedup <= 0 {
-			t.Errorf("line %d: shard speedup %v", lines, rec.ShardSpeedup)
-		}
-		if len(rec.CacheSpeedup) != 3 {
-			t.Errorf("line %d: cache speedups %v, want 3 entries", lines, rec.CacheSpeedup)
 		}
 	}
 	if lines != 2 {
@@ -181,8 +175,14 @@ func TestRunFabricScaleSuite(t *testing.T) {
 
 func TestRunRejectsTinyPopulation(t *testing.T) {
 	var msg strings.Builder
-	if err := run(context.Background(), []string{"-n", "2"}, &msg); err == nil {
+	if err := run(context.Background(), []string{"-suite", "packed-scale", "-scale-ns", "2"}, &msg); err == nil {
 		t.Error("population 2 accepted")
+	}
+	// The retired micro-benchmark suites are errors, not empty records.
+	for _, suite := range []string{"engines", "agents", "all"} {
+		if err := run(context.Background(), []string{"-out", "-", "-suite", suite}, &msg); err == nil {
+			t.Errorf("retired suite %q accepted", suite)
+		}
 	}
 }
 

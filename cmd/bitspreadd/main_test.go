@@ -47,7 +47,10 @@ func TestMain(m *testing.M) {
 
 // e2eSpec is a job whose replicas each run their full round cap (the
 // anti-voter never stabilizes), giving the kill tests a wide window of
-// mid-job state while staying seconds-scale overall.
+// mid-job state while staying seconds-scale overall. The cap is sized to
+// the bitset engine, which decides 64 agents per handful of random words:
+// 60000 rounds of 60 replicas at n = 2048 keep the job running for
+// seconds.
 func e2eSpec(replicas int) serve.JobSpec {
 	x0 := int64(1024)
 	return serve.JobSpec{
@@ -59,7 +62,7 @@ func e2eSpec(replicas int) serve.JobSpec {
 		Mode:      "agents",
 		Replicas:  replicas,
 		Seed:      11,
-		MaxRounds: 6000,
+		MaxRounds: 60000,
 	}
 }
 

@@ -17,19 +17,20 @@ type AgentOptions struct {
 	// single-stream sequence exactly.
 	Shards int
 	// Unpacked forces the historical byte-per-opinion engine body instead
-	// of the bit-packed fast path (see packed.go). The two sample from
-	// the same per-round distribution — the packed path draws sample
-	// indices as 32-bit Lemire rejections, so realizations for a given
-	// seed differ — and each is deterministic in (seed, Config, Shards).
-	// The flag exists for benchmarks and equivalence tests, and for
-	// callers that need the historical realization for a fixed seed.
+	// of the bitset engine (see packed.go). The two sample from the same
+	// per-round distribution — the bitset engine draws each agent's next
+	// opinion from its Eq. 4 adoption law instead of sampling indices, so
+	// realizations for a given seed differ — and each is deterministic in
+	// (seed, Config, Shards). The flag exists for benchmarks and
+	// equivalence tests, and for callers that need the historical
+	// realization for a fixed seed.
 	Unpacked bool
-	// Chunked forces the streaming chunked-bitset body (see chunked.go),
-	// which samples indices with 64-bit Lemire rejection and therefore has
-	// no n < 2³² ceiling. Populations at or above that ceiling take the
-	// chunked body automatically; the flag exists to exercise it (and its
-	// realization) at small n. Ignored when Unpacked or without-replacement
-	// sampling already forces the historical body.
+	// Chunked selects the chunked layout of the bitset engine (see
+	// chunked.go), whose chunk capacity tests can shrink to exercise
+	// multi-chunk runs at small n. Chunks change addressing only: at any
+	// chunk capacity a run reproduces the default layout's realization.
+	// Ignored when Unpacked or without-replacement sampling already forces
+	// the historical body.
 	Chunked bool
 }
 
@@ -58,7 +59,7 @@ func (o AgentOptions) effectiveShards(n int64) int {
 // count-level engine and to host per-agent extensions. Opinions are kept
 // in a bit-packed layout by default (same per-round distribution as the
 // historical byte-per-opinion body, which opts.Unpacked forces and
-// without-replacement sampling or n ≥ 2³² fall back to; see packed.go).
+// without-replacement sampling falls back to; see packed.go).
 func RunAgents(cfg Config, opts AgentOptions, g *rng.RNG) (Result, error) {
 	if err := cfg.validate(); err != nil {
 		return Result{}, err
@@ -66,13 +67,10 @@ func RunAgents(cfg Config, opts AgentOptions, g *rng.RNG) (Result, error) {
 	ell := cfg.Rule.SampleSize()
 	withoutReplacement := opts.WithoutReplacement && ell <= int(cfg.N)
 	if !opts.Unpacked && !withoutReplacement {
-		// The packed bodies resolve the shard count themselves (a shard
-		// must own at least one whole bitset word; Result.Shards reports
-		// the resolved value).
-		if opts.Chunked || cfg.N >= packedMaxN {
-			return runAgentsChunked(cfg, opts.Shards, g)
-		}
-		return runAgentsPacked(cfg, opts.Shards, g)
+		// The bitset engine resolves the shard count itself (a shard must
+		// own at least one whole bitset word; Result.Shards reports the
+		// resolved value).
+		return runAgentsPacked(cfg, opts, g)
 	}
 	shards := opts.effectiveShards(cfg.N)
 	if shards > 1 {

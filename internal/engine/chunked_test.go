@@ -1,10 +1,10 @@
 package engine_test
 
-// Guards for the chunked huge-n agent engine. The chunked body exists for
-// populations past the packed engine's n < 2³² ceiling, so these tests
-// shrink the chunk capacity (SetChunkShiftForTest) to force genuinely
-// multi-chunk runs at testing-sized n; the distributional agreement with
-// the other engines is pinned by the χ² suite in equivalence_chi_test.go.
+// Guards for the chunked bitset layout. Chunks hold 2³² agents by
+// default, so these tests shrink the chunk capacity (SetChunkShiftForTest)
+// to force genuinely multi-chunk runs at testing-sized n; the
+// distributional agreement with the other engines is pinned by the χ²
+// suites in equivalence_chi_test.go and onestep_chi_test.go.
 
 import (
 	"fmt"
@@ -79,8 +79,8 @@ func TestChunkedCountsConsistent(t *testing.T) {
 	}
 }
 
-// The chunked general body must honor omission and stubborn faults exactly
-// like the packed one: total omission freezes the count with zero
+// The chunked layout must honor omission and stubborn faults exactly like
+// the packed one: total omission freezes the count with zero
 // activations, and a fully pinned population cannot drift.
 func TestChunkedFaultSemantics(t *testing.T) {
 	defer engine.SetChunkShiftForTest(9)()
@@ -114,9 +114,37 @@ func TestChunkedFaultSemantics(t *testing.T) {
 	}
 }
 
-// RunAgents must route populations at or above the packed ceiling to the
-// chunked body on its own; the Chunked flag only forces the same body
-// early. Both entries must agree realization-for-realization.
+// Chunks change addressing only: a multi-chunk run reproduces the
+// one-chunk realization exactly, serial and sharded, under every fault
+// family.
+func TestChunkedMatchesPackedRealization(t *testing.T) {
+	defer engine.SetChunkShiftForTest(7)() // 128-agent chunks
+	schedules := map[string]*fault.Schedule{
+		"none":         nil,
+		"reset":        fault.Must(fault.ResetAt(2, 0.5, 0)),
+		"stubborn":     fault.Must(fault.StubbornFor(2, 3, 0.25, 0)),
+		"omission":     fault.Must(fault.OmissionFor(2, 3, 0.5)),
+		"source-crash": fault.Must(fault.SourceCrashFor(2, 2)),
+	}
+	for name, s := range schedules {
+		for _, shards := range []int{1, 3} {
+			cfg := engine.Config{
+				N: 1000, Rule: protocol.WithNoise(protocol.Minority(3), 0.1),
+				Z: 1, X0: 500, MaxRounds: 10, Faults: s,
+			}
+			a, trajA := runAgentsTraced(t, cfg, engine.AgentOptions{Shards: shards}, 5)
+			b, trajB := runAgentsTraced(t, cfg, engine.AgentOptions{Chunked: true, Shards: shards}, 5)
+			if a != b || !reflect.DeepEqual(trajA, trajB) {
+				t.Errorf("%s/shards=%d: chunked run diverged from packed\npacked  %+v %v\nchunked %+v %v",
+					name, shards, a, trajA, b, trajB)
+			}
+		}
+	}
+}
+
+// The Chunked flag requests a literal bitset body: RunAgentsAuto must honor
+// it (route to RunAgents, not the aggregated engine), and both entries
+// must agree realization-for-realization.
 func TestChunkedFlagMatchesAutomaticRouting(t *testing.T) {
 	defer engine.SetChunkShiftForTest(9)()
 	cfg := engine.Config{N: 1024, Rule: protocol.Minority(3), Z: 1, X0: 512, MaxRounds: 8}

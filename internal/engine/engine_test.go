@@ -456,7 +456,7 @@ func TestWithoutReplacementCrossCheck(t *testing.T) {
 // exactly when the request exceeds the engine's ceiling.
 func TestResultShardsReported(t *testing.T) {
 	cfg := Config{N: 200, Rule: protocol.Voter(1), Z: 1, X0: 100, MaxRounds: 2}
-	words := packedWords(200)
+	words := MaxPackedShards(200)
 	cases := []struct {
 		name string
 		run  func() (Result, error)

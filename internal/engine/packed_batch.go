@@ -6,22 +6,21 @@ import (
 	"bitspread/internal/rng"
 )
 
-// RunAgentsReplicas runs one packed agent-level replica per seed, advancing
-// all of them in lockstep so the deterministic-regime adoption thresholds —
-// the inverse-CDF table kThr, a pure function of the round's one-count —
-// are computed once per distinct count ever visited by the batch instead of
+// RunAgentsReplicas runs one bitset agent-level replica per seed, advancing
+// all of them in lockstep so each round's adoption coins — the T₀/T₁
+// threshold pair of Eq. 4, a pure function of the round's one-count — are
+// computed once per distinct count ever visited by the batch instead of
 // once per replica-round. Replica i's Result is bit-identical to
 // RunAgents(cfg, opts, rng.New(seeds[i])): the memoization is a pure
 // evaluation-sharing transform, exactly like RunParallelReplicas at the
 // count level. Converged replicas drop out of the batch; the round loop
 // ends when none remain active or the cap expires.
 //
-// Configurations the packed engine does not serve (Unpacked,
-// without-replacement sampling, Chunked or n ≥ 2³²) fall back to
-// independent RunAgents calls, one per seed — same results, no threshold
-// sharing. cfg.Record must be nil — a shared hook cannot tell replicas
-// apart. cfg.Probe is supported: probes are concurrency-safe aggregators
-// by contract.
+// Configurations the bitset engine does not serve (Unpacked,
+// without-replacement sampling) fall back to independent RunAgents calls,
+// one per seed — same results, no sharing. cfg.Record must be nil — a
+// shared hook cannot tell replicas apart. cfg.Probe is supported: probes
+// are concurrency-safe aggregators by contract.
 func RunAgentsReplicas(cfg Config, opts AgentOptions, seeds []uint64) ([]Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -31,7 +30,7 @@ func RunAgentsReplicas(cfg Config, opts AgentOptions, seeds []uint64) ([]Result,
 	}
 	ell := cfg.Rule.SampleSize()
 	withoutReplacement := opts.WithoutReplacement && ell <= int(cfg.N)
-	if opts.Unpacked || withoutReplacement || opts.Chunked || cfg.N >= packedMaxN {
+	if opts.Unpacked || withoutReplacement {
 		results := make([]Result, len(seeds))
 		for i, seed := range seeds {
 			res, err := RunAgents(cfg, opts, rng.New(seed))
@@ -43,7 +42,7 @@ func RunAgentsReplicas(cfg Config, opts AgentOptions, seeds []uint64) ([]Result,
 		return results, nil
 	}
 
-	p := newPackedParams(cfg, opts.Shards)
+	p := newPackedParams(cfg, opts)
 	results := make([]Result, len(seeds))
 	states := make([]*packedState, len(seeds))
 	active := make([]int, 0, len(seeds))
@@ -57,18 +56,16 @@ func RunAgentsReplicas(cfg Config, opts AgentOptions, seeds []uint64) ([]Result,
 		active = append(active, i)
 	}
 
-	// kThr memo, keyed by the one-count the round's agents sample from.
-	// Lookup-only access (no map iteration) keeps the batch deterministic;
-	// the table is copied out of the state scratch on first computation so
-	// later rounds of other replicas can't alias it.
-	memo := make(map[int64][]uint64)
-	thresholds := func(st *packedState, x int64) []uint64 {
-		if kThr, ok := memo[x]; ok {
-			return kThr
+	// Coin memo, keyed by the one-count the round's agents sample from.
+	// Lookup-only access (no map iteration) keeps the batch deterministic.
+	memo := make(map[int64][2]coin)
+	adopt := func(x int64) [2]coin {
+		c, ok := memo[x]
+		if !ok {
+			c = p.adoptCoins(x)
+			memo[x] = c
 		}
-		kThr := append([]uint64(nil), p.stateKThr(st, x)...)
-		memo[x] = kThr
-		return kThr
+		return c
 	}
 
 	for t := int64(1); t <= p.roundCap && len(active) > 0; t++ {
@@ -81,7 +78,7 @@ func RunAgentsReplicas(cfg Config, opts AgentOptions, seeds []uint64) ([]Result,
 		}
 		live := active[:0]
 		for _, i := range active {
-			if p.round(states[i], t, thresholds) {
+			if p.round(states[i], t, adopt) {
 				results[i] = states[i].res
 				states[i] = nil
 				continue // retire this replica

@@ -1,10 +1,10 @@
 package engine_test
 
 // Guards for the replica-batched packed runner: RunAgentsReplicas is a
-// pure evaluation-sharing transform (the memoized inverse-CDF threshold
-// table is an exact function of the one-count), so every replica must be
+// pure evaluation-sharing transform (the memoized T₀/T₁ threshold pair is
+// an exact function of the one-count), so every replica must be
 // bit-identical to its solo RunAgents run — across fault families, shard
-// counts and rules with and without the deterministic fast regime.
+// counts and rules with and without 0/1 adoption tables.
 
 import (
 	"fmt"
@@ -24,7 +24,7 @@ func TestRunAgentsReplicasMatchesSolo(t *testing.T) {
 		"omission": fault.Must(fault.OmissionFor(2, 3, 0.5)),
 	}
 	rules := map[string]*protocol.Rule{
-		"minority": protocol.Minority(3), // deterministic tables: memoized kThr path
+		"minority": protocol.Minority(3), // 0/1 tables
 		"noisy":    protocol.WithNoise(protocol.Minority(3), 0.1),
 	}
 	for sname, sched := range schedules {
@@ -84,8 +84,9 @@ func TestRunAgentsReplicasRetirement(t *testing.T) {
 	}
 }
 
-// Configurations the packed engine does not serve fall back to independent
-// solo runs with the same results.
+// Configurations the bitset engine does not serve fall back to independent
+// solo runs with the same results, and the chunked layout batches like the
+// packed one.
 func TestRunAgentsReplicasFallback(t *testing.T) {
 	cfg := engine.Config{N: 120, Rule: protocol.Minority(3), Z: 1, X0: 60, MaxRounds: 10}
 	seeds := []uint64{11, 12, 13}

@@ -2,8 +2,9 @@ package engine_test
 
 // Guards for the bit-packed agent-engine fast path. The packed body
 // samples from the same per-round distribution as the historical
-// byte-per-opinion body but not from the same realization (it draws
-// sample indices as 32-bit Lemire rejections), so the contract tested
+// byte-per-opinion body but not from the same realization (it draws each
+// agent's next opinion from its Eq. 4 adoption law, 64 agents at a time,
+// instead of sampling indices), so the contract tested
 // here is determinism, absorption/semantic agreement, and fault-handling
 // behavior; the distributional agreement packed ↔ unpacked ↔ count-level
 // ↔ aggregated is pinned by the χ² suite in equivalence_chi_test.go.
@@ -33,11 +34,9 @@ func runAgentsTraced(t *testing.T, cfg engine.Config, opts engine.AgentOptions, 
 }
 
 // The serial packed realization is frozen: these trajectories were
-// captured from the pre-refactor single-worker engine, and the sharded
-// rewrite (word-aligned worker ranges, factored round loop) must keep
-// shards≤1 byte-identical to them. Covers the deterministic fast regime,
-// the general body under noise + omission faults, and an odd-n Voter run
-// whose final word is partial.
+// captured from the word-parallel round kernel, and shards≤1 must stay
+// byte-identical to them. Covers a deterministic rule, a noisy rule under
+// omission faults, and an odd-n Voter run whose final word is partial.
 func TestPackedSerialGolden(t *testing.T) {
 	sched := fault.Must(fault.OmissionFor(3, 2, 0.5))
 	cases := []struct {
@@ -50,20 +49,20 @@ func TestPackedSerialGolden(t *testing.T) {
 		{
 			"det",
 			engine.Config{N: 300, Rule: protocol.Minority(3), Z: 1, X0: 150, MaxRounds: 16},
-			42, 149, 4784,
-			[]int64{142, 148, 149, 146, 154, 126, 149, 153, 147, 145, 138, 147, 162, 139, 150, 149},
+			42, 150, 4784,
+			[]int64{151, 148, 138, 158, 141, 150, 151, 168, 139, 147, 160, 164, 153, 153, 157, 150},
 		},
 		{
 			"noisy",
 			engine.Config{N: 300, Rule: protocol.WithNoise(protocol.Minority(3), 0.1), Z: 1, X0: 150, MaxRounds: 16, Faults: sched},
-			42, 154, 4480,
-			[]int64{152, 162, 154, 160, 160, 154, 143, 150, 158, 152, 156, 166, 149, 138, 162, 154},
+			42, 145, 4500,
+			[]int64{165, 156, 162, 160, 158, 154, 155, 141, 153, 134, 156, 149, 148, 142, 154, 145},
 		},
 		{
 			"voter",
 			engine.Config{N: 257, Rule: protocol.Voter(1), Z: 1, X0: 128, MaxRounds: 16},
 			7, 156, 4096,
-			[]int64{127, 137, 143, 143, 146, 158, 152, 157, 150, 144, 133, 144, 155, 159, 156, 156},
+			[]int64{133, 136, 141, 138, 138, 126, 123, 123, 131, 136, 133, 152, 157, 157, 164, 156},
 		},
 	}
 	for _, tc := range cases {

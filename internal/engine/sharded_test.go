@@ -68,7 +68,7 @@ func TestShardedDeterministic(t *testing.T) {
 		}
 		// The packed engine serves this configuration and clamps the shard
 		// count to one shard per bitset word.
-		if want := packedEffectiveShards(shards, packedWords(200)); resA.Shards != want {
+		if want := packedEffectiveShards(shards, MaxPackedShards(200)); resA.Shards != want {
 			t.Errorf("shards=%d: Result.Shards = %d, want %d", shards, resA.Shards, want)
 		}
 		for i := range trajA {

@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
+	"time"
 )
 
 var quickOpts = Options{Seed: 2024, Workers: 0, Quick: true}
@@ -356,5 +359,26 @@ func TestX13EvolveSearch(t *testing.T) {
 		if v := metric(t, res, "pruned_frac_ell"+string(rune('0'+ell))); v <= 0 || v >= 1 {
 			t.Errorf("ℓ=%d: bias pre-filter pruned fraction %v outside (0,1)", ell, v)
 		}
+	}
+}
+
+// X11 runs long pairwise simulations; a cancelled context must stop it
+// promptly with the context's error rather than after the whole sweep.
+func TestX11HonorsCancellation(t *testing.T) {
+	e, ok := ByID("X11")
+	if !ok {
+		t.Fatal("experiment X11 not registered")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	opts := quickOpts
+	opts.Ctx = ctx
+	start := time.Now()
+	_, err := e.Run(opts)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("X11 with a cancelled context returned %v, want context.Canceled", err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Errorf("X11 took %v to notice cancellation", d)
 	}
 }

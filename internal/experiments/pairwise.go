@@ -40,6 +40,20 @@ func x11PopulationProtocols() Experiment {
 				track *[]float64 // per-n normalized means for metrics
 			}
 			var epiNorm, majNorm, voterNorm []float64
+			ctx := opts.ctx()
+			// allOnes is every row's success predicate with cancellation
+			// folded in: a cancelled sweep stops mid-replica. The context is
+			// polled every 1024 interactions, so the hot loop pays a
+			// counter, not a context read.
+			allOnes := func(n int) func([2]int) bool {
+				calls := 0
+				return func(out [2]int) bool {
+					if calls++; calls&1023 == 0 && ctx.Err() != nil {
+						return true
+					}
+					return out[1] == n
+				}
+			}
 			rows := []rowSpec{
 				{"Epidemic (broadcast)", func(n int, g *rng.RNG) (bool, int64, error) {
 					res, err := popproto.Run(popproto.Config{
@@ -52,7 +66,7 @@ func x11PopulationProtocols() Experiment {
 							return 0
 						},
 						SourceState: -1,
-						Stop:        func(out [2]int) bool { return out[1] == n },
+						Stop:        allOnes(n),
 					}, g)
 					return res.Stopped, res.Interactions, err
 				}, &epiNorm},
@@ -68,7 +82,7 @@ func x11PopulationProtocols() Experiment {
 						},
 						SourceState:     int(popproto.StrongOne),
 						MaxInteractions: int64(n) * int64(n) * 64,
-						Stop:            func(out [2]int) bool { return out[1] == n },
+						Stop:            allOnes(n),
 					}, g)
 					return res.Stopped, res.Interactions, err
 				}, &majNorm},
@@ -78,7 +92,7 @@ func x11PopulationProtocols() Experiment {
 						Protocol:    popproto.PairwiseVoter{},
 						Init:        func(int) popproto.State { return 0 },
 						SourceState: 1,
-						Stop:        func(out [2]int) bool { return out[1] == n },
+						Stop:        allOnes(n),
 					}, g)
 					return res.Stopped, res.Interactions, err
 				}, &voterNorm},
@@ -92,6 +106,9 @@ func x11PopulationProtocols() Experiment {
 					ok := 0
 					for rep := 0; rep < replicas; rep++ {
 						success, inter, err := row.run(n, master.Split())
+						if err == nil {
+							err = ctx.Err() // a cancelled run is not a success
+						}
 						if err != nil {
 							return nil, err
 						}

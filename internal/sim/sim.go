@@ -481,9 +481,9 @@ const agentBatchBudget = 256 << 20
 
 // runAgentsBatched is runParallelBatched for AgentLevel mode: contiguous
 // chunks of the pending list advance in lockstep through
-// engine.RunAgentsReplicas, so the deterministic-regime adoption
-// thresholds are memoized once per distinct one-count across the whole
-// batch instead of once per replica-round. Outcomes are identical to the
+// engine.RunAgentsReplicas, so each round's adoption thresholds are
+// computed once per distinct one-count across the whole batch instead of
+// once per replica-round. Outcomes are identical to the
 // unbatched path — the batched engine is bit-identical to per-replica
 // RunAgents on the same seeds — and a panicked batch falls back to
 // individually recovered per-replica runs. Chunks are additionally split
