@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test verify vet-race race-packed obs-race serve-race fabric-race vm-race lint lint-fixtures lint-audit lint-baseline ci bench bench-compare bench-packed-scale bench-fabric-scale fuzz-fault fuzz-vm bench-smoke
+.PHONY: build test verify fmt-check vet-race race-packed obs-race serve-race fabric-race vm-race lint lint-fixtures lint-audit lint-baseline ci bench bench-compare bench-packed-scale bench-fabric-scale fuzz-fault fuzz-vm bench-smoke
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,11 @@ test:
 
 # Tier-1 verify (ROADMAP.md).
 verify: build test
+
+# Formatting gate: every Go file in the tree is gofmt-clean; lists the
+# offenders otherwise.
+fmt-check:
+	@files=$$(gofmt -l .); test -z "$$files" || { echo "not gofmt-clean:"; echo "$$files"; exit 1; }
 
 # Static analysis + race detection on the packages that spawn goroutines
 # or are shared across them (the sharded agent engine, the Monte-Carlo
@@ -110,7 +115,7 @@ fuzz-vm:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkRunAgents|BenchmarkAgentBody' -benchtime 1x . ./internal/engine/
 
-ci: verify vet-race race-packed obs-race serve-race fabric-race vm-race lint lint-fixtures fuzz-fault fuzz-vm bench-smoke
+ci: verify fmt-check vet-race race-packed obs-race serve-race fabric-race vm-race lint lint-fixtures fuzz-fault fuzz-vm bench-smoke
 
 # Full experiment benchmarks (quick sizes; BITSPREAD_FULL=1 for the sizes
 # reported in EXPERIMENTS.md).

@@ -50,6 +50,8 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 
+	// Every flag is checked before the search: a bad measurement flag must
+	// not cost a whole search first.
 	opts := evolve.Options{
 		Ell:         *ell,
 		Population:  *population,
@@ -57,6 +59,15 @@ func run(args []string, w io.Writer) error {
 		Seed:        *seed,
 		SimN:        *simN,
 		DriftCutoff: *cutoff,
+	}
+	if err := opts.Validate(); err != nil {
+		return err
+	}
+	if *evalN < 0 || *evalN == 1 {
+		return fmt.Errorf("-eval-n must be 0 (skip the measurement) or >= 2, got %d", *evalN)
+	}
+	if *evalSeeds < 1 {
+		return fmt.Errorf("-eval-seeds must be >= 1, got %d", *evalSeeds)
 	}
 	if *verbose {
 		opts.Progress = func(gen int, stat evolve.GenStat) {
@@ -109,9 +120,6 @@ func run(args []string, w io.Writer) error {
 	}
 
 	if *evalN > 0 {
-		if *evalSeeds < 1 {
-			return fmt.Errorf("-eval-seeds must be >= 1")
-		}
 		seeds := make([]uint64, *evalSeeds)
 		for i := range seeds {
 			seeds[i] = *seed*0x9e3779b97f4a7c15 + uint64(i) + 1

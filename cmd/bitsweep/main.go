@@ -64,18 +64,18 @@ func run(ctx context.Context, args []string, w io.Writer) (err error) {
 	var (
 		metricsPath = fs.String("metrics", "", `write a Prometheus-style metrics snapshot of the sweep at exit ("-": stdout)`)
 		spansPath   = fs.String("spans", "", "write run-level JSONL spans (replica lifecycle, checkpoints, recoveries) to this file")
-		expSpec = fs.String("exp", "all", "experiment ID (e.g. T2, F4) or 'all'")
-		list    = fs.Bool("list", false, "list experiments and exit")
-		quick   = fs.Bool("quick", false, "reduced sizes (seconds instead of minutes)")
-		seed    = fs.Uint64("seed", 2024, "random seed")
-		workers = fs.Int("workers", 0, "simulation worker goroutines (0: GOMAXPROCS)")
-		csv     = fs.Bool("csv", false, "emit CSV instead of ASCII tables")
-		md      = fs.Bool("md", false, "emit a Markdown paper-vs-measured table (the EXPERIMENTS.md format)")
-		journal   = fs.String("journal", "", "JSONL checkpoint file: every finished replica is flushed here")
-		resume    = fs.Bool("resume", false, "load finished replicas from the -journal file instead of recomputing them")
-		timeout   = fs.Duration("timeout", 0, "wall-clock budget for the whole sweep (0: none)")
-		partition = fs.String("partition", "", "run one shard i/N of the sweep's (task, replica) space, checkpointing owned replicas to -journal (no tables)")
-		join      = fs.String("join", "", "comma-separated shard journals or globs; merge them into -journal and render from the merged checkpoint")
+		expSpec     = fs.String("exp", "all", "experiment ID (e.g. T2, F4) or 'all'")
+		list        = fs.Bool("list", false, "list experiments and exit")
+		quick       = fs.Bool("quick", false, "reduced sizes (seconds instead of minutes)")
+		seed        = fs.Uint64("seed", 2024, "random seed")
+		workers     = fs.Int("workers", 0, "simulation worker goroutines (0: GOMAXPROCS)")
+		csv         = fs.Bool("csv", false, "emit CSV instead of ASCII tables")
+		md          = fs.Bool("md", false, "emit a Markdown paper-vs-measured table (the EXPERIMENTS.md format)")
+		journal     = fs.String("journal", "", "JSONL checkpoint file: every finished replica is flushed here")
+		resume      = fs.Bool("resume", false, "load finished replicas from the -journal file instead of recomputing them")
+		timeout     = fs.Duration("timeout", 0, "wall-clock budget for the whole sweep (0: none)")
+		partition   = fs.String("partition", "", "run one shard i/N of the sweep's (task, replica) space, checkpointing owned replicas to -journal (no tables)")
+		join        = fs.String("join", "", "comma-separated shard journals or globs; merge them into -journal and render from the merged checkpoint")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

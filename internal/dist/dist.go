@@ -1,14 +1,44 @@
 // Package dist provides the probability distributions and concentration
 // bounds used throughout the reproduction: numerically stable binomial
-// pmf/cdf, the standard normal, the Hoeffding and Azuma–Hoeffding bounds of
-// the paper's Appendix A (Theorems 15 and 16), and Wilson score confidence
-// intervals for the Monte-Carlo harness.
+// pmf/cdf, exact log-factorials, the standard normal, the Hoeffding and
+// Azuma–Hoeffding bounds of the paper's Appendix A (Theorems 15 and 16),
+// and Wilson score confidence intervals for the Monte-Carlo harness.
 package dist
 
 import "math"
 
-// LogChoose returns log(n choose k) computed through log-gamma, stable for
-// large n. It returns -Inf when k is outside [0, n].
+// logFactTableMax is the largest k whose ln k! LogFactorial reads from
+// logFactTable. 2¹⁴ covers the binomial arguments of every quick-size
+// experiment in 128 KiB; the table stays small because every process that
+// links this package fills it, including agent-engine runs that never
+// read it.
+const logFactTableMax = 1 << 14
+
+// logFactTable[k] = ln k! for 0 ≤ k ≤ logFactTableMax. It is filled once,
+// at package initialization, by the very call LogFactorial makes above the
+// table, and never written again.
+var logFactTable [logFactTableMax + 1]float64
+
+func init() {
+	for k := range logFactTable {
+		logFactTable[k], _ = math.Lgamma(float64(k) + 1)
+	}
+}
+
+// LogFactorial returns ln k!, bit for bit equal to
+// math.Lgamma(float64(k)+1) for every k (so +Inf for negative k): a table
+// lookup for k ≤ 2¹⁴, the same Lgamma call above it. It can therefore
+// stand in for any integer-argument Lgamma without changing a value.
+func LogFactorial(k int64) float64 {
+	if uint64(k) <= logFactTableMax {
+		return logFactTable[k]
+	}
+	lg, _ := math.Lgamma(float64(k) + 1)
+	return lg
+}
+
+// LogChoose returns log(n choose k) computed through log-factorials,
+// stable for large n. It returns -Inf when k is outside [0, n].
 func LogChoose(n, k int64) float64 {
 	if k < 0 || k > n {
 		return math.Inf(-1)
@@ -16,10 +46,7 @@ func LogChoose(n, k int64) float64 {
 	if k == 0 || k == n {
 		return 0
 	}
-	ln1, _ := math.Lgamma(float64(n) + 1)
-	lk, _ := math.Lgamma(float64(k) + 1)
-	lnk, _ := math.Lgamma(float64(n-k) + 1)
-	return ln1 - lk - lnk
+	return LogFactorial(n) - LogFactorial(k) - LogFactorial(n-k)
 }
 
 // Choose returns (n choose k) as a float64. It overflows to +Inf for very

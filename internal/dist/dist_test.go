@@ -29,6 +29,46 @@ func TestLogChoose(t *testing.T) {
 	}
 }
 
+// LogFactorial is a drop-in for math.Lgamma(float64(k)+1): bit-equal on
+// every table entry and on both sides of the table edge.
+func TestLogFactorialMatchesLgamma(t *testing.T) {
+	check := func(k int64) {
+		want, _ := math.Lgamma(float64(k) + 1)
+		if got := LogFactorial(k); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("LogFactorial(%d) = %v, want %v bit for bit", k, got, want)
+		}
+	}
+	for k := int64(0); k <= logFactTableMax; k++ {
+		check(k)
+	}
+	for _, k := range []int64{-1, -2, logFactTableMax + 1, logFactTableMax + 2, 100003, 1 << 20, 1<<40 + 1, 1<<53 - 1, math.MaxInt64} {
+		check(k)
+	}
+	if len(logFactTable) != 1<<14+1 {
+		t.Errorf("table has %d entries, want 2¹⁴+1", len(logFactTable))
+	}
+}
+
+// LogChoose must stay bit-equal to the three-Lgamma formula it has always
+// computed: the markov builders, AdoptProb and the χ² oracles depend on its
+// exact values, not only on its accuracy.
+func TestLogChooseBitIdentical(t *testing.T) {
+	lgamma := func(x float64) float64 { v, _ := math.Lgamma(x); return v }
+	ns := []int64{1, 2, 3, 17, 255, 1000, 1<<14 - 1, 1 << 14, 1<<14 + 1, 1<<14 + 77, 100003, 1 << 20, 1 << 40}
+	for _, n := range ns {
+		ks := []int64{1, 2, n / 3, n / 2, n - 1, n - 2, n - 1<<14, 1 << 14, 1<<14 + 1, n - 1<<14 - 1}
+		for _, k := range ks {
+			if k <= 0 || k >= n {
+				continue
+			}
+			want := lgamma(float64(n)+1) - lgamma(float64(k)+1) - lgamma(float64(n-k)+1)
+			if got := LogChoose(n, k); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("LogChoose(%d, %d) = %v, want %v bit for bit", n, k, got, want)
+			}
+		}
+	}
+}
+
 func TestChoosePascal(t *testing.T) {
 	// Property: C(n,k) = C(n-1,k-1) + C(n-1,k) for moderate n.
 	for n := int64(2); n <= 30; n++ {

@@ -1,14 +1,18 @@
 package engine_test
 
-// One-step-kernel suite: every bitset variant must draw X₁ from the exact
-// Eq. 4 law (Prop 5), not merely agree with the other engines. Each cell
-// runs R one-round replicas from a fixed X₀ and compares the histogram of
-// X₁ with the exact row by a Pearson goodness-of-fit χ² at α = 0.01. The
-// fault-free oracle is markov.ParallelChain's row; under an omission or
-// stubborn window at round 1 it is the two-binomial convolution with the
-// window applied, mixed over the pinned prefix's initial ones (the
-// initial layout is a uniform subset, so that count is hypergeometric).
-// Seeds are fixed, so the suite is deterministic.
+// One-step-kernel suite: every parallel-setting engine (the bitset
+// variants, the literal agent body, the aggregated engine and both count
+// engines) must draw X₁ from the exact Eq. 4 law (Prop 5), not merely
+// agree with the other engines. Each cell runs R one-round replicas from a
+// fixed X₀ and compares the histogram of X₁ with the exact row by a
+// Pearson goodness-of-fit χ² at α = 0.01. The fault-free oracle is
+// markov.ParallelChain's row; under an omission or stubborn window at
+// round 1 it is the two-binomial convolution with the window applied,
+// mixed over the pinned prefix's initial ones (the agent engines' initial
+// layout is a uniform subset, and the count engines draw the pin
+// hypergeometrically, so that count is hypergeometric either way). Seeds
+// are fixed, so the suite is deterministic. The sequential engine has no
+// one-round law of this form and is not covered.
 
 import (
 	"fmt"
@@ -84,25 +88,25 @@ type oneStepVariant struct {
 }
 
 func oneStepVariants() []oneStepVariant {
-	solo := func(opts engine.AgentOptions) func(*testing.T, engine.Config, uint64, int) []int64 {
+	type sampler = func(*testing.T, engine.Config, uint64, int) []int64
+	solo := func(run func(engine.Config, *rng.RNG) (engine.Result, error)) sampler {
 		return func(t *testing.T, cfg engine.Config, master uint64, reps int) []int64 {
-			return sampleFinalCounts(t, cfg, func(cfg engine.Config, g *rng.RNG) (engine.Result, error) {
-				return engine.RunAgents(cfg, opts, g)
-			}, master, reps)
+			return sampleFinalCounts(t, cfg, run, master, reps)
 		}
 	}
-	return []oneStepVariant{
-		{"packed", solo(engine.AgentOptions{})},
-		{"sharded-3", solo(engine.AgentOptions{Shards: 3})},
-		{"sharded-ncpu", solo(engine.AgentOptions{Shards: runtime.NumCPU()})},
-		{"chunked", solo(engine.AgentOptions{Chunked: true, Shards: 2})},
-		{"replicas", func(t *testing.T, cfg engine.Config, master uint64, reps int) []int64 {
+	agents := func(opts engine.AgentOptions) sampler {
+		return solo(func(cfg engine.Config, g *rng.RNG) (engine.Result, error) {
+			return engine.RunAgents(cfg, opts, g)
+		})
+	}
+	batched := func(run func(engine.Config, []uint64) ([]engine.Result, error)) sampler {
+		return func(t *testing.T, cfg engine.Config, master uint64, reps int) []int64 {
 			seeds := make([]uint64, reps)
 			g := rng.New(master)
 			for i := range seeds {
 				seeds[i] = g.Uint64()
 			}
-			res, err := engine.RunAgentsReplicas(cfg, engine.AgentOptions{}, seeds)
+			res, err := run(cfg, seeds)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,7 +115,22 @@ func oneStepVariants() []oneStepVariant {
 				out[i] = r.FinalCount
 			}
 			return out
-		}},
+		}
+	}
+	// Append new variants: seeds derive from the index, so inserting one
+	// would reseed every variant after it.
+	return []oneStepVariant{
+		{"packed", agents(engine.AgentOptions{})},
+		{"sharded-3", agents(engine.AgentOptions{Shards: 3})},
+		{"sharded-ncpu", agents(engine.AgentOptions{Shards: runtime.NumCPU()})},
+		{"chunked", agents(engine.AgentOptions{Chunked: true, Shards: 2})},
+		{"replicas", batched(func(cfg engine.Config, seeds []uint64) ([]engine.Result, error) {
+			return engine.RunAgentsReplicas(cfg, engine.AgentOptions{}, seeds)
+		})},
+		{"count", solo(engine.RunParallel)},
+		{"count-replicas", batched(engine.RunParallelReplicas)},
+		{"aggregated", solo(engine.RunAggregated)},
+		{"literal", agents(engine.AgentOptions{Unpacked: true})},
 	}
 }
 

@@ -75,6 +75,11 @@ type Options struct {
 	Progress func(gen int, stat GenStat)
 }
 
+// Validate reports the first invalid option, after applying the defaults
+// to a copy, without running anything: a caller can reject bad input
+// before committing to a long search.
+func (o Options) Validate() error { return o.defaults() }
+
 func (o *Options) defaults() error {
 	if o.Ell < 1 || o.Ell > vm.MaxEll {
 		return fmt.Errorf("%w: ℓ=%d", ErrOptions, o.Ell)

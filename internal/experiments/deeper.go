@@ -96,6 +96,9 @@ func x7ConflictingSources() Experiment {
 				{1, 1}, {3, 1}, {1, 3}, {8, 2}, {5, 5},
 			}
 			for i, c := range cases {
+				if err := opts.ctx().Err(); err != nil {
+					return nil, err
+				}
 				res, err := engine.RunConflict(engine.ConflictConfig{
 					N:        n,
 					Rule:     protocol.Voter(1),

@@ -382,3 +382,30 @@ func TestX11HonorsCancellation(t *testing.T) {
 		t.Errorf("X11 took %v to notice cancellation", d)
 	}
 }
+
+// Every Monte-Carlo experiment polls the context before each replica
+// (and every 1024 rounds of a hand-rolled step loop): at full size, an
+// already-cancelled context must stop it at once with the context's error
+// instead of a table. T4, T7 and X6 are closed-form chain computations
+// with no replica loop; they finish in milliseconds at full size.
+func TestExperimentsHonorCancellation(t *testing.T) {
+	exact := map[string]bool{"T4": true, "T7": true, "X6": true}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, id := range IDs() {
+		if exact[id] {
+			continue
+		}
+		t.Run(id, func(t *testing.T) {
+			e, _ := ByID(id)
+			start := time.Now()
+			_, err := e.Run(Options{Seed: 2024, Ctx: ctx})
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("%s with a cancelled context returned %v, want context.Canceled", id, err)
+			}
+			if d := time.Since(start); d > time.Second {
+				t.Errorf("%s took %v to notice cancellation", id, d)
+			}
+		})
+	}
+}

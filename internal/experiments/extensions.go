@@ -152,6 +152,7 @@ func x3SampleSizeBoundary() Experiment {
 			tb := table.New("X3 — one-round jump probability from X=0.2n to ≥0.9n (rule: Follower(θ=1))",
 				"ℓ schedule", "n", "ℓ", "P(teleport)")
 			maxConstant, minLog := 0.0, 1.0
+			ctx := opts.ctx()
 			schedules := []struct {
 				name string
 				of   func(n int64) int
@@ -169,6 +170,9 @@ func x3SampleSizeBoundary() Experiment {
 					g := rng.New(subSeed(opts, uint64(n)+hash(sc.name)))
 					jumps := 0
 					for tr := 0; tr < trials; tr++ {
+						if halted(ctx, int64(tr)+1) {
+							return nil, ctx.Err()
+						}
 						if float64(engine.StepCount(r, n, 1, x0, g)) >= 0.9*float64(n) {
 							jumps++
 						}

@@ -42,6 +42,7 @@ func figure1Escape() Experiment {
 			dominanceOK := true
 			maxStepRatio := 0.0
 			var xs, ys []float64
+			ctx := opts.ctx()
 			for _, n := range ns {
 				x0 := int64((a2 + a3) / 2 * float64(n))
 				limit := 100 * n // generous: exit is Θ(n)
@@ -54,6 +55,9 @@ func figure1Escape() Experiment {
 					traj := make([]int64, 0, 1024)
 					traj = append(traj, x)
 					for t := int64(1); t <= limit; t++ {
+						if halted(ctx, t) {
+							return nil, ctx.Err()
+						}
 						// Driftless: every agent resamples uniformly.
 						//bitlint:probok x stays in [0,n] by construction and n >= 1, so the ratio is a probability
 						x = g.Binomial(n, float64(x)/float64(n))
@@ -157,6 +161,7 @@ func runCaseFigure(opts Options, params caseFigureParams) (*Result, error) {
 	tb := table.New(params.id+" — crossing probability of the blocking threshold within ⌈n^0.9⌉ rounds",
 		"rule", "case", "n", "z", "X₀/n", "threshold/n", "P(cross ≤ T)")
 	maxCross := 0.0
+	ctx := opts.ctx()
 	for _, r := range rules {
 		a := bias.For(r)
 		c, ok := a.ProofConstants()
@@ -179,6 +184,9 @@ func runCaseFigure(opts Options, params caseFigureParams) (*Result, error) {
 				g := master.Split()
 				x := x0
 				for t := int64(1); t <= budget; t++ {
+					if halted(ctx, t) {
+						return nil, ctx.Err()
+					}
 					x = engine.StepCount(r, n, c.Z, x, g)
 					if (up && float64(x) >= threshold*float64(n)) ||
 						(!up && float64(x) <= threshold*float64(n)) {
@@ -222,6 +230,9 @@ func figure4Dual() Experiment {
 				var steps []float64
 				absorbed := 0
 				for rep := 0; rep < replicas; rep++ {
+					if err := opts.ctx().Err(); err != nil {
+						return nil, err
+					}
 					res := dual.CoalescenceTime(n, bound, master.Split(), false)
 					if res.Absorbed {
 						absorbed++

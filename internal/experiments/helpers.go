@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"strconv"
 
@@ -16,6 +17,15 @@ func pick[T any](opts Options, quick, full T) T {
 		return quick
 	}
 	return full
+}
+
+// halted reports whether a hand-rolled step loop must stop at its 1-based
+// round t because ctx is done. It reads the context on a replica's first
+// round and every 1024th round after, so a cancelled run stops within
+// 1024 rounds while the hot loop pays a mask test per round, not a
+// context read.
+func halted(ctx context.Context, t int64) bool {
+	return t&1023 == 1 && ctx.Err() != nil
 }
 
 // subSeed derives a distinct deterministic seed per experiment component.

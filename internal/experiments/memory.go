@@ -63,6 +63,9 @@ func x4MemoryAblation() Experiment {
 					conv := 0
 					var taus, fracs []float64
 					for rep := 0; rep < replicas; rep++ {
+						if err := opts.ctx().Err(); err != nil {
+							return nil, err
+						}
 						res, err := memory.Run(memory.Config{
 							N:                 n,
 							Protocol:          proto,

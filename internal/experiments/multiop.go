@@ -42,6 +42,7 @@ func x5MultiOpinion() Experiment {
 
 			maxRate, worstDrift := 0.0, 0.0
 			unseenTotal := 0
+			ctx := opts.ctx()
 			for _, n := range ns {
 				budget := polyCap(n, exp)
 				// Mid-interval binary start, as in T1's trapped rows.
@@ -52,6 +53,9 @@ func x5MultiOpinion() Experiment {
 					g := master.Split()
 					x := []int64{n - x1, x1, 0}
 					for t := int64(1); t <= budget; t++ {
+						if halted(ctx, t) {
+							return nil, ctx.Err()
+						}
 						// Binary drift prediction before stepping.
 						predicted := a.ExpectedNext(n, x[1])
 						x = multi.Step(rule, n, 1, x, g)

@@ -297,6 +297,7 @@ func table5Prop3() Experiment {
 			tb := table.New("T5 — escape from the correct consensus (z=0, start at consensus)",
 				"rule", "violates Prop 3", "P(escape ≤ horizon)", "mean escape round")
 			maxViolatorStay, controlEscape := 0.0, 0.0
+			ctx := opts.ctx()
 			for i, r := range rules {
 				violates := errors.Is(r.CheckProp3(), protocol.ErrProp3)
 				escapes := 0
@@ -306,6 +307,9 @@ func table5Prop3() Experiment {
 					g := master.Split()
 					x := int64(0) // consensus on z=0
 					for t := int64(1); t <= horizon; t++ {
+						if halted(ctx, t) {
+							return nil, ctx.Err()
+						}
 						x = engine.StepCount(r, n, 0, x, g)
 						if x != 0 {
 							escapes++
@@ -356,6 +360,7 @@ func table6JumpBound() Experiment {
 				protocol.Voter(3), protocol.Minority(3), protocol.Minority(7), protocol.TwoChoice(),
 			}
 			cs := []float64{0.1, 0.3, 0.5, 0.7}
+			ctx := opts.ctx()
 			for i, r := range rules {
 				// Prop 4 only needs Prop 3 (g[0](0)=0); all rules here satisfy it.
 				for _, c := range cs {
@@ -368,6 +373,9 @@ func table6JumpBound() Experiment {
 					maxFrac := 0.0
 					violations := 0
 					for tr := 0; tr < trials; tr++ {
+						if halted(ctx, int64(tr)+1) {
+							return nil, ctx.Err()
+						}
 						next := engine.StepCount(r, n, 1, x0, g)
 						frac := float64(next) / float64(n)
 						maxFrac = math.Max(maxFrac, frac)

@@ -51,6 +51,9 @@ func x9Topology() Experiment {
 				var taus []float64
 				conv := 0
 				for rep := 0; rep < replicas; rep++ {
+					if err := opts.ctx().Err(); err != nil {
+						return nil, err
+					}
 					g := master.Split()
 					topo, err := b.build(g)
 					if err != nil {

@@ -42,6 +42,8 @@ func x10Universality() Experiment {
 			tb := table.New(fmt.Sprintf("X10 — random valid rules vs their adversarial instances (n=%d, budget=%d)", n, budget),
 				"ℓ", "rules", "case F<0 / F>0 / F≡0", "deferred", "conv. cells (resolvable)", "worst rule rate")
 			master := rng.New(subSeed(opts, 777))
+			ctx := opts.ctx()
+			halt := func() bool { return ctx.Err() != nil }
 			totalCells, convCells, deferredTotal := 0, 0, 0
 			worstRate := 0.0
 			for _, ell := range ells {
@@ -64,6 +66,7 @@ func x10Universality() Experiment {
 						continue
 					}
 					cfg, c := engine.AdversarialConfig(r, n, budget)
+					cfg.Halt = halt
 					if a.Classify() == bias.CaseNegative {
 						// As in T1: the proof's X₀=(a₂+a₃)/2 sits within
 						// O((1-a₁)^{ℓ+1}·n) of the consensus, a nearly
@@ -74,6 +77,9 @@ func x10Universality() Experiment {
 					conv := 0
 					for rep := 0; rep < replicas; rep++ {
 						res, err := engine.RunParallel(cfg, master.Split())
+						if err == nil && res.Interrupted {
+							err = ctx.Err() // a cancelled run is not a measurement
+						}
 						if err != nil {
 							return nil, err
 						}

@@ -18,6 +18,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"bitspread/internal/dist"
 )
 
 // Rule is a memory-less multi-opinion update rule.
@@ -186,8 +188,7 @@ func (r stayRule) AdoptDist(b int, counts []int) []float64 {
 // when each of the ℓ draws lands in category j with probability p[j],
 // computed in log space for stability.
 func multinomialPMF(ell int, counts []int, p []float64) float64 {
-	logCoef, _ := math.Lgamma(float64(ell) + 1)
-	logP := logCoef
+	logP := dist.LogFactorial(int64(ell))
 	for j, c := range counts {
 		if c == 0 {
 			continue
@@ -195,8 +196,7 @@ func multinomialPMF(ell int, counts []int, p []float64) float64 {
 		if p[j] <= 0 {
 			return 0
 		}
-		lg, _ := math.Lgamma(float64(c) + 1)
-		logP += float64(c)*math.Log(p[j]) - lg
+		logP += float64(c)*math.Log(p[j]) - dist.LogFactorial(int64(c))
 	}
 	return math.Exp(logP)
 }

@@ -210,9 +210,9 @@ func (r *Rule) Validate() error {
 //
 // The sum is evaluated by a multiplicative pmf recurrence spreading
 // outward from the binomial mode, so the cost is O(ℓ) cheap operations
-// (three Lgamma calls total) and large sample sizes like ℓ = √(n log n)
-// stay fast; starting at the mode keeps the recurrence underflow-safe —
-// terms can only shrink moving away from it.
+// plus three log-factorials (table lookups for ℓ ≤ 2¹⁴), and large sample
+// sizes like ℓ = √(n log n) stay fast; starting at the mode keeps the
+// recurrence underflow-safe — terms can only shrink moving away from it.
 func (r *Rule) AdoptProb(b int, p float64) float64 {
 	if p < 0 {
 		p = 0
@@ -269,7 +269,7 @@ func (r *Rule) AdoptProb(b int, p float64) float64 {
 // its update on. dst must have ℓ+1 entries; p is clamped to [0, 1].
 //
 // The pmf is evaluated by the same mode-outward multiplicative recurrence
-// as AdoptProb (O(ℓ) with three Lgamma calls, underflow-safe because terms
+// as AdoptProb (O(ℓ) with three log-factorials, underflow-safe because terms
 // only shrink away from the mode). The aggregated agent engine uses it to
 // split each opinion class over observation counts.
 func SampleCountPMF(ell int, p float64, dst []float64) {

@@ -220,7 +220,9 @@ type httpError struct {
 	body   string
 }
 
-func (e *httpError) Error() string { return fmt.Sprintf("coordinator answered %d: %s", e.status, e.body) }
+func (e *httpError) Error() string {
+	return fmt.Sprintf("coordinator answered %d: %s", e.status, e.body)
+}
 
 func (w *pullWorker) post(ctx context.Context, path, contentType string, body []byte, out any) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.opts.URL+path, bytes.NewReader(body))
