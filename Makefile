@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test verify fmt-check vet-race race-packed obs-race serve-race fabric-race vm-race lint lint-fixtures lint-audit lint-baseline ci bench bench-compare bench-packed-scale bench-fabric-scale fuzz-fault fuzz-vm bench-smoke
+.PHONY: build test verify fmt-check bench-check vet-race race-packed obs-race serve-race fabric-race vm-race lint lint-fixtures lint-audit lint-baseline ci bench bench-compare bench-packed-scale bench-fabric-scale fuzz-fault fuzz-vm bench-smoke
 
 build:
 	$(GO) build ./...
@@ -19,8 +19,14 @@ verify: build test
 fmt-check:
 	@files=$$(gofmt -l .); test -z "$$files" || { echo "not gofmt-clean:"; echo "$$files"; exit 1; }
 
+# The repo benchmark is its own module (benchmark/go.mod), so `go build
+# ./...` never compiles it; vet and test it here so an engine or sim API
+# change that breaks it fails CI rather than the next benchmark run.
+bench-check:
+	cd benchmark && $(GO) vet . && $(GO) test .
+
 # Static analysis + race detection on the packages that spawn goroutines
-# or are shared across them (the sharded agent engine, the Monte-Carlo
+# or are shared across them (the sharded bitset engine, the Monte-Carlo
 # runner, the fault schedules shared by replicas, and the AdoptCache
 # guard).
 vet-race:
@@ -34,7 +40,7 @@ vet-race:
 # the whole engine package; this filter keeps a fast signal for the
 # word-ownership invariant itself.
 race-packed:
-	$(GO) test -race -run 'TestPackedSharded|TestPackedDeterministic|TestChunked|TestShardedDeterministic|TestRunAgentsReplicas|TestSeedDeterminismUnderFaults/sharded' ./internal/engine/
+	$(GO) test -race -run 'TestPackedSharded|TestPackedDeterministic|TestChunked|TestShardedDeterministic|TestRunAgentsReplicas|TestSeedDeterminismUnderFaults/sharded-(packed|chunked)' ./internal/engine/
 
 # Observability layer under the race detector: the shared metrics
 # registry, the span writer, and the probe/observer wiring through the
@@ -115,7 +121,7 @@ fuzz-vm:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkRunAgents|BenchmarkAgentBody' -benchtime 1x . ./internal/engine/
 
-ci: verify fmt-check vet-race race-packed obs-race serve-race fabric-race vm-race lint lint-fixtures fuzz-fault fuzz-vm bench-smoke
+ci: verify fmt-check bench-check vet-race race-packed obs-race serve-race fabric-race vm-race lint lint-fixtures fuzz-fault fuzz-vm bench-smoke
 
 # Full experiment benchmarks (quick sizes; BITSPREAD_FULL=1 for the sizes
 # reported in EXPERIMENTS.md).

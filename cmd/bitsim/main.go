@@ -52,7 +52,7 @@ func run(args []string, w io.Writer) (err error) {
 		initSpec    = fs.String("init", "worst", "initial configuration: worst, balanced, adversarial, or an explicit count")
 		mode        = fs.String("mode", "parallel", "activation model: parallel, sequential, agents, packed, chunked, aggregated")
 		shards      = fs.Int("shards", 1, "agent-engine shards (mode=agents/packed/chunked; deterministic per seed+shards)")
-		unpacked    = fs.Bool("unpacked", false, "force the historical byte-per-opinion agent engine (mode=agents)")
+		unpacked    = fs.Bool("unpacked", false, "force the serial byte-per-opinion reference agent engine (mode=agents; no -shards)")
 		rounds      = fs.Int64("rounds", 0, "round cap (0: default O(n log n))")
 		seed        = fs.Uint64("seed", 1, "random seed")
 		every       = fs.Int64("trace", 0, "print the one-count every k rounds (0: off)")
@@ -64,6 +64,9 @@ func run(args []string, w io.Writer) (err error) {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *unpacked && *shards > 1 {
+		return fmt.Errorf("-unpacked runs the serial reference engine and takes no -shards (got %d); drop -unpacked to shard the bitset engine", *shards)
 	}
 	if err := prof.Start(); err != nil {
 		return err

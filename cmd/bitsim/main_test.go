@@ -78,6 +78,24 @@ func TestRunAgentsSharded(t *testing.T) {
 	}
 }
 
+func TestRunUnpackedRejectsShards(t *testing.T) {
+	var out strings.Builder
+	err := run([]string{"-rule", "voter", "-n", "256", "-mode", "agents", "-unpacked", "-shards", "4"}, &out)
+	if err == nil {
+		t.Fatal("-unpacked -shards 4 accepted")
+	}
+	if !strings.Contains(err.Error(), "serial reference engine") {
+		t.Errorf("error %q does not explain that the unpacked engine is serial", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("rejected run printed output before failing:\n%s", out.String())
+	}
+	// One shard is the serial engine itself, so it stays accepted.
+	if err := run([]string{"-rule", "voter", "-n", "64", "-mode", "agents", "-unpacked", "-shards", "1", "-seed", "3"}, &out); err != nil {
+		t.Errorf("-unpacked -shards 1: %v", err)
+	}
+}
+
 func TestRunPackedAndChunkedModes(t *testing.T) {
 	for _, mode := range []string{"packed", "chunked"} {
 		runOnce := func() string {

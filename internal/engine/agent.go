@@ -9,14 +9,14 @@ type AgentOptions struct {
 	// WithoutReplacement makes each agent draw its ℓ samples as distinct
 	// agents (an ablation; the paper's model samples with replacement).
 	WithoutReplacement bool
-	// Shards splits the per-round inner loop over that many goroutines,
-	// each consuming its own Split-derived random stream over a fixed
-	// contiguous range of agents. Results are bit-reproducible given
-	// (seed, Shards) regardless of GOMAXPROCS or scheduling; values <= 1
-	// select the serial engine, which reproduces the historical
-	// single-stream sequence exactly.
+	// Shards splits the bitset engine's per-round loop over that many
+	// goroutines, each consuming its own Split-derived random stream over
+	// a fixed word-aligned range of agents. Results are bit-reproducible
+	// given (seed, Shards) regardless of GOMAXPROCS or scheduling; values
+	// <= 1 select the serial body. The literal body (Unpacked,
+	// without-replacement sampling) is serial and ignores it.
 	Shards int
-	// Unpacked forces the historical byte-per-opinion engine body instead
+	// Unpacked forces the literal byte-per-opinion reference body instead
 	// of the bitset engine (see packed.go). The two sample from the same
 	// per-round distribution — the bitset engine draws each agent's next
 	// opinion from its Eq. 4 adoption law instead of sampling indices, so
@@ -34,19 +34,6 @@ type AgentOptions struct {
 	Chunked bool
 }
 
-// effectiveShards resolves the shard count for a population of n agents:
-// at most one shard per non-source agent, and never less than 1.
-func (o AgentOptions) effectiveShards(n int64) int {
-	s := o.Shards
-	if int64(s) > n-1 {
-		s = int(n - 1)
-	}
-	if s < 1 {
-		s = 1
-	}
-	return s
-}
-
 // RunAgents simulates the parallel setting literally, agent by agent, per
 // the model definition in Section 1.1: in every round each non-source
 // agent i draws a vector of ℓ agent indices uniformly at random (with
@@ -54,12 +41,13 @@ func (o AgentOptions) effectiveShards(n int64) int {
 // sampled opinions, and redraws its opinion from g^[b](k). Agent 0 is the
 // source and always holds z.
 //
-// Cost is O(n·ℓ) per round, split across opts.Shards goroutines when
-// sharding is requested; the engine exists to cross-validate the exact
-// count-level engine and to host per-agent extensions. Opinions are kept
-// in a bit-packed layout by default (same per-round distribution as the
-// historical byte-per-opinion body, which opts.Unpacked forces and
-// without-replacement sampling falls back to; see packed.go).
+// By default opinions live in the bitset engine (packed.go), which draws
+// each agent's next opinion from the same per-round law 64 agents at a
+// time and splits rounds over opts.Shards goroutines. opts.Unpacked
+// forces the literal byte-per-opinion reference body, O(n·ℓ) per round on
+// one stream (Result.Shards is 1 whatever opts.Shards asks), and
+// without-replacement sampling falls back to it on its own; it exists to
+// cross-validate the other engines and to host per-agent extensions.
 func RunAgents(cfg Config, opts AgentOptions, g *rng.RNG) (Result, error) {
 	if err := cfg.validate(); err != nil {
 		return Result{}, err
@@ -67,101 +55,74 @@ func RunAgents(cfg Config, opts AgentOptions, g *rng.RNG) (Result, error) {
 	ell := cfg.Rule.SampleSize()
 	withoutReplacement := opts.WithoutReplacement && ell <= int(cfg.N)
 	if !opts.Unpacked && !withoutReplacement {
-		// The bitset engine resolves the shard count itself (a shard must
-		// own at least one whole bitset word; Result.Shards reports the
-		// resolved value).
-		return runAgentsPacked(cfg, opts, g)
+		return runAgentsPacked(cfg, opts, g), nil
 	}
-	shards := opts.effectiveShards(cfg.N)
-	if shards > 1 {
-		return runAgentsSharded(cfg, opts, shards, g)
-	}
-	absorbing := cfg.Rule.CheckProp3() == nil
-	target := consensusTarget(cfg.N, cfg.Z)
-	trap := wrongTrap(cfg.N, cfg.Z)
-	roundCap := cfg.maxRounds()
 	n := int(cfg.N)
-	faults := cfg.perturber()
-	horizon := faultHorizon(faults)
-
-	cur := initialOpinions(cfg, g)
-	next := make([]uint8, n)
-	x := cfg.X0
-
-	res := Result{FinalCount: x, Shards: 1}
-	if x == target && absorbing && horizon == 0 {
-		res.Converged = true
-		return res, nil
-	}
-
-	var sampler *distinctSampler
+	b := &literalBody{g: g, ell: ell, cur: initialOpinions(cfg, g), next: make([]uint8, n)}
 	if withoutReplacement {
-		sampler = newDistinctSampler(n, ell)
+		b.sampler = newDistinctSampler(n, ell)
 	}
-	for t := int64(1); t <= roundCap; t++ {
-		if cfg.Halt != nil && cfg.Halt() {
-			res.Interrupted = true
-			return res, nil
+	return newDriver(&cfg, 1, 1).run(b)[0], nil
+}
+
+// literalBody is the literal engine's step: one replica whose opinions are
+// one byte per agent, cur this round's and next the round's output.
+type literalBody struct {
+	g         *rng.RNG
+	ell       int
+	cur, next []uint8
+	sampler   *distinctSampler // without-replacement draws; nil samples with replacement
+}
+
+func (b *literalBody) round(d *driver, t int64) {
+	g, cur, next := b.g, b.cur, b.next
+	n := len(cur)
+	rule := d.cfg.Rule
+	var omitQ float64
+	pinnedEnd := 1
+	if d.faults != nil {
+		cur[0] = uint8(d.src)
+		if d.boundary {
+			d.faults.PerturbAgents(t, cur, g)
 		}
-		src := cfg.Z
-		var omitQ float64
-		pinnedEnd := 1
-		if faults != nil {
-			src = faultBoundaryAgents(faults, t, cfg.Z, cur, g)
-			omitQ = faults.OmitProb(t)
-			s1, s0 := faults.Stubborn(t, cfg.N)
-			pinnedEnd = 1 + int(s1) + int(s0)
-		}
-		next[0] = uint8(src)
-		var count int64 = int64(next[0])
-		var sampled int64
-		for i := 1; i < pinnedEnd; i++ {
-			// Stubborn agents keep the opinion the boundary pinned them at.
+		omitQ = d.faults.OmitProb(t)
+		s1, s0 := d.faults.Stubborn(t, d.cfg.N)
+		pinnedEnd = 1 + int(s1) + int(s0)
+	}
+	next[0] = uint8(d.src)
+	count := int64(next[0])
+	var sampled int64
+	for i := 1; i < pinnedEnd; i++ {
+		// Stubborn agents keep the opinion the boundary pinned them at.
+		next[i] = cur[i]
+		count += int64(cur[i])
+	}
+	for i := pinnedEnd; i < n; i++ {
+		if omitQ > 0 && g.Bernoulli(omitQ) {
 			next[i] = cur[i]
 			count += int64(cur[i])
+			continue
 		}
-		for i := pinnedEnd; i < n; i++ {
-			if omitQ > 0 && g.Bernoulli(omitQ) {
-				next[i] = cur[i]
-				count += int64(cur[i])
-				continue
+		k := 0
+		if b.sampler != nil {
+			for _, j := range b.sampler.sample(g) {
+				k += int(cur[j])
 			}
-			k := 0
-			if sampler != nil {
-				for _, j := range sampler.sample(g) {
-					k += int(cur[j])
-				}
-			} else {
-				for s := 0; s < ell; s++ {
-					k += int(cur[g.Intn(n)])
-				}
-			}
-			sampled++
-			if g.Bernoulli(cfg.Rule.G(int(cur[i]), k)) {
-				next[i] = 1
-				count++
-			} else {
-				next[i] = 0
+		} else {
+			for s := 0; s < b.ell; s++ {
+				k += int(cur[g.Intn(n)])
 			}
 		}
-		cur, next = next, cur
-		x = count
-		res.Rounds = t
-		res.Activations += sampled
-		res.FinalCount = x
-		if x == trap {
-			res.HitWrongConsensus = true
-		}
-		if cfg.Record != nil {
-			cfg.Record(t, x)
-		}
-		probeRound(cfg.Probe, faults, t, cfg.Z, src, x, sampled)
-		if x == target && absorbing && t >= horizon {
-			res.Converged = true
-			return res, nil
+		sampled++
+		if g.Bernoulli(rule.G(int(cur[i]), k)) {
+			next[i] = 1
+			count++
+		} else {
+			next[i] = 0
 		}
 	}
-	return res, nil
+	b.cur, b.next = next, cur
+	d.end(0, count, sampled)
 }
 
 // initialOpinions lays out a configuration with X0 ones: the source (index

@@ -32,75 +32,52 @@ func RunAggregated(cfg Config, g *rng.RNG) (Result, error) {
 	if err := cfg.validate(); err != nil {
 		return Result{}, err
 	}
-	absorbing := cfg.Rule.CheckProp3() == nil
-	target := consensusTarget(cfg.N, cfg.Z)
-	trap := wrongTrap(cfg.N, cfg.Z)
-	roundCap := cfg.maxRounds()
-	ell := cfg.Rule.SampleSize()
-	faults := cfg.perturber()
-	horizon := faultHorizon(faults)
+	b := &aggregatedBody{g: g, x: cfg.X0, pmf: make([]float64, cfg.Rule.SampleSize()+1)}
+	b.g0, b.g1 = cfg.Rule.Tables()
+	return newDriver(&cfg, 1, 0).run(b)[0], nil
+}
 
-	g0, g1 := cfg.Rule.Tables()
-	pmf := make([]float64, ell+1)
+// aggregatedBody is RunAggregated's step: one replica at one-count x, with
+// the rule's adoption tables and a scratch pmf over observed one-counts.
+type aggregatedBody struct {
+	g      *rng.RNG
+	x      int64
+	pmf    []float64
+	g0, g1 []float64
+}
 
-	x := cfg.X0
-	src := cfg.Z
-	res := Result{FinalCount: x}
-	if x == target && absorbing && horizon == 0 {
-		res.Converged = true
-		return res, nil
+func (b *aggregatedBody) round(d *driver, t int64) {
+	n, g, x := d.cfg.N, b.g, b.x
+	var s1, s0 int64
+	var q float64
+	if d.faults != nil {
+		x = d.perturbCount(x, g)
+		s1, s0 = d.faults.Stubborn(t, n)
+		q = d.faults.OmitProb(t)
 	}
-	for t := int64(1); t <= roundCap; t++ {
-		if cfg.Halt != nil && cfg.Halt() {
-			res.Interrupted = true
-			return res, nil
-		}
-		var s1, s0 int64
-		var q float64
-		if faults != nil {
-			x, src = faultBoundaryCount(faults, t, cfg.N, cfg.Z, src, x, g)
-			s1, s0 = faults.Stubborn(t, cfg.N)
-			q = faults.OmitProb(t)
-		}
-		// Class sizes: free one-holders, free zero-holders, stubborn (s1,
-		// s0), source. Clamped like stepCountFaulty so an invalid
-		// hand-rolled Perturber degrades instead of panicking.
-		m1 := x - int64(src) - s1
-		m0 := (cfg.N - x) - int64(1-src) - s0
-		if m1 < 0 {
-			m1 = 0
-		}
-		if m0 < 0 {
-			m0 = 0
-		}
-		var keep1 int64
-		if q > 0 {
-			u1 := g.Binomial(m1, 1-q)
-			u0 := g.Binomial(m0, 1-q)
-			keep1 = m1 - u1
-			m1, m0 = u1, u0
-		}
-		protocol.SampleCountPMF(ell, float64(x)/float64(cfg.N), pmf)
-		x = int64(src) + s1 + keep1 +
-			splitAdopt(m1, pmf, g1, g) +
-			splitAdopt(m0, pmf, g0, g)
-
-		res.Rounds = t
-		res.Activations += m1 + m0
-		res.FinalCount = x
-		if x == trap {
-			res.HitWrongConsensus = true
-		}
-		if cfg.Record != nil {
-			cfg.Record(t, x)
-		}
-		probeRound(cfg.Probe, faults, t, cfg.Z, src, x, m1+m0)
-		if x == target && absorbing && t >= horizon {
-			res.Converged = true
-			return res, nil
-		}
+	// Class sizes: free one-holders, free zero-holders, stubborn (s1,
+	// s0), source. Clamped like stepCountFaulty so an invalid hand-rolled
+	// Perturber degrades instead of panicking.
+	m1 := x - int64(d.src) - s1
+	m0 := (n - x) - int64(1-d.src) - s0
+	if m1 < 0 {
+		m1 = 0
 	}
-	return res, nil
+	if m0 < 0 {
+		m0 = 0
+	}
+	var keep1 int64
+	if q > 0 {
+		u1 := g.Binomial(m1, 1-q)
+		u0 := g.Binomial(m0, 1-q)
+		keep1 = m1 - u1
+		m1, m0 = u1, u0
+	}
+	protocol.SampleCountPMF(len(b.pmf)-1, float64(x)/float64(n), b.pmf)
+	b.x = int64(d.src) + s1 + keep1 +
+		splitAdopt(m1, b.pmf, b.g1, g) +
+		splitAdopt(m0, b.pmf, b.g0, g)
+	d.end(0, b.x, m1+m0)
 }
 
 // splitAdopt advances one opinion class of m agents: it splits the class

@@ -40,8 +40,9 @@ func StepCountBatch(c *protocol.AdoptCache, z int, xs []int64, gs []*rng.RNG) {
 //
 // cfg.Record must be nil — a shared hook cannot tell replicas apart.
 // cfg.Probe is supported: probes are concurrency-safe aggregators by
-// contract, so RoundDone fires once per active replica per round and
-// FaultApplied once per perturbed round (the schedule is shared).
+// contract, so RoundDone fires once per active replica per round, and
+// FaultApplied once per active replica per perturbed round, exactly as
+// in per-seed RunParallel runs.
 func RunParallelReplicas(cfg Config, seeds []uint64) ([]Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -49,88 +50,18 @@ func RunParallelReplicas(cfg Config, seeds []uint64) ([]Result, error) {
 	if cfg.Record != nil {
 		return nil, fmt.Errorf("engine: RunParallelReplicas does not support Config.Record")
 	}
-	absorbing := cfg.Rule.CheckProp3() == nil
-	target := consensusTarget(cfg.N, cfg.Z)
-	trap := wrongTrap(cfg.N, cfg.Z)
-	roundCap := cfg.maxRounds()
-	faults := cfg.perturber()
-	horizon := faultHorizon(faults)
-
-	results := make([]Result, len(seeds))
-	xs := make([]int64, len(seeds))
-	gs := make([]*rng.RNG, len(seeds))
-	active := make([]int, 0, len(seeds))
+	d := newDriver(&cfg, len(seeds), 0)
+	if len(d.active) == 0 {
+		return d.results, nil
+	}
+	b := &countBody{
+		cache: protocol.NewAdoptCache(cfg.Rule, cfg.N),
+		xs:    make([]int64, len(seeds)),
+		gs:    make([]*rng.RNG, len(seeds)),
+	}
 	for i, seed := range seeds {
-		results[i] = Result{FinalCount: cfg.X0}
-		if cfg.X0 == target && absorbing && horizon == 0 {
-			results[i].Converged = true
-			continue
-		}
-		xs[i] = cfg.X0
-		gs[i] = rng.New(seed)
-		active = append(active, i)
+		b.xs[i] = cfg.X0
+		b.gs[i] = rng.New(seed)
 	}
-	if len(active) == 0 {
-		return results, nil
-	}
-
-	cache := protocol.NewAdoptCache(cfg.Rule, cfg.N)
-	srcPrev := cfg.Z
-	for t := int64(1); t <= roundCap && len(active) > 0; t++ {
-		if cfg.Halt != nil && cfg.Halt() {
-			for _, i := range active {
-				results[i].Interrupted = true
-			}
-			return results, nil
-		}
-		src := cfg.Z
-		if faults != nil {
-			// The source opinion is a pure function of the round, so the
-			// boundary flip is shared; the event randomness is per-replica.
-			src = faults.SourceOpinion(t, cfg.Z)
-			if cfg.Probe != nil && (src != cfg.Z || faults.BoundaryAt(t)) {
-				cfg.Probe.FaultApplied(t)
-			}
-		}
-		live := active[:0]
-		for _, i := range active {
-			var x int64
-			sampled := cfg.N - 1
-			if faults != nil {
-				x = xs[i]
-				if src != srcPrev {
-					x += int64(src - srcPrev)
-				}
-				if faults.BoundaryAt(t) {
-					x = faults.PerturbCount(t, cfg.N, src, x, gs[i])
-				}
-				x, sampled = stepCountFaulty(nil, cache, faults, t, cfg.N, src, x, gs[i])
-			} else {
-				p0, p1 := cache.Probs(xs[i])
-				m1 := xs[i] - int64(cfg.Z)
-				m0 := (cfg.N - xs[i]) - int64(1-cfg.Z)
-				x = int64(cfg.Z) + gs[i].Binomial(m1, p1) + gs[i].Binomial(m0, p0)
-			}
-			xs[i] = x
-
-			res := &results[i]
-			res.Rounds = t
-			res.Activations += sampled
-			res.FinalCount = x
-			if x == trap {
-				res.HitWrongConsensus = true
-			}
-			if cfg.Probe != nil {
-				cfg.Probe.RoundDone(t, x, sampled)
-			}
-			if x == target && absorbing && t >= horizon {
-				res.Converged = true
-				continue // retire this replica
-			}
-			live = append(live, i)
-		}
-		active = live
-		srcPrev = src
-	}
-	return results, nil
+	return d.run(b), nil
 }

@@ -140,22 +140,21 @@ func floyd(cb *chunkedBits, k, m int64, inv uint64, s *wordStream) {
 	}
 }
 
-// chunkedBoundary applies the round-t fault boundary to the bitset: the
-// source bit takes its scheduled opinion and boundary events rewrite
-// non-source opinions through an unpack → PerturbAgents → repack
+// chunkedBoundary applies the current round's fault boundary to the
+// bitset: the source bit takes its scheduled opinion and boundary events
+// rewrite non-source opinions through an unpack → PerturbAgents → repack
 // round-trip. Boundary events are point events (rare rounds), so the O(n)
 // scratch slice is paid only when opinions are rewritten, and reused.
-func chunkedBoundary(f Perturber, t int64, z int, cur *chunkedBits, scratch []uint8, g *rng.RNG) (int, []uint8) {
-	src := f.SourceOpinion(t, z)
-	cur.set(0, uint64(src))
-	if f.BoundaryAt(t) {
+func chunkedBoundary(d *driver, cur *chunkedBits, scratch []uint8, g *rng.RNG) []uint8 {
+	cur.set(0, uint64(d.src))
+	if d.boundary {
 		if scratch == nil {
 			scratch = make([]uint8, cur.n)
 		}
 		for i := int64(0); i < cur.n; i++ {
 			scratch[i] = uint8(cur.get(i))
 		}
-		f.PerturbAgents(t, scratch, g)
+		d.faults.PerturbAgents(d.t, scratch, g)
 		for _, c := range cur.chunks {
 			clear(c)
 		}
@@ -165,5 +164,5 @@ func chunkedBoundary(f Perturber, t int64, z int, cur *chunkedBits, scratch []ui
 			}
 		}
 	}
-	return src, scratch
+	return scratch
 }

@@ -148,9 +148,10 @@ type Result struct {
 	// the partial trajectory, not a completed measurement.
 	Interrupted bool
 	// Shards records how many independent random streams drove the run:
-	// the effective AgentOptions.Shards for the agent engine, 0 for the
-	// single-stream count-level and sequential engines. Together with the
-	// seed it identifies the exact realization, since sharded runs are
+	// the resolved AgentOptions.Shards for the bitset agent engine, 1 for
+	// the serial literal body, 0 for the single-stream count-level,
+	// aggregated and sequential engines. Together with the seed it
+	// identifies the exact realization, since sharded runs are
 	// bit-reproducible only for the same (seed, shards) pair.
 	Shards int
 }

@@ -116,9 +116,6 @@ func TestSeedDeterminismUnderFaults(t *testing.T) {
 		"packed": func(cfg engine.Config, g *rng.RNG) (engine.Result, error) {
 			return engine.RunAgents(cfg, engine.AgentOptions{}, g)
 		},
-		"sharded": func(cfg engine.Config, g *rng.RNG) (engine.Result, error) {
-			return engine.RunAgents(cfg, engine.AgentOptions{Shards: 4, Unpacked: true}, g)
-		},
 		"sharded-packed": func(cfg engine.Config, g *rng.RNG) (engine.Result, error) {
 			return engine.RunAgents(cfg, engine.AgentOptions{Shards: 4}, g)
 		},

@@ -450,10 +450,10 @@ func TestWithoutReplacementCrossCheck(t *testing.T) {
 
 // TestResultShardsReported: every engine reports the effective stream
 // count in Result.Shards — 0 for the single-stream count-level,
-// sequential and aggregated engines; the resolved shard count for the
-// agent engines (n-1-clamped for the unpacked bodies, word-clamped for
-// the packed and chunked ones). The requested and effective values differ
-// exactly when the request exceeds the engine's ceiling.
+// sequential and aggregated engines; 1 for the serial literal body
+// whatever shard count is asked; the resolved, word-clamped shard count
+// for the packed and chunked bodies, where the requested and effective
+// values differ exactly when the request exceeds the engine's ceiling.
 func TestResultShardsReported(t *testing.T) {
 	cfg := Config{N: 200, Rule: protocol.Voter(1), Z: 1, X0: 100, MaxRounds: 2}
 	words := MaxPackedShards(200)
@@ -470,10 +470,10 @@ func TestResultShardsReported(t *testing.T) {
 		}, 1},
 		{"unpacked-sharded", func() (Result, error) {
 			return RunAgents(cfg, AgentOptions{Unpacked: true, Shards: 4}, rng.New(1))
-		}, 4},
+		}, 1},
 		{"unpacked-overclamped", func() (Result, error) {
 			return RunAgents(cfg, AgentOptions{Unpacked: true, Shards: 1000}, rng.New(1))
-		}, 199},
+		}, 1},
 		{"packed-serial", func() (Result, error) {
 			return RunAgents(cfg, AgentOptions{}, rng.New(1))
 		}, 1},

@@ -59,38 +59,26 @@ func faultHorizon(f Perturber) int64 {
 	return f.Horizon()
 }
 
-// faultBoundaryCount applies the round-t boundary to a count-level state:
-// the source flips to its scheduled opinion (adjusting x, which includes
-// it) and the boundary events rewrite non-source opinions. srcPrev is the
-// source's opinion during round t-1; the returned src drives round t.
-func faultBoundaryCount(f Perturber, t, n int64, z, srcPrev int, x int64, g *rng.RNG) (int64, int) {
-	src := f.SourceOpinion(t, z)
-	if src != srcPrev {
-		x += int64(src - srcPrev)
+// perturbCount applies the current round's boundary to a count-level
+// state: the source takes its scheduled opinion (adjusting x, which
+// includes it) and the boundary events rewrite non-source opinions.
+func (d *driver) perturbCount(x int64, g *rng.RNG) int64 {
+	x += int64(d.src - d.prevSrc)
+	if d.boundary {
+		x = d.faults.PerturbCount(d.t, d.cfg.N, d.src, x, g)
 	}
-	if f.BoundaryAt(t) {
-		x = f.PerturbCount(t, n, src, x, g)
-	}
-	return x, src
+	return x
 }
 
 // stepCountFaulty advances one count-level round under active faults: the
 // source holds src, stubborn agents keep their pinned opinions, and each
 // updating agent's refresh is lost with probability OmitProb(t) (it keeps
-// its opinion). With no stubborn agents, no omission and src == z it draws
-// the same distribution as StepCount. Exactly one of rule/cache is used,
-// mirroring the uncached and batched engines. The second return value is
-// the number of agents that actually drew samples this round — the free,
-// non-omitted agents — which feeds Result.Activations.
-func stepCountFaulty(rule *protocol.Rule, cache *protocol.AdoptCache, f Perturber, t, n int64, src int, x int64, g *rng.RNG) (next, sampled int64) {
-	var p0, p1 float64
-	if cache != nil {
-		p0, p1 = cache.Probs(x)
-	} else {
-		p := float64(x) / float64(n)
-		p1 = rule.AdoptProb(1, p)
-		p0 = rule.AdoptProb(0, p)
-	}
+// its opinion); p0, p1 are P₀(x/n), P₁(x/n). With no stubborn agents, no
+// omission and src == z it draws the same distribution as StepCount. The
+// second return value is the number of agents that actually drew samples
+// this round — the free, non-omitted agents — which feeds
+// Result.Activations.
+func stepCountFaulty(p0, p1 float64, f Perturber, t, n int64, src int, x int64, g *rng.RNG) (next, sampled int64) {
 	s1, s0 := f.Stubborn(t, n)
 	m1 := x - int64(src) - s1
 	m0 := (n - x) - int64(1-src) - s0
@@ -154,16 +142,4 @@ func sequentialStepFaulty(r *protocol.Rule, f Perturber, t, n int64, src int, x 
 	default:
 		return x, true
 	}
-}
-
-// faultBoundaryAgents applies the round-t boundary to an agent-level state:
-// the source's slot takes its scheduled opinion and boundary events rewrite
-// non-source slots in place. Returns the source opinion driving round t.
-func faultBoundaryAgents(f Perturber, t int64, z int, ops []uint8, g *rng.RNG) int {
-	src := f.SourceOpinion(t, z)
-	ops[0] = uint8(src)
-	if f.BoundaryAt(t) {
-		f.PerturbAgents(t, ops, g)
-	}
-	return src
 }

@@ -6,6 +6,7 @@ package engine_test
 // engine), so an in-package test importing fault would be an import cycle.
 
 import (
+	"fmt"
 	"testing"
 
 	"bitspread/internal/engine"
@@ -299,20 +300,61 @@ func TestHaltInterruptsEngines(t *testing.T) {
 }
 
 // TestHaltMidRunKeepsPartialTrajectory: halting after k rounds reports the
-// trajectory up to k, unconverged and flagged.
+// trajectory up to k, unconverged and flagged, in every engine and in both
+// replica runners.
 func TestHaltMidRunKeepsPartialTrajectory(t *testing.T) {
+	const k = 5
 	cfg := voterCfg(64)
 	cfg.MaxRounds = 1 << 40 // halt, not the cap, must end the run
-	rounds := 0
-	cfg.Halt = func() bool { rounds++; return rounds > 5 }
-	res, err := engine.RunParallel(cfg, rng.New(2))
+	haltAfterK := func(c engine.Config) engine.Config {
+		polls := 0
+		c.Halt = func() bool { polls++; return polls > k }
+		return c
+	}
+	check := func(name string, res engine.Result) {
+		t.Helper()
+		if res.Converged && res.Interrupted {
+			t.Fatalf("%s: result both converged and interrupted: %+v", name, res)
+		}
+		if !res.Converged && (!res.Interrupted || res.Rounds != k) {
+			t.Errorf("%s: halt after %d rounds gave %+v", name, k, res)
+		}
+	}
+	agents := func(opts engine.AgentOptions) func(engine.Config, *rng.RNG) (engine.Result, error) {
+		return func(c engine.Config, g *rng.RNG) (engine.Result, error) { return engine.RunAgents(c, opts, g) }
+	}
+	solo := []struct {
+		name string
+		run  func(engine.Config, *rng.RNG) (engine.Result, error)
+	}{
+		{"parallel", engine.RunParallel},
+		{"sequential", engine.RunSequential},
+		{"aggregated", engine.RunAggregated},
+		{"literal", agents(engine.AgentOptions{Unpacked: true})},
+		{"packed", agents(engine.AgentOptions{})},
+		{"packed-sharded", agents(engine.AgentOptions{Shards: 2})},
+		{"chunked", agents(engine.AgentOptions{Chunked: true})},
+	}
+	for _, e := range solo {
+		res, err := e.run(haltAfterK(cfg), rng.New(2))
+		if err != nil {
+			t.Fatalf("%s: %v", e.name, err)
+		}
+		check(e.name, res)
+	}
+	seeds := []uint64{2, 3, 4}
+	rs, err := engine.RunParallelReplicas(haltAfterK(cfg), seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Converged && res.Interrupted {
-		t.Fatalf("result both converged and interrupted: %+v", res)
+	for i, res := range rs {
+		check(fmt.Sprintf("parallel replica %d", i), res)
 	}
-	if !res.Converged && (!res.Interrupted || res.Rounds != 5) {
-		t.Errorf("halt after 5 rounds gave %+v", res)
+	rs, err = engine.RunAgentsReplicas(haltAfterK(cfg), engine.AgentOptions{Shards: 2}, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range rs {
+		check(fmt.Sprintf("agent replica %d", i), res)
 	}
 }

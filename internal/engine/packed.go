@@ -17,7 +17,7 @@ import (
 // workers and how words are addressed.
 //
 // The engine draws each round's transition from the same law as the
-// historical byte-per-opinion body, at the 53-bit granularity at which
+// literal byte-per-opinion body, at the 53-bit granularity at which
 // rng.Bernoulli/rng.Binomial resolve probabilities everywhere in the repo.
 // Realizations for a given seed differ from the unpacked body's —
 // spending less randomness per agent is the point — so runs are
@@ -25,7 +25,7 @@ import (
 // not across the packed/unpacked pair; the χ² suites
 // (equivalence_chi_test.go, onestep_chi_test.go) pin the distributional
 // agreement, with each other and with the exact one-step law, under every
-// fault family. AgentOptions.Unpacked forces the historical body;
+// fault family. AgentOptions.Unpacked forces the literal body;
 // without-replacement sampling falls back to it on its own.
 
 // lineWords is the cache-line granularity of shard ownership: 8 words of
@@ -109,60 +109,50 @@ func (w *packedWorker) step(cur, next *chunkedBits, law *roundLaw, pinnedEnd int
 	}
 }
 
-// packedParams is the per-Config immutable context of the bitset engine:
-// everything derived from (Config, options) without consuming randomness.
-// One packedParams can drive many replicas (RunAgentsReplicas), each with
-// its own packedState.
-type packedParams struct {
-	cfg       Config
-	shift     uint // chunk capacity of the layout
-	shards    int  // resolved shard count (packedEffectiveShards)
-	absorbing bool
-	target    int64
-	trap      int64
-	roundCap  int64
-	horizon   int64
-	faults    Perturber
+// bitsetBody is the bitset engine's step over one or more lockstep
+// replicas: RunAgents runs one, RunAgentsReplicas many, each with its own
+// packedState.
+type bitsetBody struct {
+	cfg    *Config
+	shift  uint // chunk capacity of the layout
+	shards int  // resolved shard count (packedEffectiveShards)
+	states []*packedState
+	// memo holds a replica batch's adoption coins per one-count; a solo
+	// run (nil memo) computes them in place.
+	memo map[int64][2]coin
 }
 
-func newPackedParams(cfg Config, opts AgentOptions) *packedParams {
-	p := &packedParams{
-		cfg:       cfg,
-		shift:     packedChunkShift,
-		absorbing: cfg.Rule.CheckProp3() == nil,
-		target:    consensusTarget(cfg.N, cfg.Z),
-		trap:      wrongTrap(cfg.N, cfg.Z),
-		roundCap:  cfg.maxRounds(),
-		faults:    cfg.perturber(),
-	}
+func newBitsetBody(cfg *Config, opts AgentOptions) *bitsetBody {
+	b := &bitsetBody{cfg: cfg, shift: packedChunkShift}
 	if opts.Chunked {
-		p.shift = chunkShift
+		b.shift = chunkShift
 	}
-	p.shards = packedEffectiveShards(opts.Shards, MaxPackedShards(cfg.N))
-	p.horizon = faultHorizon(p.faults)
-	return p
+	b.shards = packedEffectiveShards(opts.Shards, MaxPackedShards(cfg.N))
+	return b
 }
 
-// adoptCoins returns the adoption coins of a round whose agents sample
-// from one-count x: P_0(x/n) and P_1(x/n) of Eq. 4. The solo runner's
-// adoptFunc.
-func (p *packedParams) adoptCoins(x int64) [2]coin {
-	frac := float64(x) / float64(p.cfg.N)
-	return [2]coin{
-		newCoin(rng.BernoulliThreshold(p.cfg.Rule.AdoptProb(0, frac))),
-		newCoin(rng.BernoulliThreshold(p.cfg.Rule.AdoptProb(1, frac))),
+// adopt returns the adoption coins of a round whose agents sample from
+// one-count x: P_0(x/n) and P_1(x/n) of Eq. 4. They are a pure function of
+// x, so memoizing them across a batch is exact: batched and solo
+// trajectories coincide realization by realization. Lookup-only access (no
+// map iteration) keeps the batch deterministic.
+func (b *bitsetBody) adopt(x int64) [2]coin {
+	if c, ok := b.memo[x]; ok {
+		return c
 	}
+	frac := float64(x) / float64(b.cfg.N)
+	c := [2]coin{
+		newCoin(rng.BernoulliThreshold(b.cfg.Rule.AdoptProb(0, frac))),
+		newCoin(rng.BernoulliThreshold(b.cfg.Rule.AdoptProb(1, frac))),
+	}
+	if b.memo != nil {
+		b.memo[x] = c
+	}
+	return c
 }
 
-// adoptFunc supplies a round's adoption coins for a given one-count. The
-// solo runner computes them in place (adoptCoins); the replica-batched
-// runner memoizes them per distinct count, which is exact — they are a
-// pure function of x — so batched and solo trajectories coincide
-// realization-by-realization.
-type adoptFunc func(x int64) [2]coin
-
-// packedState is one replica of the bitset engine: its generator, bitsets,
-// workers and partial Result.
+// packedState is one replica of the bitset engine: its generator, bitsets
+// and workers.
 type packedState struct {
 	g         *rng.RNG
 	cur, next *chunkedBits
@@ -170,7 +160,6 @@ type packedState struct {
 	scratch   []uint8
 	workers   []*packedWorker
 	wg        sync.WaitGroup
-	res       Result
 }
 
 // newState draws a replica's initial configuration from g and lays out its
@@ -180,18 +169,14 @@ type packedState struct {
 // one generator should Split it per run. Shard streams are derived after
 // initialization (SplitN on the same generator), so a given seed yields
 // the same starting layout at every shard count.
-func (p *packedParams) newState(g *rng.RNG) *packedState {
+func (b *bitsetBody) newState(g *rng.RNG) *packedState {
+	n := b.cfg.N
 	main := newWordStream(g)
-	st := &packedState{g: g, cur: initialBits(p.cfg, p.shift, main), x: p.cfg.X0}
-	st.next = newChunkedBits(p.cfg.N, p.shift)
-	st.res = Result{FinalCount: st.x, Shards: p.shards}
-	if st.x == p.target && p.absorbing && p.horizon == 0 {
-		st.res.Converged = true
-		return st
-	}
-	st.workers = make([]*packedWorker, p.shards)
-	if p.shards == 1 {
-		st.workers[0] = &packedWorker{lo: 1, hi: p.cfg.N, s: main}
+	st := &packedState{g: g, cur: initialBits(*b.cfg, b.shift, main), x: b.cfg.X0}
+	st.next = newChunkedBits(n, b.shift)
+	st.workers = make([]*packedWorker, b.shards)
+	if b.shards == 1 {
+		st.workers[0] = &packedWorker{lo: 1, hi: n, s: main}
 		return st
 	}
 	// Word-aligned, cache-line-padded agent ranges: every bitset word has
@@ -201,104 +186,80 @@ func (p *packedParams) newState(g *rng.RNG) *packedState {
 	// boundary draws stay on the main generator, so rounds are
 	// reproducible for a given (seed, Shards) regardless of GOMAXPROCS or
 	// scheduling.
-	bounds := packedWordBounds(MaxPackedShards(p.cfg.N), p.shards)
-	streams := g.SplitN(p.shards)
+	bounds := packedWordBounds(MaxPackedShards(n), b.shards)
+	streams := g.SplitN(b.shards)
 	for s := range st.workers {
 		lo := int64(bounds[s]) << 6
 		if lo == 0 {
 			lo = 1 // bit 0 is the coordinator-owned source bit
 		}
-		hi := min(int64(bounds[s+1])<<6, p.cfg.N)
+		hi := min(int64(bounds[s+1])<<6, n)
 		st.workers[s] = &packedWorker{lo: lo, hi: hi, s: newWordStream(streams[s])}
 	}
 	return st
 }
 
-// round advances one replica a single parallel round and reports whether
-// the run is finished (converged). The caller owns the Halt poll.
-func (p *packedParams) round(st *packedState, t int64, adopt adoptFunc) (done bool) {
-	cfg := &p.cfg
-	src := cfg.Z
-	var law roundLaw
-	pinnedEnd := int64(1)
-	xs := st.x
-	if p.faults != nil {
-		src, st.scratch = chunkedBoundary(p.faults, t, cfg.Z, st.cur, st.scratch, st.g)
-		law.omit = newCoin(rng.BernoulliThreshold(p.faults.OmitProb(t)))
-		s1, s0 := p.faults.Stubborn(t, cfg.N)
-		pinnedEnd = 1 + s1 + s0
-		// The adoption law conditions on the one-count the agents sample
-		// from; the boundary may just have rewritten the bitset.
-		xs = st.cur.count()
-	}
-	law.adopt = adopt(xs)
-	if p.shards == 1 {
-		st.workers[0].step(st.cur, st.next, &law, pinnedEnd)
-	} else {
-		for _, w := range st.workers {
-			st.wg.Add(1)
-			go func(w *packedWorker) {
-				defer st.wg.Done()
-				w.step(st.cur, st.next, &law, pinnedEnd)
-			}(w)
+// round advances every active replica one parallel round. A retired
+// replica drops its state, so a batch's live bitsets shrink as it runs.
+func (b *bitsetBody) round(d *driver, t int64) {
+	cfg := b.cfg
+	for _, i := range d.active {
+		st := b.states[i]
+		var law roundLaw
+		pinnedEnd := int64(1)
+		xs := st.x
+		if d.faults != nil {
+			st.scratch = chunkedBoundary(d, st.cur, st.scratch, st.g)
+			law.omit = newCoin(rng.BernoulliThreshold(d.faults.OmitProb(t)))
+			s1, s0 := d.faults.Stubborn(t, cfg.N)
+			pinnedEnd = 1 + s1 + s0
+			// The adoption law conditions on the one-count the agents
+			// sample from; the boundary may just have rewritten the bitset.
+			xs = st.cur.count()
 		}
-		st.wg.Wait()
-	}
+		law.adopt = b.adopt(xs)
+		if b.shards == 1 {
+			st.workers[0].step(st.cur, st.next, &law, pinnedEnd)
+		} else {
+			for _, w := range st.workers {
+				st.wg.Add(1)
+				go func(w *packedWorker) {
+					defer st.wg.Done()
+					w.step(st.cur, st.next, &law, pinnedEnd)
+				}(w)
+			}
+			st.wg.Wait()
+		}
 
-	// Fixed-order reduction of the per-shard counts, then the
-	// coordinator-owned source bit.
-	count := int64(src)
-	var roundUpdated int64
-	for _, w := range st.workers {
-		count += w.ones
-		roundUpdated += w.updated
-	}
-	st.res.Activations += roundUpdated
-	st.next.chunks[0][0] |= uint64(src)
-
-	st.cur, st.next = st.next, st.cur
-	st.x = count
-	st.res.Rounds = t
-	st.res.FinalCount = st.x
-	if st.x == p.trap {
-		st.res.HitWrongConsensus = true
-	}
-	if cfg.Record != nil {
-		cfg.Record(t, st.x)
-	}
-	if cfg.Probe != nil {
-		if p.shards > 1 {
+		// Fixed-order reduction of the per-shard counts, then the
+		// coordinator-owned source bit.
+		count := int64(d.src)
+		var updated int64
+		for _, w := range st.workers {
+			count += w.ones
+			updated += w.updated
+		}
+		st.next.chunks[0][0] |= uint64(d.src)
+		st.cur, st.next = st.next, st.cur
+		st.x = count
+		if cfg.Probe != nil && b.shards > 1 {
 			for s, w := range st.workers {
 				cfg.Probe.ShardRound(s, w.updated)
 			}
 		}
-		probeRound(cfg.Probe, p.faults, t, cfg.Z, src, st.x, roundUpdated)
+		if !d.end(i, count, updated) {
+			b.states[i] = nil
+		}
 	}
-	if st.x == p.target && p.absorbing && t >= p.horizon {
-		st.res.Converged = true
-		return true
-	}
-	return false
 }
 
 // runAgentsPacked is the bitset body of RunAgents, serial for resolved
 // shards == 1 and sharded otherwise. Both are deterministic in
 // (seed, Config, Shards) and draw from the same per-round distribution
-// as the unpacked bodies.
-func runAgentsPacked(cfg Config, opts AgentOptions, g *rng.RNG) (Result, error) {
-	p := newPackedParams(cfg, opts)
-	st := p.newState(g)
-	if st.res.Converged {
-		return st.res, nil
-	}
-	for t := int64(1); t <= p.roundCap; t++ {
-		if cfg.Halt != nil && cfg.Halt() {
-			st.res.Interrupted = true
-			return st.res, nil
-		}
-		if p.round(st, t, p.adoptCoins) {
-			break
-		}
-	}
-	return st.res, nil
+// as the literal body.
+func runAgentsPacked(cfg Config, opts AgentOptions, g *rng.RNG) Result {
+	b := newBitsetBody(&cfg, opts)
+	d := newDriver(&cfg, 1, b.shards)
+	b.states = []*packedState{b.newState(g)}
+	return d.run(b)[0]
 }

@@ -42,53 +42,12 @@ func RunAgentsReplicas(cfg Config, opts AgentOptions, seeds []uint64) ([]Result,
 		return results, nil
 	}
 
-	p := newPackedParams(cfg, opts)
-	results := make([]Result, len(seeds))
-	states := make([]*packedState, len(seeds))
-	active := make([]int, 0, len(seeds))
+	b := newBitsetBody(&cfg, opts)
+	b.memo = make(map[int64][2]coin)
+	d := newDriver(&cfg, len(seeds), b.shards)
+	b.states = make([]*packedState, len(seeds))
 	for i, seed := range seeds {
-		st := p.newState(rng.New(seed))
-		if st.res.Converged {
-			results[i] = st.res
-			continue
-		}
-		states[i] = st
-		active = append(active, i)
+		b.states[i] = b.newState(rng.New(seed))
 	}
-
-	// Coin memo, keyed by the one-count the round's agents sample from.
-	// Lookup-only access (no map iteration) keeps the batch deterministic.
-	memo := make(map[int64][2]coin)
-	adopt := func(x int64) [2]coin {
-		c, ok := memo[x]
-		if !ok {
-			c = p.adoptCoins(x)
-			memo[x] = c
-		}
-		return c
-	}
-
-	for t := int64(1); t <= p.roundCap && len(active) > 0; t++ {
-		if cfg.Halt != nil && cfg.Halt() {
-			for _, i := range active {
-				states[i].res.Interrupted = true
-				results[i] = states[i].res
-			}
-			return results, nil
-		}
-		live := active[:0]
-		for _, i := range active {
-			if p.round(states[i], t, adopt) {
-				results[i] = states[i].res
-				states[i] = nil
-				continue // retire this replica
-			}
-			live = append(live, i)
-		}
-		active = live
-	}
-	for _, i := range active {
-		results[i] = states[i].res
-	}
-	return results, nil
+	return d.run(b), nil
 }

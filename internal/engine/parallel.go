@@ -33,46 +33,46 @@ func RunParallel(cfg Config, g *rng.RNG) (Result, error) {
 	if err := cfg.validate(); err != nil {
 		return Result{}, err
 	}
-	absorbing := cfg.Rule.CheckProp3() == nil
-	target := consensusTarget(cfg.N, cfg.Z)
-	trap := wrongTrap(cfg.N, cfg.Z)
-	roundCap := cfg.maxRounds()
-	faults := cfg.perturber()
-	horizon := faultHorizon(faults)
+	b := &countBody{rule: cfg.Rule, xs: []int64{cfg.X0}, gs: []*rng.RNG{g}}
+	return newDriver(&cfg, 1, 0).run(b)[0], nil
+}
 
-	x := cfg.X0
-	src := cfg.Z
-	res := Result{FinalCount: x}
-	if x == target && absorbing && horizon == 0 {
-		res.Converged = true
-		return res, nil
-	}
-	for t := int64(1); t <= roundCap; t++ {
-		if cfg.Halt != nil && cfg.Halt() {
-			res.Interrupted = true
-			return res, nil
+// countBody is the count-level step, for a solo run (RunParallel) or a
+// lockstep batch (RunParallelReplicas): replica i holds one-count xs[i]
+// and draws from gs[i].
+type countBody struct {
+	rule *protocol.Rule
+	// cache serves P₀/P₁ to a batch; a solo run (nil cache) evaluates
+	// them in place. The cache is exact, so both give the same values.
+	cache *protocol.AdoptCache
+	xs    []int64
+	gs    []*rng.RNG
+}
+
+func (b *countBody) round(d *driver, t int64) {
+	n, z := d.cfg.N, d.cfg.Z
+	xs, gs := b.xs, b.gs
+	for _, i := range d.active {
+		x, g := xs[i], gs[i]
+		if d.faults != nil {
+			x = d.perturbCount(x, g)
 		}
-		sampled := cfg.N - 1
-		if faults != nil {
-			x, src = faultBoundaryCount(faults, t, cfg.N, cfg.Z, src, x, g)
-			x, sampled = stepCountFaulty(cfg.Rule, nil, faults, t, cfg.N, src, x, g)
+		var p0, p1 float64 // P₀(x/n), P₁(x/n) of Eq. 4
+		if b.cache != nil {
+			p0, p1 = b.cache.Probs(x)
 		} else {
-			x = StepCount(cfg.Rule, cfg.N, cfg.Z, x, g)
+			p := float64(x) / float64(n)
+			p0, p1 = b.rule.AdoptProb(0, p), b.rule.AdoptProb(1, p)
 		}
-		res.Activations += sampled
-		res.Rounds = t
-		res.FinalCount = x
-		if x == trap {
-			res.HitWrongConsensus = true
+		sampled := n - 1
+		if d.faults != nil {
+			x, sampled = stepCountFaulty(p0, p1, d.faults, t, n, d.src, x, g)
+		} else {
+			m1 := x - int64(z)
+			m0 := (n - x) - int64(1-z)
+			x = int64(z) + g.Binomial(m1, p1) + g.Binomial(m0, p0)
 		}
-		if cfg.Record != nil {
-			cfg.Record(t, x)
-		}
-		probeRound(cfg.Probe, faults, t, cfg.Z, src, x, sampled)
-		if x == target && absorbing && t >= horizon {
-			res.Converged = true
-			return res, nil
-		}
+		xs[i] = x
+		d.end(i, x, sampled)
 	}
-	return res, nil
 }

@@ -19,26 +19,13 @@ type Probe interface {
 	// engine, after every n activations or at termination) with the
 	// one-count and the number of agents that actually drew samples.
 	RoundDone(round, ones, sampled int64)
-	// FaultApplied fires at most once per round, when the fault schedule
-	// actively perturbed it: a boundary event rewrote opinions or the
-	// source deviated from the true opinion.
+	// FaultApplied fires at most once per run per round, when the fault
+	// schedule actively perturbed it: a boundary event rewrote opinions or
+	// the source deviated from the true opinion. A lockstep replica batch
+	// fires it once per replica, like the solo runs it reproduces.
 	FaultApplied(round int64)
-	// ShardRound fires once per shard per round in the sharded agent
-	// engines with the shard's sampled-agent count; single-stream engines
+	// ShardRound fires once per shard per round in the sharded bitset
+	// engine with the shard's sampled-agent count; single-stream engines
 	// never call it.
 	ShardRound(shard int, sampled int64)
-}
-
-// probeRound emits the per-round probe events shared by every engine:
-// FaultApplied when the schedule actively touched round t (a boundary
-// event fired or the source deviated from z), then RoundDone. No-op on a
-// nil probe so call sites stay one guarded line.
-func probeRound(p Probe, faults Perturber, t int64, z, src int, ones, sampled int64) {
-	if p == nil {
-		return
-	}
-	if faults != nil && (src != z || faults.BoundaryAt(t)) {
-		p.FaultApplied(t)
-	}
-	p.RoundDone(t, ones, sampled)
 }

@@ -42,71 +42,43 @@ func RunSequential(cfg Config, g *rng.RNG) (Result, error) {
 	if err := cfg.validate(); err != nil {
 		return Result{}, err
 	}
-	absorbing := cfg.Rule.CheckProp3() == nil
-	target := consensusTarget(cfg.N, cfg.Z)
-	trap := wrongTrap(cfg.N, cfg.Z)
-	maxActivations := cfg.maxRounds() * cfg.N
-	faults := cfg.perturber()
-	horizon := faultHorizon(faults)
+	return newDriver(&cfg, 1, 0).run(&sequentialBody{g: g, x: cfg.X0})[0], nil
+}
 
-	x := cfg.X0
-	src := cfg.Z
-	res := Result{FinalCount: x}
-	if x == target && absorbing && horizon == 0 {
-		res.Converged = true
-		return res, nil
+// sequentialBody is RunSequential's step: one round is n activations,
+// cut short when one of them reaches consensus, so the round closes at the
+// terminal count. The all-wrong trap is checked after every activation,
+// not only at the round's end.
+type sequentialBody struct {
+	g *rng.RNG
+	x int64
+}
+
+func (b *sequentialBody) round(d *driver, t int64) {
+	cfg := d.cfg
+	x := b.x
+	if d.faults != nil {
+		x = d.perturbCount(x, b.g)
 	}
-	var roundSampled int64
-	for a := int64(1); a <= maxActivations; a++ {
-		t := (a-1)/cfg.N + 1 // current parallel round
-		if a%cfg.N == 1 {
-			roundSampled = 0
-			if cfg.Halt != nil && cfg.Halt() {
-				res.Interrupted = true
-				return res, nil
-			}
-			if faults != nil {
-				x, src = faultBoundaryCount(faults, t, cfg.N, cfg.Z, src, x, g)
-			}
-		}
-		if faults != nil {
+	var sampled int64
+	for a := int64(0); a < cfg.N; a++ {
+		if d.faults != nil {
 			var did bool
-			x, did = sequentialStepFaulty(cfg.Rule, faults, t, cfg.N, src, x, g)
+			x, did = sequentialStepFaulty(cfg.Rule, d.faults, t, cfg.N, d.src, x, b.g)
 			if did {
-				res.Activations++
-				roundSampled++
+				sampled++
 			}
 		} else {
-			x = SequentialStep(cfg.Rule, cfg.N, cfg.Z, x, g)
-			res.Activations++
-			roundSampled++
+			x = SequentialStep(cfg.Rule, cfg.N, cfg.Z, x, b.g)
+			sampled++
 		}
-		res.FinalCount = x
-		if x == trap {
-			res.HitWrongConsensus = true
+		if x == d.trap {
+			d.results[0].HitWrongConsensus = true
 		}
-		if a%cfg.N == 0 {
-			if cfg.Record != nil {
-				cfg.Record(t, x)
-			}
-			probeRound(cfg.Probe, faults, t, cfg.Z, src, x, roundSampled)
-		}
-		if x == target && absorbing && t >= horizon {
-			res.Converged = true
-			res.Rounds = (a + cfg.N - 1) / cfg.N
-			if a%cfg.N != 0 {
-				// Mid-round convergence: the run stops before the n-th
-				// activation, so the boundary hook above would never see the
-				// terminal count. Emit the partial round so trajectory taps
-				// end at consensus instead of one round early.
-				if cfg.Record != nil {
-					cfg.Record(t, x)
-				}
-				probeRound(cfg.Probe, faults, t, cfg.Z, src, x, roundSampled)
-			}
-			return res, nil
+		if d.converged(x) {
+			break
 		}
 	}
-	res.Rounds = cfg.maxRounds()
-	return res, nil
+	b.x = x
+	d.end(0, x, sampled)
 }

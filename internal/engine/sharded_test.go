@@ -79,18 +79,18 @@ func TestShardedDeterministic(t *testing.T) {
 	}
 }
 
-// TestShardedClampAndConvergence: shard counts above the engine's ceiling
-// are clamped — n-1 for the unpacked engine, one per bitset word for the
-// packed one — and the sharded engine still detects absorption and the
-// wrong-consensus trap.
+// TestShardedClampAndConvergence: shard counts above the packed engine's
+// ceiling are clamped to one per bitset word, the serial unpacked body
+// reports one stream whatever is asked, and the sharded engine still
+// detects absorption and the wrong-consensus trap.
 func TestShardedClampAndConvergence(t *testing.T) {
 	cfg := Config{N: 16, Rule: protocol.Voter(2), Z: 0, X0: 15}
 	ures, err := RunAgents(cfg, AgentOptions{Shards: 1000, Unpacked: true}, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ures.Shards != 15 {
-		t.Errorf("unpacked Shards = %d, want clamp to n-1 = 15", ures.Shards)
+	if ures.Shards != 1 {
+		t.Errorf("unpacked Shards = %d, want 1 (the serial literal body)", ures.Shards)
 	}
 	res, err := RunAgents(cfg, AgentOptions{Shards: 1000}, rng.New(5))
 	if err != nil {

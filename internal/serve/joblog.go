@@ -33,36 +33,49 @@ type jobLog struct {
 
 // openJobLog opens (or creates) the log at path, replaying existing
 // entries in order. A torn final line — a submit cut off by a kill before
-// its fsync completed — is dropped with a diagnostic: the client never
-// got its 202 for that job, so dropping it is the correct recovery.
+// its fsync completed — is dropped with a diagnostic and cut off the file:
+// the client never got its 202 for that job, so dropping it is the correct
+// recovery, and appends must not land after the fragment.
 func openJobLog(path string, logf func(string, ...any)) (*jobLog, []jobLogEntry, error) {
 	var entries []jobLogEntry
 	data, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
 		return nil, nil, fmt.Errorf("serve: read job log: %w", err)
 	}
-	if err == nil {
-		lines := splitJSONL(data)
-		for i, line := range lines {
-			if len(line) == 0 {
-				continue
-			}
-			var e jobLogEntry
-			if uerr := json.Unmarshal(line, &e); uerr != nil {
-				if i == len(lines)-1 {
-					if logf != nil {
-						logf("serve: job log %s: dropping truncated final line %d (%d bytes): %v", path, i+1, len(line), uerr)
-					}
-					break
-				}
+	valid := int64(len(data)) // length of the prefix the replay accepts
+	lines := splitJSONL(data)
+	var off int64 // offset of the next line
+	for i, line := range lines {
+		start := off
+		off += int64(len(line)) + 1
+		if len(line) == 0 {
+			continue
+		}
+		var e jobLogEntry
+		if uerr := json.Unmarshal(line, &e); uerr != nil {
+			if i < len(lines)-1 {
 				return nil, nil, fmt.Errorf("serve: job log line %d corrupt: %w", i+1, uerr)
 			}
-			entries = append(entries, e)
+			if logf != nil {
+				logf("serve: job log %s: dropping truncated final line %d (%d bytes): %v", path, i+1, len(line), uerr)
+			}
+			valid = start
+			break
 		}
+		entries = append(entries, e)
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("serve: open job log: %w", err)
+	}
+	// Cut a torn final line off the file, not just the replay: the handle
+	// appends, and bytes after a torn fragment would otherwise turn it into
+	// mid-file corruption that the next open rejects.
+	if valid < int64(len(data)) {
+		if err := f.Truncate(valid); err != nil {
+			f.Close() //bitlint:errsink error-path cleanup; the truncate error is the one the caller needs
+			return nil, nil, fmt.Errorf("serve: trim torn job log tail: %w", err)
+		}
 	}
 	return &jobLog{f: f, w: bufio.NewWriter(f)}, entries, nil
 }

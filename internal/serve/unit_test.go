@@ -96,6 +96,46 @@ func TestJobLogTornFinalLineDropped(t *testing.T) {
 	}
 }
 
+// TestJobLogTornTailTruncatedOnOpen: opening a log with a torn final line
+// cuts the fragment off the file, so entries appended afterwards survive
+// the next reopen instead of turning the fragment into mid-file
+// corruption.
+func TestJobLogTornTailTruncatedOnOpen(t *testing.T) {
+	for _, tail := range []string{
+		`{"ev":"submit","id":"b`, // cut off mid-line
+		"garbage\n",              // a whole corrupt final line
+	} {
+		path := filepath.Join(t.TempDir(), "jobs.jsonl")
+		content := `{"ev":"submit","id":"aa"}` + "\n" + tail
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		reopenAppend := func(id string, want ...string) {
+			t.Helper()
+			lg, entries, err := openJobLog(path, nil)
+			if err != nil {
+				t.Fatalf("tail %q: open before appending %s: %v", tail, id, err)
+			}
+			var got []string
+			for _, e := range entries {
+				got = append(got, e.ID)
+			}
+			if strings.Join(got, ",") != strings.Join(want, ",") {
+				t.Fatalf("tail %q: open before appending %s replayed %v, want %v", tail, id, got, want)
+			}
+			if err := lg.append(jobLogEntry{Ev: "submit", ID: id}); err != nil {
+				t.Fatalf("append %s: %v", id, err)
+			}
+			if err := lg.close(); err != nil {
+				t.Fatalf("close: %v", err)
+			}
+		}
+		reopenAppend("cc", "aa")
+		reopenAppend("dd", "aa", "cc")
+		reopenAppend("ee", "aa", "cc", "dd")
+	}
+}
+
 func TestJobLogMidFileCorruptionIsAnError(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "jobs.jsonl")
 	content := `{"ev":"submit","id":"aa"}` + "\n" + `garbage` + "\n" + `{"ev":"end","id":"aa","state":"done"}` + "\n"

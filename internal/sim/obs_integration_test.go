@@ -130,3 +130,42 @@ func TestProbeDoesNotChangeResults(t *testing.T) {
 		}
 	}
 }
+
+// TestFaultRoundsCountPerReplica: bitspread_fault_rounds_total counts
+// perturbed replica-rounds. In every Mode and at any worker count it equals
+// the sum, over replicas, of the perturbed rounds each replica ran — how
+// the pool batches replicas must not show through the counter.
+func TestFaultRoundsCountPerReplica(t *testing.T) {
+	sched := fault.Must(fault.ResetAt(2, 0.5, 0), fault.SourceCrashFor(4, 3))
+	cfg := engine.Config{N: 128, Rule: protocol.Minority(3), Z: 1, X0: 64, MaxRounds: 10, Faults: sched}
+	perturbed := func(rounds int64) (n int64) {
+		for r := int64(1); r <= rounds; r++ {
+			if sched.SourceOpinion(r, cfg.Z) != cfg.Z || sched.BoundaryAt(r) {
+				n++
+			}
+		}
+		return n
+	}
+	for _, mode := range []Mode{Parallel, Sequential, AgentLevel, Aggregated} {
+		for _, workers := range []int{1, 4} {
+			reg := obs.NewRegistry()
+			c := cfg
+			c.Probe = obs.NewMetrics(reg)
+			out, err := Run(Task{Name: "faults", Config: c, Mode: mode, Replicas: 8, Seed: 5}, workers)
+			if err != nil {
+				t.Fatalf("%v/workers=%d: %v", mode, workers, err)
+			}
+			var want int64
+			for _, r := range out.Results {
+				want += perturbed(r.Rounds)
+			}
+			if want == 0 {
+				t.Fatalf("%v/workers=%d: no replica ran a perturbed round", mode, workers)
+			}
+			if got := reg.Counter("bitspread_fault_rounds_total").Value(); got != want {
+				t.Errorf("%v/workers=%d: fault rounds = %d, want %d (perturbed rounds summed over replicas)",
+					mode, workers, got, want)
+			}
+		}
+	}
+}

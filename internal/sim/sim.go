@@ -288,11 +288,13 @@ func RunContext(ctx context.Context, t Task, workers int, journal *Journal) (Out
 	}
 
 	if len(pending) > 0 {
-		switch {
-		case t.Mode == Parallel:
-			runParallelBatched(cfg, st, pending, seeds, workers)
-		case t.Mode == AgentLevel:
-			runAgentsBatched(cfg, st, pending, seeds, workers)
+		switch t.Mode {
+		case Parallel:
+			runBatched(cfg, st, pending, seeds, workers, len(pending), engine.RunParallelReplicas, run)
+		case AgentLevel:
+			runBatched(cfg, st, pending, seeds, workers, agentBatchWidth(cfg.N), func(cfg engine.Config, seeds []uint64) ([]engine.Result, error) {
+				return engine.RunAgentsReplicas(cfg, engine.AgentOptions{}, seeds)
+			}, run)
 		default:
 			var wg sync.WaitGroup
 			next := make(chan int)
@@ -414,18 +416,21 @@ func runRecovered(run func(engine.Config, *rng.RNG) (engine.Result, error), cfg 
 	return run(cfg, g)
 }
 
-// runParallelBatched fans Parallel-mode replicas out as contiguous chunks
-// of the pending list, one engine.RunParallelReplicas batch per worker, so
-// all replicas of a chunk advance in lockstep and share one memoized
-// adopt-probability cache. Per-replica seeds are the same ones the
-// unbatched path would use and the batched engine reproduces RunParallel
+// runBatched fans Parallel- and AgentLevel-mode replicas out as contiguous
+// chunks of the pending list, one per worker, and runs each chunk as
+// lockstep batches of at most width replicas through batch
+// (engine.RunParallelReplicas or engine.RunAgentsReplicas), so a batch's
+// replicas share one memo of Eq. 4 evaluations. Per-replica seeds are the
+// ones the unbatched path would use and batch reproduces solo runs
 // exactly, so outcomes are identical to running each replica on its own —
-// just cheaper by a factor of the cache hit rate on the O(ℓ) Eq. 4 sums.
+// just cheaper by the memo's hit rate.
 //
-// A panic inside a batch poisons the whole chunk's shared state, so the
-// chunk falls back to bit-identical per-replica RunParallel runs, each
-// individually recovered; only the replica that actually panics is lost.
-func runParallelBatched(cfg engine.Config, st *taskState, pending []int, seeds []uint64, workers int) {
+// A panic inside a batch poisons its shared state, so the batch falls back
+// to bit-identical per-replica solo runs, each individually recovered;
+// only the replica that actually panics is lost.
+func runBatched(cfg engine.Config, st *taskState, pending []int, seeds []uint64, workers, width int,
+	batch func(engine.Config, []uint64) ([]engine.Result, error),
+	solo func(engine.Config, *rng.RNG) (engine.Result, error)) {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		lo := w * len(pending) / workers
@@ -436,104 +441,28 @@ func runParallelBatched(cfg engine.Config, st *taskState, pending []int, seeds [
 		wg.Add(1)
 		go func(chunk []int) {
 			defer wg.Done()
-			chunkSeeds := make([]uint64, len(chunk))
-			for k, i := range chunk {
-				chunkSeeds[k] = seeds[i]
-				if st.obsv != nil {
-					// The whole chunk advances in lockstep, so its replicas
-					// all start when the batch does.
-					st.obsv.ReplicaStart(st.name, i)
-				}
-			}
-			batch, err := runBatchRecovered(cfg, chunkSeeds)
-			if err == nil {
-				for k, i := range chunk {
-					st.classify(i, batch[k], nil)
-				}
-				return
-			}
-			// Batch failed as a unit; isolate the fault per replica.
-			for _, i := range chunk {
-				res, rerr := runRecovered(engine.RunParallel, cfg, rng.New(seeds[i]))
-				st.classify(i, res, rerr)
-			}
-		}(pending[lo:hi])
-	}
-	wg.Wait()
-}
-
-// runBatchRecovered is RunParallelReplicas with panics converted to errors.
-func runBatchRecovered(cfg engine.Config, seeds []uint64) (rs []engine.Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			rs = nil
-			err = fmt.Errorf("batch panicked: %v", r)
-		}
-	}()
-	return engine.RunParallelReplicas(cfg, seeds)
-}
-
-// agentBatchBudget caps the opinion-bitset memory one worker's lockstep
-// agent-level batch keeps live at once (every replica of a batch holds two
-// bitsets for its whole run). 256 MiB bounds a thousand-replica sweep at
-// n = 10⁶ comfortably while keeping huge-n batches narrow enough to fit.
-const agentBatchBudget = 256 << 20
-
-// runAgentsBatched is runParallelBatched for AgentLevel mode: contiguous
-// chunks of the pending list advance in lockstep through
-// engine.RunAgentsReplicas, so each round's adoption thresholds are
-// computed once per distinct one-count across the whole batch instead of
-// once per replica-round. Outcomes are identical to the
-// unbatched path — the batched engine is bit-identical to per-replica
-// RunAgents on the same seeds — and a panicked batch falls back to
-// individually recovered per-replica runs. Chunks are additionally split
-// into sub-batches narrow enough that live bitsets stay under
-// agentBatchBudget per worker.
-func runAgentsBatched(cfg engine.Config, st *taskState, pending []int, seeds []uint64, workers int) {
-	perReplica := cfg.N / 4 // two bitsets, n/8 bytes each
-	if perReplica < 1 {
-		perReplica = 1
-	}
-	maxWidth := int(int64(agentBatchBudget) / perReplica)
-	if maxWidth < 1 {
-		maxWidth = 1
-	}
-	runOne := func(cfg engine.Config, g *rng.RNG) (engine.Result, error) {
-		return engine.RunAgents(cfg, engine.AgentOptions{}, g)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * len(pending) / workers
-		hi := (w + 1) * len(pending) / workers
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(chunk []int) {
-			defer wg.Done()
-			for start := 0; start < len(chunk); start += maxWidth {
-				end := start + maxWidth
-				if end > len(chunk) {
-					end = len(chunk)
-				}
-				sub := chunk[start:end]
+			for len(chunk) > 0 {
+				sub := chunk[:min(width, len(chunk))]
+				chunk = chunk[len(sub):]
 				subSeeds := make([]uint64, len(sub))
 				for k, i := range sub {
 					subSeeds[k] = seeds[i]
 					if st.obsv != nil {
+						// The batch advances in lockstep, so its replicas
+						// all start when it does.
 						st.obsv.ReplicaStart(st.name, i)
 					}
 				}
-				batch, err := runAgentsBatchRecovered(cfg, subSeeds)
+				rs, err := batchRecovered(batch, cfg, subSeeds)
 				if err == nil {
 					for k, i := range sub {
-						st.classify(i, batch[k], nil)
+						st.classify(i, rs[k], nil)
 					}
 					continue
 				}
 				// Batch failed as a unit; isolate the fault per replica.
 				for _, i := range sub {
-					res, rerr := runRecovered(runOne, cfg, rng.New(seeds[i]))
+					res, rerr := runRecovered(solo, cfg, rng.New(seeds[i]))
 					st.classify(i, res, rerr)
 				}
 			}
@@ -542,16 +471,27 @@ func runAgentsBatched(cfg engine.Config, st *taskState, pending []int, seeds []u
 	wg.Wait()
 }
 
-// runAgentsBatchRecovered is RunAgentsReplicas with panics converted to
-// errors.
-func runAgentsBatchRecovered(cfg engine.Config, seeds []uint64) (rs []engine.Result, err error) {
+// batchRecovered invokes one batch run, converting a panic into an error.
+func batchRecovered(batch func(engine.Config, []uint64) ([]engine.Result, error), cfg engine.Config, seeds []uint64) (rs []engine.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			rs = nil
 			err = fmt.Errorf("batch panicked: %v", r)
 		}
 	}()
-	return engine.RunAgentsReplicas(cfg, engine.AgentOptions{}, seeds)
+	return batch(cfg, seeds)
+}
+
+// agentBatchBudget caps the opinion-bitset memory one worker's lockstep
+// agent-level batch keeps live at once (every replica of a batch holds two
+// bitsets until it retires). 256 MiB bounds a thousand-replica sweep at
+// n = 10⁶ comfortably while keeping huge-n batches narrow enough to fit.
+const agentBatchBudget = 256 << 20
+
+// agentBatchWidth is the widest agent-level batch whose live bitsets — two
+// per replica, n/8 bytes each — fit agentBatchBudget.
+func agentBatchWidth(n int64) int {
+	return int(max(agentBatchBudget/max(n/4, 1), 1))
 }
 
 // runner maps a mode to its engine entry point.

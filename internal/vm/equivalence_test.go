@@ -2,7 +2,7 @@ package vm_test
 
 // Engine-level equivalence: every builtin rule, compiled to bytecode and
 // materialized back, must produce byte-identical engine.Results and
-// round trajectories to its native form — across all nine engine
+// round trajectories to its native form — across all eight engine
 // variants, three seeds, and a fault schedule touching every family.
 // This is the acceptance bar for the VM's fixed-point story: Q2.61
 // conversion moves no bits on any probability a builtin table contains.
@@ -43,9 +43,6 @@ func engineVariants() map[string]func(engine.Config, *rng.RNG) (engine.Result, e
 		},
 		"packed": func(cfg engine.Config, g *rng.RNG) (engine.Result, error) {
 			return engine.RunAgents(cfg, engine.AgentOptions{}, g)
-		},
-		"sharded": func(cfg engine.Config, g *rng.RNG) (engine.Result, error) {
-			return engine.RunAgents(cfg, engine.AgentOptions{Shards: 4, Unpacked: true}, g)
 		},
 		"sharded-packed": func(cfg engine.Config, g *rng.RNG) (engine.Result, error) {
 			return engine.RunAgents(cfg, engine.AgentOptions{Shards: 4}, g)
