@@ -46,9 +46,14 @@ race-packed:
 # registry, the span writer, and the probe/observer wiring through the
 # Monte-Carlo runner (obs_integration_test exercises sim.Run with a
 # probe attached across worker goroutines under an active fault
-# schedule).
+# schedule). The second line repeats the fold tests ten times: a private
+# Metrics folded while its writers run, bitspreadd's per-worker job
+# metrics folded into /metrics at job end and mid-job, the event hub's
+# queue handoff and once-only drop booking, and a stream that is
+# subscribed by the time its client holds the headers.
 obs-race:
 	$(GO) test -race ./internal/obs/ ./internal/trace/ ./internal/sim/
+	$(GO) test -race -count=10 -run 'TestMetricsFold|TestEngineMetricsFoldExactly|TestMetricsScrapeSeesRunningJob|TestHub|TestEventStream' ./internal/obs/ ./internal/serve/
 
 # Simulation service under the race detector: the bitspreadd serving
 # layer (admission control, worker pool, stream hubs, drain/shutdown)

@@ -31,11 +31,18 @@ import (
 	"sync/atomic"
 )
 
+// cacheLine is the unit of false sharing. Each counter, gauge and
+// histogram bucket array fills whole lines of its own, so metrics written
+// by different goroutines — the private engine metrics of bitspreadd's
+// workers, say — never share one.
+const cacheLine = 64
+
 // Counter is a monotonically increasing metric. The zero value is ready
 // to use; all methods are safe on a nil receiver (no-ops) and for
 // concurrent use.
 type Counter struct {
 	v atomic.Int64
+	_ [cacheLine - 8]byte
 }
 
 // Add increments the counter by n.
@@ -57,10 +64,20 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
+// take zeroes the counter and returns the count it held (0 on a nil
+// receiver).
+func (c *Counter) take() int64 {
+	if c == nil {
+		return 0
+	}
+	return c.v.Swap(0)
+}
+
 // Gauge is a last-value metric. The zero value is ready to use; all
 // methods are safe on a nil receiver (no-ops) and for concurrent use.
 type Gauge struct {
 	v atomic.Int64
+	_ [cacheLine - 8]byte
 }
 
 // Set stores the gauge value.
@@ -121,6 +138,22 @@ func (h *Histogram) Sum() int64 {
 		return 0
 	}
 	return h.sum.Load()
+}
+
+// fold zeroes src's buckets and sum and adds what they held to h's.
+// Both must have the same bounds; a nil h discards src's counts.
+func (h *Histogram) fold(src *Histogram) {
+	if src == nil {
+		return
+	}
+	for i := range src.counts {
+		if n := src.counts[i].Swap(0); h != nil {
+			h.counts[i].Add(n)
+		}
+	}
+	if n := src.sum.Swap(0); h != nil {
+		h.sum.Add(n)
+	}
 }
 
 // Registry names and owns a set of metrics. Lookups (Counter, Gauge,
@@ -215,11 +248,17 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	if h == nil {
 		h = &Histogram{
 			bounds: append([]float64(nil), bounds...),
-			counts: make([]atomic.Int64, len(bounds)+1),
+			counts: make([]atomic.Int64, len(bounds)+1, wholeLines(len(bounds)+1)),
 		}
 		r.hists[name] = h
 	}
 	return h
+}
+
+// wholeLines rounds a count of 8-byte cells up to whole cache lines.
+func wholeLines(cells int) int {
+	const perLine = cacheLine / 8
+	return (cells + perLine - 1) / perLine * perLine
 }
 
 // WriteText writes a Prometheus-style text exposition snapshot of every

@@ -190,3 +190,111 @@ func TestHotPathAllocationFree(t *testing.T) {
 		t.Errorf("probe hot path allocates %.1f times per round, want 0", allocs)
 	}
 }
+
+// TestMetricsFoldMovesCounts pins Fold's bookkeeping: every counter and
+// bucket moves to the destination and reads zero at the source, the
+// one-count gauge follows a source that ran rounds, and folding an idle
+// source changes nothing.
+func TestMetricsFoldMovesCounts(t *testing.T) {
+	dst := NewMetrics(NewRegistry())
+	src := NewMetrics(NewRegistry())
+	dst.RoundDone(1, 5, 20)
+	src.RoundDone(1, 10, 100)
+	src.RoundDone(2, 12, 1<<20)
+	src.FaultApplied(2)
+	src.ShardRound(0, 45)
+	dst.Fold(src)
+	for _, c := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"rounds", dst.Rounds.Value(), 3},
+		{"activations", dst.Activations.Value(), 20 + 100 + 1<<20},
+		{"fault rounds", dst.FaultRounds.Value(), 1},
+		{"ones", dst.Ones.Value(), 12},
+		{"round load count", dst.RoundLoad.Count(), 3},
+		{"round load sum", dst.RoundLoad.Sum(), 20 + 100 + 1<<20},
+		{"shard load count", dst.ShardLoad.Count(), 1},
+		{"source rounds", src.Rounds.Value(), 0},
+		{"source activations", src.Activations.Value(), 0},
+		{"source fault rounds", src.FaultRounds.Value(), 0},
+		{"source round load", src.RoundLoad.Count() + src.RoundLoad.Sum(), 0},
+		{"source shard load", src.ShardLoad.Count() + src.ShardLoad.Sum(), 0},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
+		}
+	}
+	// Buckets keep their identity: 20 and 100 land at le=256, 2²⁰ at le=2²⁰.
+	if got := dst.RoundLoad.counts[2].Load(); got != 2 {
+		t.Errorf("le=256 bucket = %d, want 2", got)
+	}
+	if got := dst.RoundLoad.counts[5].Load(); got != 1 {
+		t.Errorf("le=2^20 bucket = %d, want 1", got)
+	}
+
+	dst.RoundDone(3, 7, 1)
+	dst.Fold(src)
+	if dst.Ones.Value() != 7 || dst.Rounds.Value() != 4 {
+		t.Errorf("folding an idle source moved the gauge or the counters: ones=%d rounds=%d",
+			dst.Ones.Value(), dst.Rounds.Value())
+	}
+}
+
+// TestMetricsFoldConcurrentIsExact folds a private Metrics in a loop
+// while several goroutines write it, as a /metrics scrape folds a running
+// bitspreadd job: every count must land in the destination exactly once.
+func TestMetricsFoldConcurrentIsExact(t *testing.T) {
+	dst := NewMetrics(NewRegistry())
+	src := NewMetrics(NewRegistry())
+	const writers, rounds = 4, 5000
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int64(1); i <= rounds; i++ {
+				src.RoundDone(i, i, 3)
+				src.FaultApplied(i)
+				src.ShardRound(0, 5)
+			}
+		}()
+	}
+	stop := make(chan struct{})
+	folded := make(chan struct{})
+	go func() {
+		defer close(folded)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				dst.Fold(src)
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	<-folded
+	dst.Fold(src)
+
+	const n = writers * rounds
+	for _, c := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"rounds", dst.Rounds.Value(), n},
+		{"activations", dst.Activations.Value(), 3 * n},
+		{"fault rounds", dst.FaultRounds.Value(), n},
+		{"round load count", dst.RoundLoad.Count(), n},
+		{"round load sum", dst.RoundLoad.Sum(), 3 * n},
+		{"shard load count", dst.ShardLoad.Count(), n},
+		{"shard load sum", dst.ShardLoad.Sum(), 5 * n},
+		{"source rounds", src.Rounds.Value(), 0},
+		{"source round load", src.RoundLoad.Count(), 0},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
+		}
+	}
+}

@@ -8,9 +8,13 @@ package obs
 //
 // All methods are atomic-counter updates with no allocation and no
 // locking, so one Metrics value is safe to share across every replica
-// and shard goroutine of a sweep — exactly how sim attaches it. A nil
-// *Metrics is a valid no-op probe (but prefer leaving Config.Probe nil:
-// a nil interface skips even the method call).
+// and shard goroutine of a sweep — exactly how sim attaches it. Sharing
+// has a price, though: every round of every goroutine writes the same
+// few cache lines. A writer that wants its rounds cheap keeps a private
+// Metrics (NewMetrics of a registry nobody exposes) and moves its counts
+// into the shared one with Fold, as each bitspreadd worker does for the
+// job it runs. A nil *Metrics is a valid no-op probe (but prefer leaving
+// Config.Probe nil: a nil interface skips even the method call).
 type Metrics struct {
 	// Rounds counts parallel rounds executed across all instrumented runs.
 	Rounds *Counter
@@ -76,4 +80,24 @@ func (m *Metrics) ShardRound(shard int, sampled int64) {
 		return
 	}
 	m.ShardLoad.Observe(sampled)
+}
+
+// Fold moves src's counts into m: each of src's counters and histogram
+// buckets is swapped to zero and the value it held is added to m's. A
+// count src takes concurrently with a Fold lands in exactly one Fold, so
+// totals stay exact however writers and folds interleave. m's one-count
+// gauge takes src's value when src finished rounds since its last fold.
+// src's histograms must have m's bounds, as two NewMetrics results do.
+func (m *Metrics) Fold(src *Metrics) {
+	if m == nil || src == nil {
+		return
+	}
+	if n := src.Rounds.take(); n > 0 {
+		m.Rounds.Add(n)
+		m.Ones.Set(src.Ones.Value())
+	}
+	m.Activations.Add(src.Activations.take())
+	m.FaultRounds.Add(src.FaultRounds.take())
+	m.RoundLoad.fold(src.RoundLoad)
+	m.ShardLoad.fold(src.ShardLoad)
 }

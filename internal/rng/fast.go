@@ -2,13 +2,13 @@ package rng
 
 import "math"
 
-// This file holds the allocation-free fast paths used by the sharded agent
-// engine and the batched count engine: block generation of raw words,
-// division-free Bernoulli trials against precomputed 64-bit thresholds, and
-// a fixed-bound uniform sampler with the Lemire rejection threshold hoisted
-// out of the loop. Every fast path consumes the underlying xoshiro stream
-// exactly like its scalar counterpart, so engines can mix them freely
-// without perturbing reproducibility.
+// This file holds the allocation-free fast paths of the bitset agent
+// engine: block generation of raw words, 64-bit acceptance thresholds for
+// division-free Bernoulli trials, and a fixed-bound uniform sampler with
+// the Lemire rejection threshold hoisted out of the loop. Every fast path
+// consumes the underlying xoshiro stream exactly like its scalar
+// counterpart, so engines can mix them freely without perturbing
+// reproducibility.
 
 // FillUint64 fills dst with the generator's next len(dst) outputs. It is
 // equivalent to calling Uint64 once per element but keeps the state in
@@ -34,10 +34,10 @@ func (r *RNG) FillUint64(dst []uint64) {
 const BernoulliAlways = math.MaxUint64
 
 // BernoulliThreshold converts a probability into a 64-bit acceptance
-// threshold t for BernoulliT. For p in (0, 1) the induced trial succeeds
-// exactly when Float64() < p would, so threshold-based trials reproduce
-// the distribution of Bernoulli(p) bit-for-bit while replacing the
-// float conversion and comparison with a single integer compare.
+// threshold t. For p in (0, 1) the trial Uint64() < t succeeds exactly
+// when Float64() < p would, so threshold-based trials reproduce the
+// distribution of Bernoulli(p) bit-for-bit while replacing the float
+// conversion and comparison with a single integer compare.
 //
 // Degenerate probabilities map to the non-consuming sentinels: p <= 0
 // yields 0 and p >= 1 (as well as p so close to 1 that no 53-bit uniform
@@ -56,19 +56,6 @@ func BernoulliThreshold(p float64) uint64 {
 	}
 	// Float64() < p  ⟺  (u >> 11) < ⌈p·2⁵³⌉  ⟺  u < ⌈p·2⁵³⌉ << 11.
 	return t53 << 11
-}
-
-// BernoulliT returns true with the probability encoded by threshold t
-// (see BernoulliThreshold). It consumes exactly one Uint64 for
-// non-degenerate thresholds and nothing for the sentinels.
-func (r *RNG) BernoulliT(t uint64) bool {
-	switch t {
-	case 0:
-		return false
-	case BernoulliAlways:
-		return true
-	}
-	return r.Uint64() < t
 }
 
 // Bounded is a uniform sampler over the fixed range [0, n) with Lemire's
@@ -92,9 +79,6 @@ func NewBounded(n int) Bounded {
 	return Bounded{bound: bound, threshold: (-bound) % bound}
 }
 
-// N returns the exclusive upper bound of the sampler's range.
-func (b Bounded) N() int { return int(b.bound) }
-
 // Next returns a uniform integer in [0, n), identical in value and stream
 // consumption to RNG.Intn(n).
 func (b Bounded) Next(r *RNG) int {
@@ -107,31 +91,4 @@ func (b Bounded) Next(r *RNG) int {
 		hi, lo = mul64(x, b.bound)
 	}
 	return int(hi)
-}
-
-// Fill fills dst with uniform integers in [0, n), equivalent to calling
-// Next once per element.
-func (b Bounded) Fill(r *RNG, dst []int) {
-	s0, s1, s2, s3 := r.s0, r.s1, r.s2, r.s3
-	next := func() uint64 {
-		result := rotl(s1*5, 7) * 9
-		t := s1 << 17
-		s2 ^= s0
-		s3 ^= s1
-		s1 ^= s2
-		s0 ^= s3
-		s2 ^= t
-		s3 = rotl(s3, 45)
-		return result
-	}
-	for i := range dst {
-		x := next()
-		hi, lo := mul64(x, b.bound)
-		for lo < b.threshold {
-			x = next()
-			hi, lo = mul64(x, b.bound)
-		}
-		dst[i] = int(hi)
-	}
-	r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3
 }

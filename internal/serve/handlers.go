@@ -360,6 +360,10 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown job %q", id)
 		return
 	}
+	// Subscribe before the headers go out: a client that holds them is
+	// then sure to see every event the job publishes from here on.
+	sub := jb.hub.subscribe(256)
+	defer jb.hub.unsubscribe(sub)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
@@ -369,31 +373,36 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		flusher.Flush()
 	}
 	enc := json.NewEncoder(w)
-	sub := jb.hub.subscribe(256)
-	defer jb.hub.unsubscribe(sub)
 	ctx := r.Context()
+	var batch []Event
 	for {
 		select {
-		case ev, ok := <-sub.ch:
-			if !ok {
-				final := jb.hub.finalEvent()
-				if final.Type == "" {
-					final = Event{Type: "job_done", State: "unknown"}
-				}
-				final.Dropped = sub.dropped.Load()
-				_ = enc.Encode(final)
-				if flusher != nil {
-					flusher.Flush()
-				}
-				return
-			}
+		case <-sub.ready:
+		case <-ctx.Done():
+			return
+		}
+		// Everything queued since the last wake goes out in one flush: a
+		// stream that fell behind catches up in one write, not one per
+		// event.
+		var open bool
+		batch, open = jb.hub.take(sub, batch)
+		for _, ev := range batch {
 			if err := enc.Encode(ev); err != nil {
 				return
 			}
-			if flusher != nil {
-				flusher.Flush()
+		}
+		if !open {
+			final := jb.hub.finalEvent()
+			if final.Type == "" {
+				final = Event{Type: "job_done", State: "unknown"}
 			}
-		case <-ctx.Done():
+			final.Dropped = sub.dropped.Load()
+			_ = enc.Encode(final)
+		}
+		if flusher != nil {
+			flusher.Flush()
+		}
+		if !open {
 			return
 		}
 	}
@@ -419,8 +428,13 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write([]byte("ready\n"))
 }
 
-// handleMetrics is the Prometheus-style exposition of the registry.
+// handleMetrics is the Prometheus-style exposition of the registry. It
+// first folds the running jobs' engine metrics into the server's, so the
+// engine counters are current to the scrape.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	for _, m := range s.jobMetrics {
+		s.probe.Fold(m)
+	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	_ = s.opts.Registry.WriteText(w)
 }

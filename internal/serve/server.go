@@ -149,11 +149,18 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 // Server is the simulation service: admission control in front of a
 // bounded worker pool, with durable state under DataDir.
 type Server struct {
-	opts   Options
-	m      serverMetrics
-	probe  *obs.Metrics
-	runObs *obs.RunObserver
-	adm    *admission
+	opts Options
+	m    serverMetrics
+	// probe holds the server-wide engine metrics /metrics exposes; jobs
+	// reach it only through Fold.
+	probe *obs.Metrics
+	// jobMetrics holds one private engine probe per worker: the job a
+	// worker runs writes its rounds there, memory no other job touches,
+	// and Fold moves them into probe when the job ends and on every
+	// /metrics scrape.
+	jobMetrics []*obs.Metrics
+	runObs     *obs.RunObserver
+	adm        *admission
 
 	journal *sim.Journal
 	log     *jobLog
@@ -241,9 +248,11 @@ func New(opts Options) (*Server, error) {
 		s.queue <- jb
 	}
 	s.m.queueDepth.Set(int64(len(s.queue)))
-	for i := 0; i < opts.Workers; i++ {
+	s.jobMetrics = make([]*obs.Metrics, opts.Workers)
+	for i := range s.jobMetrics {
+		s.jobMetrics[i] = obs.NewMetrics(obs.NewRegistry())
 		s.workerWG.Add(1)
-		go s.worker()
+		go s.worker(s.jobMetrics[i])
 	}
 	return s, nil
 }
@@ -402,18 +411,19 @@ func (s *Server) shutdownPool() {
 	}
 }
 
-// worker drains the job queue until it closes.
-func (s *Server) worker() {
+// worker drains the job queue until it closes, running each job's
+// rounds against its private engine metrics m.
+func (s *Server) worker(m *obs.Metrics) {
 	defer s.workerWG.Done()
 	for jb := range s.queue {
 		s.m.queueDepth.Set(int64(len(s.queue)))
-		s.runJob(jb)
+		s.runJob(jb, m)
 	}
 }
 
 // runJob executes one job with panic isolation: a panicking worker —
 // chaos-injected or real — fails only its job, never the daemon.
-func (s *Server) runJob(jb *job) {
+func (s *Server) runJob(jb *job, m *obs.Metrics) {
 	defer s.jobsWG.Done()
 	defer func() {
 		if r := recover(); r != nil {
@@ -455,9 +465,10 @@ func (s *Server) runJob(jb *job) {
 	}
 
 	task := jb.task
-	task.Config.Probe = probeFan{s.probe, jb.hub}
+	task.Config.Probe = probeFan{m, jb.hub}
 	task.Observer = observerFan{s.runObs, jb.hub}
 	out, err := sim.RunContext(ctx, task, s.opts.SimWorkers, s.journal)
+	s.probe.Fold(m)
 	completed, failed, cancelledN, timedOut := out.Counts()
 	jb.mu.Lock()
 	jb.counts = [4]int{completed, failed, cancelledN, timedOut}

@@ -9,33 +9,62 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"bitspread/internal/obs"
 )
 
+// TestHubDropsOnSlowSubscriberAndCounts: with buffer 1 the slow
+// subscriber drops 3 of 4 events while the fast one keeps all 4, and the
+// server-wide counter books the 3 drops exactly once — when the slow
+// subscriber leaves, whether it unsubscribes before the hub closes or
+// after close already removed it.
 func TestHubDropsOnSlowSubscriberAndCounts(t *testing.T) {
-	h := newHub(nil)
-	slow := h.subscribe(1)
-	fast := h.subscribe(8)
-	for i := int64(1); i <= 4; i++ {
-		h.publish(Event{Type: "round", Round: i})
-	}
-	if got := slow.dropped.Load(); got != 3 {
-		t.Fatalf("slow subscriber dropped %d, want 3", got)
-	}
-	if got := fast.dropped.Load(); got != 0 {
-		t.Fatalf("fast subscriber dropped %d, want 0", got)
-	}
-	if got := len(fast.ch); got != 4 {
-		t.Fatalf("fast subscriber buffered %d, want 4", got)
-	}
-	h.close(Event{Type: "job_done", State: "done"})
-	if _, open := <-slow.ch; !open {
-		t.Fatal("slow subscriber lost its one buffered event")
-	}
-	if _, open := <-slow.ch; open {
-		t.Fatal("channel not closed after hub close")
-	}
-	if fe := h.finalEvent(); fe.State != "done" {
-		t.Fatalf("finalEvent = %+v", fe)
+	for _, leaveFirst := range []bool{false, true} {
+		t.Run(fmt.Sprintf("unsubscribe-before-close=%v", leaveFirst), func(t *testing.T) {
+			var total obs.Counter
+			h := newHub(&total)
+			slow := h.subscribe(1)
+			fast := h.subscribe(8)
+			for i := int64(1); i <= 4; i++ {
+				h.publish(Event{Type: "round", Round: i})
+			}
+			if got := slow.dropped.Load(); got != 3 {
+				t.Fatalf("slow subscriber dropped %d, want 3", got)
+			}
+			if got := fast.dropped.Load(); got != 0 {
+				t.Fatalf("fast subscriber dropped %d, want 0", got)
+			}
+			if batch, _ := h.take(fast, nil); len(batch) != 4 {
+				t.Fatalf("fast subscriber buffered %d, want 4", len(batch))
+			}
+			if got := total.Value(); got != 0 {
+				t.Fatalf("server-wide drops = %d before anyone left, want 0", got)
+			}
+			if leaveFirst {
+				h.unsubscribe(slow)
+			}
+			h.close(Event{Type: "job_done", State: "done"})
+			if !leaveFirst {
+				batch, open := h.take(slow, nil)
+				if len(batch) != 1 || batch[0].Round != 1 {
+					t.Fatalf("slow subscriber kept %+v, want its one buffered event", batch)
+				}
+				if open {
+					t.Fatal("stream not over after hub close")
+				}
+			}
+			if got := total.Value(); got != 3 {
+				t.Fatalf("server-wide drops after close = %d, want 3", got)
+			}
+			h.unsubscribe(slow)
+			h.unsubscribe(fast)
+			if got := total.Value(); got != 3 {
+				t.Fatalf("server-wide drops after unsubscribe = %d, want 3 (booked once)", got)
+			}
+			if fe := h.finalEvent(); fe.State != "done" {
+				t.Fatalf("finalEvent = %+v", fe)
+			}
+		})
 	}
 }
 
@@ -43,14 +72,59 @@ func TestHubLateSubscriberGetsClosedChannel(t *testing.T) {
 	h := newHub(nil)
 	h.close(Event{Type: "job_done", State: "failed"})
 	sub := h.subscribe(4)
-	if _, open := <-sub.ch; open {
-		t.Fatal("late subscription channel should be closed immediately")
+	select {
+	case <-sub.ready:
+	default:
+		t.Fatal("late subscriber not woken")
+	}
+	if batch, open := h.take(sub, nil); open || len(batch) != 0 {
+		t.Fatalf("late subscription should be over immediately, got %d events, open %v", len(batch), open)
 	}
 	if fe := h.finalEvent(); fe.State != "failed" {
 		t.Fatalf("finalEvent = %+v", fe)
 	}
 	// Publishing after close must be a no-op, not a panic.
 	h.publish(Event{Type: "round"})
+}
+
+// TestHubReaderKeepsUpWithPublisher runs a publisher against a reader
+// that waits for each wake and takes the whole queue, as the events
+// handler does. Every event is either read, in publish order, or counted
+// as dropped, and the reader sees the stream end once the hub closes.
+func TestHubReaderKeepsUpWithPublisher(t *testing.T) {
+	const events = 20000
+	h := newHub(nil)
+	sub := h.subscribe(16)
+	var got []int64
+	done := make(chan bool)
+	go func() {
+		var batch []Event
+		for open := true; open; {
+			<-sub.ready
+			batch, open = h.take(sub, batch)
+			for _, ev := range batch {
+				got = append(got, ev.Round)
+			}
+		}
+		done <- true
+	}()
+	for i := int64(1); i <= events; i++ {
+		h.publish(Event{Type: "round", Round: i})
+	}
+	h.close(Event{Type: "job_done", State: "done"})
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("reader never saw the stream end")
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i] <= got[i-1] {
+			t.Fatalf("event %d arrived after %d", got[i], got[i-1])
+		}
+	}
+	if n := int64(len(got)) + sub.dropped.Load(); n != events {
+		t.Fatalf("read %d + dropped %d = %d, want %d", len(got), sub.dropped.Load(), n, events)
+	}
 }
 
 func TestJobLogTornFinalLineDropped(t *testing.T) {

@@ -280,10 +280,18 @@ func RunContext(ctx context.Context, t Task, workers int, journal *Journal) (Out
 	}
 
 	cfg := t.Config
-	if ctx.Done() != nil {
+	if done := ctx.Done(); done != nil {
+		// A non-blocking receive on Done reads the channel's state
+		// without a lock; ctx.Err() takes the context's mutex, which
+		// every sim worker sharing ctx would contend on every round.
 		caller := cfg.Halt
 		cfg.Halt = func() bool {
-			return ctx.Err() != nil || (caller != nil && caller())
+			select {
+			case <-done:
+				return true
+			default:
+				return caller != nil && caller()
+			}
 		}
 	}
 
