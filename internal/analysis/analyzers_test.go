@@ -49,6 +49,8 @@ func TestCtxLoopFixtures(t *testing.T) {
 
 func TestErrSinkFixtures(t *testing.T) {
 	RunFixture(t, ErrSink, "errsink.example/internal/sim")
+	RunFixture(t, ErrSink, "errsink.example/internal/serve")
+	RunFixture(t, ErrSink, "errsink.example/internal/durable")
 	RunFixture(t, ErrSink, "errsink.example/pkg/other")
 }
 

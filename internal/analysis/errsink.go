@@ -6,7 +6,7 @@ import (
 )
 
 // ErrSink guards the write-ordering proofs of the crash-safety core
-// (internal/{sim,serve,fabric}): the intent-log-before-202 and
+// (internal/{durable,sim,serve,fabric}): the intent-log-before-202 and
 // fsync-before-ack orderings (DESIGN §13) are only proofs if every
 // Write/Flush/Sync/Close/Rename on the durable path reports its failure.
 // A discarded error from one of these calls silently converts "fsynced
@@ -17,22 +17,24 @@ import (
 // method named Write/WriteString/Flush/Sync/Close returning an error on a
 // durable-path receiver (*os.File, *bufio.Writer, or a type declared in
 // the crash-safety packages themselves, like sim.Journal and
-// serve.jobLog), and of os.Rename/os.Remove. Deferred calls are exempt:
+// serve.jobLog), of os.Rename/os.Remove, and of every function or method
+// of internal/durable (Publish, Log.Append, ...). Deferred calls are exempt:
 // `defer f.Close()` is the error-path cleanup idiom, and the happy path
 // is required to close explicitly — which this analyzer then checks.
 // Suppression: //bitlint:errsink <reason> (e.g. "open failed; the open
 // error is the one the caller needs").
 var ErrSink = &Analyzer{
 	Name: "errsink",
-	Doc: "in internal/{sim,serve,fabric}, errors from Write/Flush/Sync/Close on durable-path receivers and from " +
-		"os.Rename/os.Remove must be checked (deferred cleanup calls exempt); discards void the crash-ordering " +
-		"proofs and need a //bitlint:errsink <reason>",
+	Doc: "in internal/{durable,sim,serve,fabric}, errors from Write/Flush/Sync/Close on durable-path receivers, " +
+		"from os.Rename/os.Remove and from internal/durable must be checked (deferred cleanup calls exempt); " +
+		"discards void the crash-ordering proofs and need a //bitlint:errsink <reason>",
 	Run: runErrSink,
 }
 
 // errSinkPkgs is the crash-safety core: the packages whose fsync/rename
 // ordering the SIGKILL-restart proofs replay.
 var errSinkPkgs = []string{
+	"internal/durable",
 	"internal/sim",
 	"internal/serve",
 	"internal/fabric",
@@ -107,6 +109,12 @@ func checkDiscard(p *Pass, call *ast.CallExpr) {
 		return
 	}
 	pkg := funcPkgPath(fn)
+	if isPkgSuffix(pkg, "internal/durable") {
+		p.ReportOrSuppress(call.Pos(), "errsink",
+			"discarded error from %s: it reports whether state reached the disk; "+
+				"check it or justify with //bitlint:errsink <reason>", fn.FullName())
+		return
+	}
 	if pkg == "os" && (fn.Name() == "Rename" || fn.Name() == "Remove") {
 		p.ReportOrSuppress(call.Pos(), "errsink",
 			"discarded error from os.%s: a failed rename/remove breaks the atomic-publish ordering; "+

@@ -10,7 +10,8 @@ import (
 // nondeterministic sources — wall clocks, PIDs, host identity, CPU
 // counts, ambient randomness, map iteration order — never flow into the
 // artifacts the byte-identity proofs stand on: sim.Journal records, the
-// serve intent log and result cache, TaskKey/Assign hash inputs in the
+// serve result cache, every durable.Log append (the intent log among
+// them) and durable.Publish, TaskKey/Assign hash inputs in the
 // deterministic core, and engine.Result values.
 //
 // detrand bans the *calls* inside the deterministic core; taintdet
@@ -26,9 +27,9 @@ import (
 var TaintDet = &Analyzer{
 	Name: "taintdet",
 	Doc: "nondeterministic values (time.Now/Since/Until, os.Getpid, runtime.NumCPU/GOMAXPROCS, math/crypto-rand, " +
-		"map iteration order) must not flow into journal records, intent-log/result-cache writes, TaskKey/Assign " +
-		"hash inputs, or engine.Result values; explicit time.Time parameters are sanitized entry points; " +
-		"justify intended flows with //bitlint:taintdet <reason>",
+		"map iteration order) must not flow into journal records, result-cache writes, durable appends and " +
+		"publishes (the intent log among them), TaskKey/Assign hash inputs, or engine.Result values; explicit " +
+		"time.Time parameters are sanitized entry points; justify intended flows with //bitlint:taintdet <reason>",
 	Run: runTaintDet,
 }
 
@@ -90,12 +91,16 @@ func taintSinkOf(p *Pass, call *ast.CallExpr) (string, bool) {
 	// replays.
 	case fn.Name() == "Record" && recv == "Journal" && isPkgSuffix(funcPkgPath(fn), "internal/sim"):
 		return "journal record", true
-	// serve's crash-safety surfaces: the fsynced intent log and the
-	// content-addressed result cache.
-	case fn.Name() == "append" && recv == "jobLog" && isPkgSuffix(funcPkgPath(fn), "internal/serve"):
-		return "intent-log record", true
+	// serve's content-addressed result cache.
 	case fn.Name() == "put" && recv == "resultCache" && isPkgSuffix(funcPkgPath(fn), "internal/serve"):
 		return "result-cache publish", true
+	// internal/durable writes every byte the crash-safety proofs replay:
+	// the intent log, the journal, the result cache, the fabric's shards
+	// and the registered protocols.
+	case fn.Name() == "Append" && recv == "Log" && isPkgSuffix(funcPkgPath(fn), "internal/durable"):
+		return "durable log append", true
+	case fn.Name() == "Publish" && recv == "" && isPkgSuffix(funcPkgPath(fn), "internal/durable"):
+		return "durable publish", true
 	// serve's wire responses: handlers answer workers whose shard
 	// assignment must not depend on coordinator-local nondeterminism.
 	case fn.Name() == "writeJSON" && isPkgSuffix(funcPkgPath(fn), "internal/serve"):

@@ -5,14 +5,9 @@ import (
 	"io"
 	"os"
 	"strconv"
+
+	"bitspread/internal/durable"
 )
-
-type jobLog struct{ w io.Writer }
-
-func (l *jobLog) append(line string) error {
-	_, err := io.WriteString(l.w, line)
-	return err
-}
 
 type resultCache struct{ dir string }
 
@@ -20,9 +15,9 @@ func (c *resultCache) put(id string, payload []byte) error { return nil }
 
 func writeJSON(w io.Writer, code int, v any) {}
 
-func record(l *jobLog) {
+func record(l *durable.Log) {
 	host, _ := os.Hostname()
-	l.append(host) // want "os.Hostname flows into intent-log record"
+	l.Append(host) // want "os.Hostname flows into durable log append"
 }
 
 func publish(c *resultCache, payload []byte) {
@@ -38,12 +33,12 @@ func respond(w io.Writer, m map[string]int) {
 	writeJSON(w, 200, ks) // want "map iteration order flows into wire payload"
 }
 
-func suppressed(l *jobLog) {
+func suppressed(l *durable.Log) {
 	host, _ := os.Hostname()
 	//bitlint:taintdet hostname is operator-facing lease metadata, never merged bytes
-	l.append(host)
+	l.Append(host)
 }
 
-func clean(l *jobLog, shard int) {
-	l.append(strconv.Itoa(shard))
+func clean(l *durable.Log, shard int) {
+	l.Append(strconv.Itoa(shard))
 }

@@ -111,8 +111,8 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// maxRounds resolves the round cap.
-func (c *Config) maxRounds() int64 {
+// RoundCap resolves the round cap: MaxRounds, or DefaultMaxRounds(N).
+func (c *Config) RoundCap() int64 {
 	if c.MaxRounds > 0 {
 		return c.MaxRounds
 	}

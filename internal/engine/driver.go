@@ -48,7 +48,7 @@ func newDriver(cfg *Config, replicas, shards int) *driver {
 		absorbing: cfg.Rule.CheckProp3() == nil,
 		target:    consensusTarget(cfg.N, cfg.Z),
 		trap:      wrongTrap(cfg.N, cfg.Z),
-		roundCap:  cfg.maxRounds(),
+		roundCap:  cfg.RoundCap(),
 		observed:  cfg.Record != nil || cfg.Probe != nil,
 		results:   make([]Result, replicas),
 		src:       cfg.Z,

@@ -4,24 +4,27 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"bitspread/internal/durable"
 )
 
 // resultCache is the content-addressed result store: one file per job ID
-// under dir, written atomically (temp file + rename) so a crash can never
-// leave a half-written result that a restarted daemon would serve.
-// Because job IDs hash everything that determines the trajectory, a cache
-// hit is exactly as good as a fresh run — byte-identical by the engines'
+// under dir, published with durable.Publish so a crash can never leave a
+// half-written result that a restarted daemon would serve. Because job
+// IDs hash everything that determines the trajectory, a cache hit is
+// exactly as good as a fresh run — byte-identical by the engines'
 // determinism contract. A nil cache (no data directory) stores nothing.
 type resultCache struct {
-	dir string
+	fsys durable.FS
+	dir  string
 }
 
 // newResultCache creates the cache directory.
-func newResultCache(dir string) (*resultCache, error) {
+func newResultCache(fsys durable.FS, dir string) (*resultCache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: cache dir: %w", err)
 	}
-	return &resultCache{dir: dir}, nil
+	return &resultCache{fsys: fsys, dir: dir}, nil
 }
 
 // path maps a job ID to its result file. IDs are lowercase hex by
@@ -42,30 +45,10 @@ func (c *resultCache) get(id string) ([]byte, bool) {
 	return b, true
 }
 
-// put stores the payload under id via temp-file-plus-rename, fsyncing the
-// data before the rename so the publish is atomic and durable.
+// put publishes the payload under id.
 func (c *resultCache) put(id string, payload []byte) error {
 	if c == nil {
 		return nil
 	}
-	tmp, err := os.CreateTemp(c.dir, id+".tmp*")
-	if err != nil {
-		return fmt.Errorf("serve: cache temp: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(payload); err != nil {
-		tmp.Close() //bitlint:errsink error-path cleanup; the write error is returned and the deferred Remove discards the temp file
-		return fmt.Errorf("serve: cache write: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close() //bitlint:errsink error-path cleanup; the sync error is returned and the deferred Remove discards the temp file
-		return fmt.Errorf("serve: cache sync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("serve: cache close: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), c.path(id)); err != nil {
-		return fmt.Errorf("serve: cache publish: %w", err)
-	}
-	return nil
+	return durable.Publish(c.fsys, c.path(id), payload)
 }

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"bitspread/internal/durable"
 	"bitspread/internal/fabric"
 	"bitspread/internal/sim"
 )
@@ -60,12 +61,13 @@ type fabricState struct {
 	board  *fabric.Board
 	shards [][]byte // uploaded shard journals, indexed by partition; nil = not done
 	dir    string   // persistence root, "" = memory only
+	fsys   durable.FS
 	now    func() time.Time
 	logf   func(string, ...any)
 }
 
 // newFabricState builds the coordinator and replays persisted shards.
-func newFabricState(opts FabricOptions, dataDir string, now func() time.Time, logf func(string, ...any)) (*fabricState, error) {
+func newFabricState(opts FabricOptions, dataDir string, fsys durable.FS, now func() time.Time, logf func(string, ...any)) (*fabricState, error) {
 	opts = opts.withDefaults()
 	if _, err := opts.spec().Experiments(); err != nil {
 		return nil, err
@@ -82,6 +84,7 @@ func newFabricState(opts FabricOptions, dataDir string, now func() time.Time, lo
 		spec:   opts.spec(),
 		board:  board,
 		shards: make([][]byte, opts.Partitions),
+		fsys:   fsys,
 		now:    now,
 		logf:   logf,
 	}
@@ -144,35 +147,11 @@ func (f *fabricState) complete(leaseID string, data []byte) (partIdx int, duplic
 	}
 	f.shards[part] = data
 	if f.dir != "" {
-		if perr := f.persistShard(part, data); perr != nil {
+		if perr := durable.Publish(f.fsys, f.shardPath(part), data); perr != nil {
 			f.logf("serve: fabric: persisting shard %d: %v", part, perr)
 		}
 	}
 	return part, false, nil
-}
-
-// persistShard publishes a shard's bytes with the same
-// write-sync-close-rename ordering as resultCache.put: without the Sync
-// before the Rename, a crash between the two could leave the final name
-// pointing at torn bytes that a restart would replay as a done partition.
-func (f *fabricState) persistShard(part int, data []byte) error {
-	tmp, err := os.CreateTemp(f.dir, fmt.Sprintf("shard-%d.tmp*", part))
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close() //bitlint:errsink error-path cleanup; the write error is returned and the deferred Remove discards the temp file
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close() //bitlint:errsink error-path cleanup; the sync error is returned and the deferred Remove discards the temp file
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), f.shardPath(part))
 }
 
 // merged renders the canonical merged journal, or an error while shards

@@ -213,7 +213,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.jobs[id] = jb
 	// The submit record is fsynced before the client sees 202: an
 	// accepted job survives any kill from here on.
-	if err := s.log.append(jobLogEntry{Ev: "submit", ID: id, Spec: &spec}); err != nil {
+	if err := s.log.Append(jobLogEntry{Ev: "submit", ID: id, Spec: &spec}); err != nil {
 		delete(s.jobs, id)
 		s.mu.Unlock()
 		writeError(w, http.StatusInternalServerError, "journaling job: %v", err)

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 
+	"bitspread/internal/durable"
 	"bitspread/internal/protocol"
 	"bitspread/internal/vm"
 )
@@ -55,20 +56,24 @@ type protoEntry struct {
 // protoRegistry holds the registered user protocols, optionally mirrored
 // to dir as one content-addressed .bsvm file per program.
 type protoRegistry struct {
-	dir string
+	dir  string
+	fsys durable.FS
 
 	mu   sync.RWMutex
 	byID map[string]*protoEntry
 }
 
 // openProtoRegistry builds the registry, loading every persisted program
-// from dir (empty dir: memory-only). Corrupt or no-longer-valid files are
-// skipped with a diagnostic rather than failing startup.
-func openProtoRegistry(dir string, logf func(string, ...any)) (*protoRegistry, error) {
-	reg := &protoRegistry{dir: dir, byID: map[string]*protoEntry{}}
-	if dir == "" {
+// from dataDir/protocols (empty dataDir: memory-only). Corrupt or
+// no-longer-valid files are skipped with a diagnostic rather than failing
+// startup.
+func openProtoRegistry(fsys durable.FS, dataDir string, logf func(string, ...any)) (*protoRegistry, error) {
+	reg := &protoRegistry{fsys: fsys, byID: map[string]*protoEntry{}}
+	if dataDir == "" {
 		return reg, nil
 	}
+	dir := filepath.Join(dataDir, "protocols")
+	reg.dir = dir
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: protocol dir: %w", err)
 	}
@@ -120,9 +125,8 @@ func buildProtoEntry(prog *vm.Program) (*protoEntry, error) {
 	return &protoEntry{prog: prog, rule: rule}, nil
 }
 
-// register admits a validated entry, persisting its bytecode first when
-// the registry is durable (temp file, sync, rename — a torn write can
-// never surface as a half-program). Returns whether the id was new.
+// register admits a validated entry, publishing its bytecode first when
+// the registry is durable. Returns whether the id was new.
 func (reg *protoRegistry) register(id string, entry *protoEntry) (bool, error) {
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
@@ -130,25 +134,8 @@ func (reg *protoRegistry) register(id string, entry *protoEntry) (bool, error) {
 		return false, nil
 	}
 	if reg.dir != "" {
-		final := filepath.Join(reg.dir, id+".bsvm")
-		tmp, err := os.CreateTemp(reg.dir, "."+id+".tmp-*")
-		if err != nil {
+		if err := durable.Publish(reg.fsys, filepath.Join(reg.dir, id+".bsvm"), entry.prog.Encode()); err != nil {
 			return false, fmt.Errorf("serve: persisting protocol: %w", err)
-		}
-		_, werr := tmp.Write(entry.prog.Encode())
-		if serr := tmp.Sync(); werr == nil {
-			werr = serr
-		}
-		if cerr := tmp.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr == nil {
-			werr = os.Rename(tmp.Name(), final)
-		}
-		if werr != nil {
-			//bitlint:errsink best-effort temp cleanup on a path that already returns the write error; the orphan is invisible to reload (glob matches *.bsvm only)
-			_ = os.Remove(tmp.Name())
-			return false, fmt.Errorf("serve: persisting protocol: %w", werr)
 		}
 	}
 	reg.byID[id] = entry

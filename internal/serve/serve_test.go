@@ -699,6 +699,66 @@ func TestReplayReRunsDoneJobWithMissingCacheFile(t *testing.T) {
 	}
 }
 
+// TestSecondServerLeavesLiveDataDirIntact: a second daemon on a live data
+// directory fails before it reads or cuts a byte of the live intent log,
+// an in-flight append included, and a New that fails after opening the
+// job log releases it.
+func TestSecondServerLeavesLiveDataDirIntact(t *testing.T) {
+	dir := t.TempDir()
+	srv, ts := newTestServer(t, Options{DataDir: dir, Workers: 1})
+	code, _, js := submitJSON(t, ts, testSpec(3), "")
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: code %d", code)
+	}
+	if st := waitTerminal(t, ts, js.ID); st.State != "done" {
+		t.Fatalf("job ended %q", st.State)
+	}
+	// The live daemon's next append, caught mid-write.
+	jobs := filepath.Join(dir, "jobs.jsonl")
+	f, err := os.OpenFile(jobs, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"ev":"submit","id":"ff`); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s2, err := New(Options{DataDir: dir}); err == nil {
+		s2.Close()
+		t.Fatal("a second server opened a live data directory")
+	}
+	if after, err := os.ReadFile(jobs); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("the failed second server changed jobs.jsonl:\nbefore %q\nafter  %q (%v)", before, after, err)
+	}
+
+	// With the daemon gone and only the journal held, New opens the job
+	// log, fails on the journal, and must release the job log.
+	ts.Close()
+	srv.Close()
+	j, err := sim.OpenJournal(filepath.Join(dir, "replicas.jsonl"), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s2, err := New(Options{DataDir: dir}); err == nil {
+		s2.Close()
+		t.Fatal("New opened a data directory whose journal is locked")
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s3, err := New(Options{DataDir: dir})
+	if err != nil {
+		t.Fatalf("New after a failed New: %v", err)
+	}
+	s3.Close()
+}
+
 func TestLookupServesEvictedResultFromDiskCache(t *testing.T) {
 	// MaxDone: 1 forces the first finished job's metadata out of memory as
 	// soon as the second finishes; its result must survive on disk.

@@ -30,12 +30,12 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"bitspread/internal/durable"
 	"bitspread/internal/obs"
 	"bitspread/internal/sim"
 )
@@ -163,7 +163,7 @@ type Server struct {
 	adm        *admission
 
 	journal *sim.Journal
-	log     *jobLog
+	log     *durable.Log // the intent log; nil when memory-only
 	cache   *resultCache
 	fabric  *fabricState
 	protos  *protoRegistry
@@ -188,6 +188,12 @@ type Server struct {
 // re-enqueueing every accepted job that has no terminal record — and
 // starts the worker pool.
 func New(opts Options) (*Server, error) {
+	return newServer(opts, durable.OS{})
+}
+
+// newServer is New writing every durable byte through fsys; the
+// crash-point tests pass a fault-injecting FS.
+func newServer(opts Options, fsys durable.FS) (*Server, error) {
 	opts = opts.withDefaults()
 	s := &Server{
 		opts:   opts,
@@ -197,50 +203,46 @@ func New(opts Options) (*Server, error) {
 		adm:    newAdmission(opts.TenantRate, opts.TenantBurst, opts.now),
 		jobs:   map[string]*job{},
 	}
-	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 
-	var replayed []jobLogEntry
-	protoDir := ""
-	if opts.DataDir != "" {
-		if err := os.MkdirAll(opts.DataDir, 0o755); err != nil {
-			return nil, fmt.Errorf("serve: data dir: %w", err)
-		}
-		protoDir = filepath.Join(opts.DataDir, "protocols")
-	}
 	// The protocol registry loads before the job log replays: a recovered
 	// job may reference "vm:<id>" bytecode from a previous daemon life.
 	var err error
-	s.protos, err = openProtoRegistry(protoDir, opts.Logf)
+	s.protos, err = openProtoRegistry(fsys, opts.DataDir, opts.Logf)
 	if err != nil {
 		return nil, err
 	}
-	if opts.DataDir != "" {
-		s.log, replayed, err = openJobLog(filepath.Join(opts.DataDir, "jobs.jsonl"), opts.Logf)
+	if opts.Fabric != nil {
+		s.fabric, err = newFabricState(*opts.Fabric, opts.DataDir, fsys, opts.now, opts.Logf)
 		if err != nil {
 			return nil, err
 		}
-		s.journal, err = sim.OpenJournalOpts(filepath.Join(opts.DataDir, "replicas.jsonl"), sim.JournalOptions{
+	}
+	// Every directory exists before the logs open: creating jobs.jsonl on
+	// a first start syncs the data directory, and with it their entries.
+	// The logs lock before they read or cut a byte, so a second daemon on
+	// a live directory fails here without touching it.
+	var replayed []jobLogEntry
+	if opts.DataDir != "" {
+		s.cache, err = newResultCache(fsys, filepath.Join(opts.DataDir, "cache"))
+		if err != nil {
+			return nil, err
+		}
+		s.log, replayed, err = openJobLogFS(fsys, filepath.Join(opts.DataDir, "jobs.jsonl"), opts.Logf)
+		if err != nil {
+			return nil, err
+		}
+		s.journal, err = sim.OpenJournalFS(fsys, filepath.Join(opts.DataDir, "replicas.jsonl"), sim.JournalOptions{
 			Resume: true,
 			Fsync:  true,
 			Logf:   opts.Logf,
 		})
 		if err != nil {
-			return nil, err
-		}
-		s.cache, err = newResultCache(filepath.Join(opts.DataDir, "cache"))
-		if err != nil {
+			s.log.Close() //bitlint:errsink error-path cleanup; the journal error is the one the caller needs and the job log wrote nothing
 			return nil, err
 		}
 	}
 
-	if opts.Fabric != nil {
-		fst, err := newFabricState(*opts.Fabric, opts.DataDir, opts.now, opts.Logf)
-		if err != nil {
-			return nil, err
-		}
-		s.fabric = fst
-	}
-
+	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	pending := s.replay(replayed)
 	s.queue = make(chan *job, opts.QueueDepth+len(pending))
 	for _, jb := range pending {
@@ -406,7 +408,7 @@ func (s *Server) shutdownPool() {
 	if err := s.journal.Close(); err != nil {
 		s.opts.Logf("serve: closing journal: %v", err)
 	}
-	if err := s.log.close(); err != nil {
+	if err := s.log.Close(); err != nil {
 		s.opts.Logf("serve: closing job log: %v", err)
 	}
 }
@@ -524,7 +526,7 @@ func (s *Server) finishJob(jb *job, st jobState, errMsg string, payload []byte) 
 		jb.payload = payload
 	}
 	jb.mu.Unlock()
-	if err := s.log.append(jobLogEntry{Ev: "end", ID: jb.id, State: st.String(), Error: errMsg}); err != nil {
+	if err := s.log.Append(jobLogEntry{Ev: "end", ID: jb.id, State: st.String(), Error: errMsg}); err != nil {
 		s.opts.Logf("serve: job %s: recording end state: %v", jb.id, err)
 	}
 	switch st {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"bitspread/internal/durable"
 	"bitspread/internal/obs"
 )
 
@@ -125,6 +126,19 @@ func TestHubReaderKeepsUpWithPublisher(t *testing.T) {
 	if n := int64(len(got)) + sub.dropped.Load(); n != events {
 		t.Fatalf("read %d + dropped %d = %d, want %d", len(got), sub.dropped.Load(), n, events)
 	}
+}
+
+// jobLogFile is the intent log with the lower-case methods the job-log
+// tests use.
+type jobLogFile struct{ *durable.Log }
+
+func (l jobLogFile) append(e jobLogEntry) error { return l.Append(e) }
+func (l jobLogFile) close() error               { return l.Close() }
+
+// openJobLog opens the intent log on the real filesystem.
+func openJobLog(path string, logf func(string, ...any)) (jobLogFile, []jobLogEntry, error) {
+	l, entries, err := openJobLogFS(durable.OS{}, path, logf)
+	return jobLogFile{l}, entries, err
 }
 
 func TestJobLogTornFinalLineDropped(t *testing.T) {
@@ -282,7 +296,7 @@ func TestAdmissionDisabledAndTenantBound(t *testing.T) {
 }
 
 func TestResultCacheAtomicPutGet(t *testing.T) {
-	c, err := newResultCache(filepath.Join(t.TempDir(), "cache"))
+	c, err := newResultCache(durable.OS{}, filepath.Join(t.TempDir(), "cache"))
 	if err != nil {
 		t.Fatalf("newResultCache: %v", err)
 	}

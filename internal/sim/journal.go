@@ -1,13 +1,12 @@
 package sim
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"os"
 	"sync"
 
+	"bitspread/internal/durable"
 	"bitspread/internal/engine"
 )
 
@@ -34,22 +33,14 @@ func TaskKey(t Task) string {
 }
 
 // journalEntry is one line of the JSONL checkpoint file: a finished replica
-// of a keyed task.
+// of a keyed task. Shard journals also carry Seq, the global task ordinal,
+// so MergeJournals can restore the canonical single-process line order
+// without seeing every shard's task sequence; the resume loader ignores
+// it, so a shard journal is itself a valid resumable journal.
 type journalEntry struct {
 	Task    string        `json:"task"`
 	Replica int           `json:"replica"`
-	Result  engine.Result `json:"result"`
-}
-
-// partitionEntry is the shard-journal line format: journalEntry plus the
-// global task ordinal, so MergeJournals can restore the canonical
-// single-process line order without seeing every shard's task sequence.
-// The extra field is ignored by the resume loader, so a shard journal is
-// itself a valid resumable journal.
-type partitionEntry struct {
-	Task    string        `json:"task"`
-	Replica int           `json:"replica"`
-	Seq     int           `json:"seq"`
+	Seq     *int          `json:"seq,omitempty"`
 	Result  engine.Result `json:"result"`
 }
 
@@ -60,22 +51,17 @@ type partitionEntry struct {
 // and checkpoints. internal/fabric provides the standard hash partition.
 type PartitionFunc func(key string, replica int) bool
 
-// Journal is an append-only JSONL checkpoint of completed replicas. Every
-// Record is flushed to the file before it returns, so a process killed
-// mid-sweep loses at most the replica in flight; reopening the same path
-// with resume=true replays the finished work instead of recomputing it.
-// A Journal is safe for concurrent use by the sim worker pool.
-//
-// The journal file is guarded by an exclusive advisory lock (flock) for
-// the journal's whole lifetime, so two processes can never interleave
-// writes to one checkpoint; the second opener fails fast with an error
-// naming the holder's PID.
+// Journal is an append-only JSONL checkpoint of completed replicas, kept
+// in a durable.Log. Every Record is written to the file before it
+// returns, so a process killed mid-sweep loses at most the replica in
+// flight; reopening the same path with resume=true replays the finished
+// work instead of recomputing it. A Journal is safe for concurrent use by
+// the sim worker pool. The log's lock keeps a second process out: its
+// opener fails fast, naming the holder's PID.
 type Journal struct {
-	mu    sync.Mutex
-	f     *os.File
-	w     *bufio.Writer
-	fsync bool
-	done  map[string]map[int]engine.Result
+	mu   sync.Mutex
+	log  *durable.Log
+	done map[string]map[int]engine.Result
 	// own, when non-nil, puts the journal in partition mode: RunContext
 	// skips replicas the partition does not own, and recorded lines carry
 	// the task ordinal for canonical-order merging.
@@ -97,7 +83,7 @@ type JournalOptions struct {
 	// Resume loads the existing entries at path and serves them from
 	// Lookup; without it the file is truncated and the run starts clean.
 	Resume bool
-	// Fsync forces an fsync(2) after every Record flush, so a checkpoint
+	// Fsync forces an fsync(2) after every Record write, so a checkpoint
 	// survives not just a process kill but a machine crash. Long-running
 	// daemons (bitspreadd) turn this on; one-shot sweeps usually accept
 	// the smaller page-cache window in exchange for cheaper Records.
@@ -126,93 +112,35 @@ func OpenJournal(path string, resume bool) (*Journal, error) {
 // JournalOptions: fsync-per-Record durability and a diagnostics hook for
 // crash-truncation recovery.
 func OpenJournalOpts(path string, opts JournalOptions) (*Journal, error) {
+	return OpenJournalFS(durable.OS{}, path, opts)
+}
+
+// OpenJournalFS is OpenJournalOpts writing through fsys. bitspreadd opens
+// its journal through the same FS as the rest of its durable state, which
+// lets its crash-point tests stop every write.
+func OpenJournalFS(fsys durable.FS, path string, opts JournalOptions) (*Journal, error) {
 	j := &Journal{
-		done:  map[string]map[int]engine.Result{},
-		fsync: opts.Fsync,
-		own:   opts.Partition,
-		ord:   map[string]int{},
+		done: map[string]map[int]engine.Result{},
+		own:  opts.Partition,
+		ord:  map[string]int{},
 	}
-	// Open without truncating, take the exclusive lock, and only then
-	// touch the contents: a second opener must never clobber bytes the
-	// holder is still writing.
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	var replay func([]byte) error
+	if opts.Resume {
+		replay = func(line []byte) error {
+			var e journalEntry
+			if err := json.Unmarshal(line, &e); err != nil {
+				return err
+			}
+			j.put(e.Task, e.Replica, e.Result)
+			return nil
+		}
+	}
+	log, err := durable.OpenLog(fsys, path, opts.Fsync, replay, opts.Logf)
 	if err != nil {
 		return nil, fmt.Errorf("sim: open journal: %w", err)
 	}
-	if err := lockJournal(f, path); err != nil {
-		f.Close() //bitlint:errsink error-path cleanup; the lock error is the one the caller needs and no bytes were written
-		return nil, err
-	}
-	if opts.Resume {
-		valid, err := j.load(path, opts.Logf)
-		if err != nil {
-			f.Close() //bitlint:errsink error-path cleanup; the replay error is the one the caller needs and no bytes were written
-			return nil, err
-		}
-		// Cut a torn final line off the file, not just the replay: the
-		// handle appends, and bytes after a torn fragment would otherwise
-		// turn it into mid-file corruption no later reader tolerates.
-		if err := f.Truncate(valid); err != nil {
-			f.Close() //bitlint:errsink error-path cleanup; the truncate error is the one the caller needs
-			return nil, fmt.Errorf("sim: trim torn journal tail: %w", err)
-		}
-	} else if err := f.Truncate(0); err != nil {
-		f.Close() //bitlint:errsink error-path cleanup; the truncate error is the one the caller needs
-		return nil, fmt.Errorf("sim: truncate journal: %w", err)
-	}
-	j.f = f
-	j.w = bufio.NewWriter(f)
+	j.log = log
 	return j, nil
-}
-
-// load replays an existing journal file into the in-memory index and
-// returns the length of its valid prefix — everything up to (but not
-// including) a torn final line. A missing file is an empty journal.
-func (j *Journal) load(path string, logf func(string, ...any)) (int64, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, fmt.Errorf("sim: read journal: %w", err)
-	}
-	lines := splitLines(data)
-	valid := int64(len(data))
-	for i, line := range lines {
-		if len(line) == 0 {
-			continue
-		}
-		var e journalEntry
-		if err := json.Unmarshal(line, &e); err != nil {
-			if i == len(lines)-1 {
-				// Torn final write from an interrupted run; the replica it
-				// described will simply be recomputed.
-				if logf != nil {
-					logf("sim: journal %s: dropping truncated final line %d (%d bytes): %v", path, i+1, len(line), err)
-				}
-				return valid - int64(len(line)), nil
-			}
-			return 0, fmt.Errorf("sim: journal line %d corrupt: %w", i+1, err)
-		}
-		j.put(e.Task, e.Replica, e.Result)
-	}
-	return valid, nil
-}
-
-// splitLines splits on '\n' without requiring a trailing newline.
-func splitLines(data []byte) [][]byte {
-	var lines [][]byte
-	start := 0
-	for i, b := range data {
-		if b == '\n' {
-			lines = append(lines, data[start:i])
-			start = i + 1
-		}
-	}
-	if start < len(data) {
-		lines = append(lines, data[start:])
-	}
-	return lines
 }
 
 func (j *Journal) put(task string, replica int, r engine.Result) {
@@ -290,7 +218,7 @@ func (j *Journal) Err() error {
 	return j.writeErr
 }
 
-// Record checkpoints a finished replica, flushing the line to the file
+// Record checkpoints a finished replica, writing the line to the file
 // before returning. Recording on a nil Journal is a no-op, so the sim
 // layer can thread an optional journal without branching.
 func (j *Journal) Record(task string, replica int, r engine.Result) error {
@@ -299,58 +227,34 @@ func (j *Journal) Record(task string, replica int, r engine.Result) error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	err := j.recordLocked(task, replica, r)
-	if err != nil && j.writeErr == nil {
-		j.writeErr = err
-	}
-	return err
-}
-
-func (j *Journal) recordLocked(task string, replica int, r engine.Result) error {
 	j.put(task, replica, r)
-	if j.w == nil {
+	if j.log == nil {
 		return nil
 	}
-	var line []byte
-	var err error
+	e := journalEntry{Task: task, Replica: replica, Result: r}
 	if j.own != nil {
-		line, err = json.Marshal(partitionEntry{Task: task, Replica: replica, Seq: j.ord[task], Result: r})
-	} else {
-		line, err = json.Marshal(journalEntry{Task: task, Replica: replica, Result: r})
+		seq := j.ord[task]
+		e.Seq = &seq
 	}
-	if err != nil {
-		return fmt.Errorf("sim: journal encode: %w", err)
-	}
-	if _, err := j.w.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("sim: journal write: %w", err)
-	}
-	if err := j.w.Flush(); err != nil {
-		return err
-	}
-	if j.fsync {
-		if err := j.f.Sync(); err != nil {
-			return fmt.Errorf("sim: journal fsync: %w", err)
+	if err := j.log.Append(e); err != nil {
+		err = fmt.Errorf("sim: journal: %w", err)
+		if j.writeErr == nil {
+			j.writeErr = err
 		}
+		return err
 	}
 	return nil
 }
 
-// Close flushes and closes the underlying file. The in-memory index stays
-// readable, so Lookup keeps working after Close.
+// Close closes the underlying file. The in-memory index stays readable,
+// so Lookup keeps working after Close.
 func (j *Journal) Close() error {
 	if j == nil {
 		return nil
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	ferr := j.w.Flush()
-	cerr := j.f.Close()
-	j.f, j.w = nil, nil
-	if ferr != nil {
-		return ferr
-	}
-	return cerr
+	err := j.log.Close()
+	j.log = nil
+	return err
 }

@@ -3,10 +3,13 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"sort"
+
+	"bitspread/internal/durable"
 )
 
 // MergeSource is one shard journal handed to MergeJournals: the raw JSONL
@@ -39,21 +42,14 @@ func (s MergeStats) String() string {
 		s.Entries, s.Tasks, s.Sources, s.Deduped, s.Torn)
 }
 
-// mergeEntry is one parsed shard line. Result stays raw: the merged
-// output re-emits exactly the bytes the producing engine wrote, so merge
-// can never perturb a checkpoint through a decode/encode round trip.
+// mergeEntry is one shard line, and without Seq one merged line (field
+// order identical to journalEntry). Result stays raw: the merged output
+// re-emits exactly the bytes the producing engine wrote, so merge can
+// never perturb a checkpoint through a decode/encode round trip.
 type mergeEntry struct {
 	Task    string          `json:"task"`
 	Replica int             `json:"replica"`
-	Seq     *int            `json:"seq"`
-	Result  json.RawMessage `json:"result"`
-}
-
-// mergedLine is the canonical output line shape — field order identical
-// to journalEntry, seq stripped.
-type mergedLine struct {
-	Task    string          `json:"task"`
-	Replica int             `json:"replica"`
+	Seq     *int            `json:"seq,omitempty"`
 	Result  json.RawMessage `json:"result"`
 }
 
@@ -80,7 +76,8 @@ type taskOrder struct {
 //     legal), while differing bytes are a hard error — determinism means
 //     a divergent duplicate is corruption, never a judgment call;
 //   - a torn final line in a shard (a worker killed mid-write) is dropped
-//     and counted, exactly as the resume loader treats it;
+//     and counted, by the same rule (durable.Scan) the resume loader
+//     uses;
 //   - empty shards are legal (a partition can own zero replicas).
 //
 // Result payloads are copied verbatim; merge never re-encodes them.
@@ -95,24 +92,27 @@ func MergeJournals(w io.Writer, srcs []MergeSource) (MergeStats, error) {
 	orderIdx := map[string]int{}
 
 	for _, src := range srcs {
-		lines := splitLines(src.Data)
+		var parsed []mergeEntry
+		_, err := durable.Scan(src.Data, func(line []byte) error {
+			var e mergeEntry
+			if err := json.Unmarshal(line, &e); err != nil {
+				return err
+			}
+			if len(e.Result) == 0 || e.Task == "" {
+				return errors.New("missing task or result field")
+			}
+			parsed = append(parsed, e)
+			return nil
+		})
+		switch {
+		case errors.Is(err, durable.ErrTorn):
+			stats.Torn++
+		case err != nil:
+			return stats, fmt.Errorf("sim: merge: shard %s: %v", src.Name, err)
+		}
 		localOrd := 0
 		localSeen := map[string]bool{}
-		for i, line := range lines {
-			if len(line) == 0 {
-				continue
-			}
-			var e mergeEntry
-			if err := json.Unmarshal(line, &e); err != nil || len(e.Result) == 0 || e.Task == "" {
-				if i == len(lines)-1 {
-					stats.Torn++
-					continue
-				}
-				if err == nil {
-					err = fmt.Errorf("missing task or result field")
-				}
-				return stats, fmt.Errorf("sim: merge: shard %s line %d corrupt: %v", src.Name, i+1, err)
-			}
+		for _, e := range parsed {
 			ord := localOrd
 			if e.Seq != nil {
 				ord = *e.Seq
@@ -159,7 +159,7 @@ func MergeJournals(w io.Writer, srcs []MergeSource) (MergeStats, error) {
 		}
 		sort.Ints(replicas)
 		for _, r := range replicas {
-			line, err := json.Marshal(mergedLine{Task: t.key, Replica: r, Result: m[r].result})
+			line, err := json.Marshal(mergeEntry{Task: t.key, Replica: r, Result: m[r].result})
 			if err != nil {
 				return stats, fmt.Errorf("sim: merge encode: %w", err)
 			}
@@ -173,8 +173,9 @@ func MergeJournals(w io.Writer, srcs []MergeSource) (MergeStats, error) {
 	return stats, nil
 }
 
-// MergeJournalFiles reads the shard files and writes their merge to dst
-// (which must not be one of the sources; it is truncated first).
+// MergeJournalFiles reads the shard files and publishes their merge to
+// dst (which must not be one of the sources) with durable.Publish, so a
+// crash mid-join leaves either the old dst or the whole merge.
 func MergeJournalFiles(dst string, srcs ...string) (MergeStats, error) {
 	sources := make([]MergeSource, 0, len(srcs))
 	for _, path := range srcs {
@@ -192,7 +193,7 @@ func MergeJournalFiles(dst string, srcs ...string) (MergeStats, error) {
 	if err != nil {
 		return stats, err
 	}
-	if err := os.WriteFile(dst, buf.Bytes(), 0o644); err != nil {
+	if err := durable.Publish(durable.OS{}, dst, buf.Bytes()); err != nil {
 		return stats, fmt.Errorf("sim: merge: %w", err)
 	}
 	return stats, nil

@@ -300,7 +300,7 @@ func RunContext(ctx context.Context, t Task, workers int, journal *Journal) (Out
 		case Parallel:
 			runBatched(cfg, st, pending, seeds, workers, len(pending), engine.RunParallelReplicas, run)
 		case AgentLevel:
-			runBatched(cfg, st, pending, seeds, workers, agentBatchWidth(cfg.N), func(cfg engine.Config, seeds []uint64) ([]engine.Result, error) {
+			runBatched(cfg, st, pending, seeds, workers, agentBatchWidth(cfg), func(cfg engine.Config, seeds []uint64) ([]engine.Result, error) {
 				return engine.RunAgentsReplicas(cfg, engine.AgentOptions{}, seeds)
 			}, run)
 		default:
@@ -496,10 +496,18 @@ func batchRecovered(batch func(engine.Config, []uint64) ([]engine.Result, error)
 // n = 10⁶ comfortably while keeping huge-n batches narrow enough to fit.
 const agentBatchBudget = 256 << 20
 
+// agentBatchWork caps a lockstep agent-level batch at n × round cap ×
+// width agent-rounds: a batch checkpoints only when its last replica
+// retires. 2²⁸ is about a quarter second of one core at the bitset
+// kernel's ~1 ns per agent-round.
+const agentBatchWork = 1 << 28
+
 // agentBatchWidth is the widest agent-level batch whose live bitsets — two
-// per replica, n/8 bytes each — fit agentBatchBudget.
-func agentBatchWidth(n int64) int {
-	return int(max(agentBatchBudget/max(n/4, 1), 1))
+// per replica, n/8 bytes each — fit agentBatchBudget and whose work at the
+// round cap fits agentBatchWork.
+func agentBatchWidth(cfg engine.Config) int {
+	n := max(cfg.N, 1)
+	return int(max(min(agentBatchBudget/max(n/4, 1), agentBatchWork/n/cfg.RoundCap()), 1))
 }
 
 // runner maps a mode to its engine entry point.

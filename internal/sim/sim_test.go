@@ -118,6 +118,26 @@ func TestAgentBatchingPreservesResults(t *testing.T) {
 	}
 }
 
+// TestAgentBatchWidthBoundsWork: a task of long runs is split into
+// batches that each checkpoint, while a short huge-n batch keeps its
+// replicas together.
+func TestAgentBatchWidthBoundsWork(t *testing.T) {
+	for _, c := range []struct {
+		n, rounds int64
+		lo, hi    int
+	}{
+		{2048, 60000, 1, 2},   // bitspreadd's kill-test job: 60 replicas, 30+ batches
+		{1 << 20, 4, 4, 64},   // the benchmark's agents workload
+		{1 << 30, 1, 1, 1},    // memory-bound
+		{48, 0, 100, 1 << 20}, // the default round cap
+	} {
+		w := agentBatchWidth(engine.Config{N: c.n, MaxRounds: c.rounds})
+		if w < c.lo || w > c.hi {
+			t.Errorf("n=%d rounds=%d: width %d, want [%d, %d]", c.n, c.rounds, w, c.lo, c.hi)
+		}
+	}
+}
+
 func TestRunValidation(t *testing.T) {
 	task := voterTask(0, 1)
 	if _, err := Run(task, 1); err == nil {
