@@ -121,10 +121,12 @@ fuzz-vm:
 	$(GO) test -fuzz=FuzzVMEquivalence -fuzztime=10s -run '^$$' ./internal/vm/
 	$(GO) test -fuzz=FuzzProgramTotality -fuzztime=10s -run '^$$' ./internal/vm/
 
-# Bench smoke: compile and run each agent-engine micro-benchmark once so
-# a broken benchmark body fails CI rather than the next perf run.
+# Bench smoke: compile and run each engine micro-benchmark once (the
+# agent bodies, and the exported count and sequential steps, which share
+# the bodies' step functions) so a broken benchmark body fails CI rather
+# than the next perf run.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkRunAgents|BenchmarkAgentBody' -benchtime 1x . ./internal/engine/
+	$(GO) test -run '^$$' -bench 'BenchmarkRunAgents|BenchmarkAgentBody|BenchmarkStepCount|BenchmarkSequentialStep|BenchmarkEngineAblation' -benchtime 1x . ./internal/engine/
 
 ci: verify fmt-check bench-check vet-race race-packed obs-race serve-race fabric-race vm-race lint lint-fixtures fuzz-fault fuzz-vm bench-smoke
 

@@ -144,10 +144,8 @@ func BenchmarkEngineAblation(b *testing.B) {
 // BenchmarkRunAgents compares the agent-engine variants on the
 // acceptance instance n = 2¹⁸, ℓ = 3: the historical byte-per-opinion
 // body (literal), its bit-packed fast path (packed, the RunAgents
-// default), the GOMAXPROCS-sharded packed engine, and the aggregated
-// opinion-class engine which collapses the round to O(classes·ℓ)
-// multinomial/binomial splits (DESIGN.md §10). Throughput is reported
-// as agent updates per second where the engine performs per-agent work.
+// default) and the GOMAXPROCS-sharded packed engine (DESIGN.md §10).
+// Throughput is reported as agent updates per second.
 func BenchmarkRunAgents(b *testing.B) {
 	const n = 1 << 18
 	cfg := bitspread.Config{
@@ -174,15 +172,6 @@ func BenchmarkRunAgents(b *testing.B) {
 	b.Run("packed", func(b *testing.B) { run(b, bitspread.AgentOptions{}) })
 	b.Run("sharded", func(b *testing.B) {
 		run(b, bitspread.AgentOptions{Shards: runtime.GOMAXPROCS(0)})
-	})
-	b.Run("aggregated", func(b *testing.B) {
-		g := bitspread.NewRNG(1)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := bitspread.RunAggregated(cfg, g); err != nil {
-				b.Fatal(err)
-			}
-		}
 	})
 }
 

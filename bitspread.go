@@ -126,9 +126,6 @@ var (
 	RunSequential       = engine.RunSequential
 	RunAgents           = engine.RunAgents
 	RunAgentsReplicas   = engine.RunAgentsReplicas
-	RunAggregated       = engine.RunAggregated
-	RunAgentsAuto       = engine.RunAgentsAuto
-	CanAggregate        = engine.CanAggregate
 	MaxPackedShards     = engine.MaxPackedShards
 	StepCount           = engine.StepCount
 	StepCountBatch      = engine.StepCountBatch
@@ -236,7 +233,6 @@ const (
 	ModeParallel   = sim.Parallel
 	ModeSequential = sim.Sequential
 	ModeAgentLevel = sim.AgentLevel
-	ModeAggregated = sim.Aggregated
 )
 
 // RunTask executes a Monte-Carlo task over seeded replicas.

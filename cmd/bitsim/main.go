@@ -50,7 +50,7 @@ func run(args []string, w io.Writer) (err error) {
 		n           = fs.Int64("n", 1024, "population size (including sources)")
 		z           = fs.Int("z", 1, "correct opinion held by the source")
 		initSpec    = fs.String("init", "worst", "initial configuration: worst, balanced, adversarial, or an explicit count")
-		mode        = fs.String("mode", "parallel", "activation model: parallel, sequential, agents, packed, chunked, aggregated")
+		mode        = fs.String("mode", "parallel", "activation model: parallel, sequential, agents, packed, chunked")
 		shards      = fs.Int("shards", 1, "agent-engine shards (mode=agents/packed/chunked; deterministic per seed+shards)")
 		unpacked    = fs.Bool("unpacked", false, "force the serial byte-per-opinion reference agent engine (mode=agents; no -shards)")
 		rounds      = fs.Int64("rounds", 0, "round cap (0: default O(n log n))")
@@ -175,8 +175,6 @@ func run(args []string, w io.Writer) (err error) {
 				*shards, cfg.N, max)
 		}
 		res, err = engine.RunAgents(cfg, engine.AgentOptions{Shards: *shards, Chunked: *mode == "chunked"}, g)
-	case "aggregated", "aggregate":
-		res, err = engine.RunAggregated(cfg, g)
 	default:
 		return fmt.Errorf("unknown mode %q", *mode)
 	}

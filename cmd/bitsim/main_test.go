@@ -173,6 +173,8 @@ func TestRunErrors(t *testing.T) {
 	cases := [][]string{
 		{"-rule", "bogus"},
 		{"-mode", "warp", "-n", "16"},
+		{"-mode", "aggregated", "-n", "16"},
+		{"-mode", "aggregate", "-n", "16"},
 		{"-init", "not-a-number", "-n", "16"},
 		{"-schedule", "bogus"},
 	}

@@ -74,21 +74,17 @@ type literalBody struct {
 	sampler   *distinctSampler // without-replacement draws; nil samples with replacement
 }
 
-func (b *literalBody) round(d *driver, t int64) {
+func (b *literalBody) round(d *driver) {
 	g, cur, next := b.g, b.cur, b.next
 	n := len(cur)
 	rule := d.cfg.Rule
-	var omitQ float64
-	pinnedEnd := 1
 	if d.faults != nil {
 		cur[0] = uint8(d.src)
 		if d.boundary {
-			d.faults.PerturbAgents(t, cur, g)
+			d.faults.PerturbAgents(d.t, cur, g)
 		}
-		omitQ = d.faults.OmitProb(t)
-		s1, s0 := d.faults.Stubborn(t, d.cfg.N)
-		pinnedEnd = 1 + int(s1) + int(s0)
 	}
+	omitQ, pinnedEnd := d.omit, 1+int(d.stub1+d.stub0)
 	next[0] = uint8(d.src)
 	count := int64(next[0])
 	var sampled int64

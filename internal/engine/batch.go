@@ -24,9 +24,7 @@ func StepCountBatch(c *protocol.AdoptCache, z int, xs []int64, gs []*rng.RNG) {
 	n := c.N()
 	for i, x := range xs {
 		p0, p1 := c.Probs(x)
-		m1 := x - int64(z)
-		m0 := (n - x) - int64(1-z)
-		xs[i] = int64(z) + gs[i].Binomial(m1, p1) + gs[i].Binomial(m0, p0)
+		xs[i], _ = countStep(gs[i], n, x, int64(z), int64(1-z), 0, p0, p1)
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 // TestStepCountBatchMatchesStepCount: with the same generators, the batched
 // step must reproduce StepCount exactly — value and stream consumption —
 // across rules and sample sizes, including the cached (revisited-count)
-// path.
+// path. So must StepConflict with the source as its only pinned agent.
 func TestStepCountBatchMatchesStepCount(t *testing.T) {
 	const n, z = 500, 1
 	bigEll := protocol.SqrtNLogN(1).Of(n)
@@ -24,22 +24,31 @@ func TestStepCountBatchMatchesStepCount(t *testing.T) {
 		xs := make([]int64, reps)
 		gs := make([]*rng.RNG, reps)
 		ref := make([]*rng.RNG, reps)
+		conflict := make([]*rng.RNG, reps)
 		for i := range xs {
 			xs[i] = int64(1 + i*7%(n-1))
 			gs[i] = rng.New(uint64(1000 + i))
 			ref[i] = rng.New(uint64(1000 + i))
+			conflict[i] = rng.New(uint64(1000 + i))
 		}
 		want := make([]int64, reps)
 		for i := range want {
 			want[i] = StepCount(r, n, z, xs[i], ref[i])
+			if got := StepConflict(r, n, z, 1-z, xs[i], conflict[i]); got != want[i] {
+				t.Errorf("%v replica %d: StepConflict %d vs StepCount %d", r, i, got, want[i])
+			}
 		}
 		StepCountBatch(cache, z, xs, gs)
 		for i := range xs {
 			if xs[i] != want[i] {
 				t.Errorf("%v replica %d: batch %d vs StepCount %d", r, i, xs[i], want[i])
 			}
-			if gs[i].Uint64() != ref[i].Uint64() {
-				t.Errorf("%v replica %d: stream consumption diverged", r, i)
+			next := ref[i].Uint64()
+			if gs[i].Uint64() != next {
+				t.Errorf("%v replica %d: batch stream consumption diverged", r, i)
+			}
+			if conflict[i].Uint64() != next {
+				t.Errorf("%v replica %d: StepConflict stream consumption diverged", r, i)
 			}
 		}
 		if hits, misses := cache.Stats(); hits+misses != reps || misses == 0 {

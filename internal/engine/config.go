@@ -149,8 +149,8 @@ type Result struct {
 	Interrupted bool
 	// Shards records how many independent random streams drove the run:
 	// the resolved AgentOptions.Shards for the bitset agent engine, 1 for
-	// the serial literal body, 0 for the single-stream count-level,
-	// aggregated and sequential engines. Together with the seed it
+	// the serial literal body, 0 for the single-stream count-level and
+	// sequential engines. Together with the seed it
 	// identifies the exact realization, since sharded runs are
 	// bit-reproducible only for the same (seed, shards) pair.
 	Shards int

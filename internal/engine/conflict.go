@@ -57,9 +57,8 @@ func (c *ConflictConfig) validate() error {
 // and s0 stubborn zeros: X' = s1 + Bin(x-s1, P1(x/n)) + Bin(n-x-s0, P0(x/n)).
 func StepConflict(r *protocol.Rule, n, s1, s0 int64, x int64, g *rng.RNG) int64 {
 	p := float64(x) / float64(n)
-	return s1 +
-		g.Binomial(x-s1, r.AdoptProb(1, p)) +
-		g.Binomial(n-x-s0, r.AdoptProb(0, p))
+	next, _ := countStep(g, n, x, s1, s0, 0, r.AdoptProb(0, p), r.AdoptProb(1, p))
+	return next
 }
 
 // ConflictResult reports a conflict run.

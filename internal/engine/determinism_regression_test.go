@@ -125,7 +125,6 @@ func TestSeedDeterminismUnderFaults(t *testing.T) {
 		"sharded-chunked": func(cfg engine.Config, g *rng.RNG) (engine.Result, error) {
 			return engine.RunAgents(cfg, engine.AgentOptions{Chunked: true, Shards: 4}, g)
 		},
-		"aggregated": engine.RunAggregated,
 	}
 
 	// 128-agent chunks put a chunk boundary inside the n=256 population, so

@@ -2,12 +2,12 @@ package engine
 
 // driver is the round protocol every engine shares. By Eq. 4 (Prop 5)
 // every non-source agent updates independently given X_t = x, so the
-// count, class-aggregated, bitset, literal and sequential engines run one
-// protocol and differ only in how they draw the next one-count. The driver
-// owns the rest: the per-Config constants (absorbing target, trap, round
-// cap, fault horizon), the Halt poll, the source's scheduled opinion, the
-// Result bookkeeping, Record/Probe emission and the convergence test.
-// Lockstep replicas are the general case; a solo run is one replica.
+// count, bitset, literal and sequential engines run one protocol and
+// differ only in how they draw the next one-count. The driver owns the
+// rest: the per-Config constants (absorbing target, trap, round cap, fault
+// horizon), the Halt poll, each round's fault view, the Result
+// bookkeeping, Record/Probe emission and the convergence test. Lockstep
+// replicas are the general case; a solo run is one replica.
 //
 // A body supplies only its step. The driver calls it once per round; the
 // body advances each replica in d.active and closes it with d.end.
@@ -25,18 +25,21 @@ type driver struct {
 	active  []int // replicas still running, in index order
 	live    []int // replicas the current round keeps running
 
-	// The current round, and the fault schedule's view of it.
-	t        int64
-	src      int  // the source's opinion during round t
-	prevSrc  int  // the source's opinion during round t-1
-	boundary bool // a boundary event rewrites opinions at the start of t
+	// The current round, and the fault schedule's view of it. Without
+	// faults src stays z and the rest stay zero.
+	t            int64
+	src          int     // the source's opinion during round t
+	prevSrc      int     // the source's opinion during round t-1
+	boundary     bool    // a boundary event rewrites opinions at the start of t
+	omit         float64 // the probability that a free agent's update is lost
+	stub1, stub0 int64   // non-source agents pinned at 1 and at 0
 }
 
 // body is one engine's step.
 type body interface {
-	// round advances every replica in d.active by round t and closes each
-	// with d.end.
-	round(d *driver, t int64)
+	// round advances every replica in d.active by round d.t and closes
+	// each with d.end.
+	round(d *driver)
 }
 
 // newDriver resolves cfg's constants for a run of the given number of
@@ -84,14 +87,22 @@ func (d *driver) run(b body) []Result {
 			d.prevSrc = d.src
 			d.src = d.faults.SourceOpinion(t, cfg.Z)
 			d.boundary = d.faults.BoundaryAt(t)
+			d.omit = d.faults.OmitProb(t)
+			d.stub1, d.stub0 = d.faults.Stubborn(t, cfg.N)
 		}
 		// The round filters d.active in place: a replica is appended to
 		// d.live no earlier than it is read.
 		d.live = d.active[:0]
-		b.round(d, t)
+		b.round(d)
 		d.active = d.live
 	}
 	return d.results
+}
+
+// pinned returns how many agents hold 1 and 0 in round t without being
+// able to change: the source and the stubborn agents.
+func (d *driver) pinned() (ones, zeros int64) {
+	return int64(d.src) + d.stub1, int64(1-d.src) + d.stub0
 }
 
 // converged reports whether one-count x ends the run at the current round:

@@ -449,8 +449,8 @@ func TestWithoutReplacementCrossCheck(t *testing.T) {
 }
 
 // TestResultShardsReported: every engine reports the effective stream
-// count in Result.Shards — 0 for the single-stream count-level,
-// sequential and aggregated engines; 1 for the serial literal body
+// count in Result.Shards — 0 for the single-stream count-level and
+// sequential engines; 1 for the serial literal body
 // whatever shard count is asked; the resolved, word-clamped shard count
 // for the packed and chunked bodies, where the requested and effective
 // values differ exactly when the request exceeds the engine's ceiling.
@@ -464,7 +464,6 @@ func TestResultShardsReported(t *testing.T) {
 	}{
 		{"count", func() (Result, error) { return RunParallel(cfg, rng.New(1)) }, 0},
 		{"sequential", func() (Result, error) { return RunSequential(cfg, rng.New(1)) }, 0},
-		{"aggregated", func() (Result, error) { return RunAggregated(cfg, rng.New(1)) }, 0},
 		{"unpacked-serial", func() (Result, error) {
 			return RunAgents(cfg, AgentOptions{Unpacked: true}, rng.New(1))
 		}, 1},

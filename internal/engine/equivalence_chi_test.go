@@ -1,15 +1,15 @@
 package engine_test
 
-// Distributional equivalence suite: the aggregated opinion-class engine,
-// the literal agent engine (both its historical byte-per-opinion body and
-// the bit-packed fast path, which share a distribution but not a
-// realization) and the count-level engine must draw the next one-count
-// from the same distribution — fault-free and under every fault family
-// in internal/fault. Each engine produces R replica final counts
-// from fixed seeds; pairs are compared with the two-sample χ² statistic
-// Σ (aᵢ-bᵢ)²/(aᵢ+bᵢ) (equal sample sizes, df = bins-1) at α = 0.01.
-// Seeds are fixed, so the suite is deterministic: it either always passes
-// or flags a real distributional divergence.
+// Distributional equivalence suite: the literal agent engine (both its
+// historical byte-per-opinion body and the bit-packed fast path, which
+// share a distribution but not a realization) and the count-level engine
+// must draw the next one-count from the same distribution — fault-free
+// and under every fault family in internal/fault. Each engine produces R
+// replica final counts from fixed seeds; pairs are compared with the
+// two-sample χ² statistic Σ (aᵢ-bᵢ)²/(aᵢ+bᵢ) (equal sample sizes,
+// df = bins-1) at α = 0.01. Seeds are fixed, so the suite is
+// deterministic: it either always passes or flags a real distributional
+// divergence.
 
 import (
 	"fmt"
@@ -44,7 +44,6 @@ func chiEngines() []chiEngine {
 		{"packed-sharded-ncpu", agents(engine.AgentOptions{Shards: runtime.NumCPU()})},
 		{"chunked", agents(engine.AgentOptions{Chunked: true})},
 		{"chunked-sharded", agents(engine.AgentOptions{Chunked: true, Shards: 3})},
-		{"aggregated", engine.RunAggregated},
 	}
 }
 
@@ -181,8 +180,8 @@ func TestEngineEquivalenceChiSquare(t *testing.T) {
 	}
 }
 
-// The aggregated engine must agree with the others on Activations
-// semantics too: the expected sampled-agent count per round is
+// The engines must agree on Activations semantics too: the expected
+// sampled-agent count per round is
 // (n-1-stubborn)·(1-q), so compare the replica means within a loose band.
 func TestEngineEquivalenceActivations(t *testing.T) {
 	const n, reps = 256, 300

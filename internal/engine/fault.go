@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"bitspread/internal/protocol"
-	"bitspread/internal/rng"
-)
+import "bitspread/internal/rng"
 
 // Perturber injects mid-run faults at parallel-round boundaries. It is the
 // engine-facing contract implemented by fault.Schedule (internal/fault);
@@ -68,78 +65,4 @@ func (d *driver) perturbCount(x int64, g *rng.RNG) int64 {
 		x = d.faults.PerturbCount(d.t, d.cfg.N, d.src, x, g)
 	}
 	return x
-}
-
-// stepCountFaulty advances one count-level round under active faults: the
-// source holds src, stubborn agents keep their pinned opinions, and each
-// updating agent's refresh is lost with probability OmitProb(t) (it keeps
-// its opinion); p0, p1 are P₀(x/n), P₁(x/n). With no stubborn agents, no
-// omission and src == z it draws the same distribution as StepCount. The
-// second return value is the number of agents that actually drew samples
-// this round — the free, non-omitted agents — which feeds
-// Result.Activations.
-func stepCountFaulty(p0, p1 float64, f Perturber, t, n int64, src int, x int64, g *rng.RNG) (next, sampled int64) {
-	s1, s0 := f.Stubborn(t, n)
-	m1 := x - int64(src) - s1
-	m0 := (n - x) - int64(1-src) - s0
-	// Validated schedules keep these non-negative; clamp so an invalid
-	// hand-rolled Perturber degrades instead of panicking in rng.
-	if m1 < 0 {
-		m1 = 0
-	}
-	if m0 < 0 {
-		m0 = 0
-	}
-	var keep1 int64
-	if q := f.OmitProb(t); q > 0 {
-		u1 := g.Binomial(m1, 1-q)
-		u0 := g.Binomial(m0, 1-q)
-		keep1 = m1 - u1
-		m1, m0 = u1, u0
-	}
-	return int64(src) + s1 + keep1 + g.Binomial(m1, p1) + g.Binomial(m0, p0), m1 + m0
-}
-
-// sequentialStepFaulty is SequentialStep under active faults: the activated
-// agent may be stubborn (no change), its update may be omitted (no change),
-// and the source holds src. The second return value reports whether the
-// activated agent actually drew its samples — false when it was stubborn
-// or its update was omitted — which feeds Result.Activations.
-//
-// The single uniform is partitioned as [stubborn | omitted | down | up |
-// kept]: with pStub = (s1+s0)/(n-1) and omission probability q, the down
-// and up masses are (m_b/(n-1))·(1-q)·(rule term), exactly the marginals
-// of the pre-partition layout, so the transition law is unchanged.
-func sequentialStepFaulty(r *protocol.Rule, f Perturber, t, n int64, src int, x int64, g *rng.RNG) (int64, bool) {
-	p := float64(x) / float64(n)
-	s1, s0 := f.Stubborn(t, n)
-	m1 := float64(x - int64(src) - s1)
-	m0 := float64((n - x) - int64(1-src) - s0)
-	if m1 < 0 {
-		m1 = 0
-	}
-	if m0 < 0 {
-		m0 = 0
-	}
-	nonSource := float64(n - 1)
-	q := f.OmitProb(t)
-	update := 1 - q
-	pStub := float64(s1+s0) / nonSource
-	pOmit := (1 - pStub) * q
-
-	u := g.Float64()
-	if u < pStub+pOmit {
-		return x, false
-	}
-	base := pStub + pOmit
-	pDown := (m1 / nonSource) * (1 - r.AdoptProb(1, p)) * update
-	pUp := (m0 / nonSource) * r.AdoptProb(0, p) * update
-	switch {
-	case u < base+pDown:
-		return x - 1, true
-	case u < base+pDown+pUp:
-		return x + 1, true
-	default:
-		return x, true
-	}
 }

@@ -174,7 +174,7 @@ func TestConsensusNotCreditedBeforeHorizon(t *testing.T) {
 }
 
 // TestOmissionFreezesDynamics: omission probability 1 keeps every opinion
-// fixed, so the count is exactly X0 for the whole burst.
+// fixed, so the count is exactly X0 for the whole burst and nobody samples.
 func TestOmissionFreezesDynamics(t *testing.T) {
 	cfg := voterCfg(40)
 	cfg.MaxRounds = 3
@@ -185,6 +185,9 @@ func TestOmissionFreezesDynamics(t *testing.T) {
 	}
 	if res.FinalCount != cfg.X0 {
 		t.Errorf("count moved to %d under total omission", res.FinalCount)
+	}
+	if res.Activations != 0 {
+		t.Errorf("%d activations under total omission, want 0", res.Activations)
 	}
 	agents, err := engine.RunAgents(cfg, engine.AgentOptions{}, rng.New(5))
 	if err != nil {
@@ -329,7 +332,6 @@ func TestHaltMidRunKeepsPartialTrajectory(t *testing.T) {
 	}{
 		{"parallel", engine.RunParallel},
 		{"sequential", engine.RunSequential},
-		{"aggregated", engine.RunAggregated},
 		{"literal", agents(engine.AgentOptions{Unpacked: true})},
 		{"packed", agents(engine.AgentOptions{})},
 		{"packed-sharded", agents(engine.AgentOptions{Shards: 2})},

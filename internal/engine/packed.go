@@ -201,18 +201,16 @@ func (b *bitsetBody) newState(g *rng.RNG) *packedState {
 
 // round advances every active replica one parallel round. A retired
 // replica drops its state, so a batch's live bitsets shrink as it runs.
-func (b *bitsetBody) round(d *driver, t int64) {
+func (b *bitsetBody) round(d *driver) {
 	cfg := b.cfg
+	omit := newCoin(rng.BernoulliThreshold(d.omit))
+	pinnedEnd := 1 + d.stub1 + d.stub0
 	for _, i := range d.active {
 		st := b.states[i]
-		var law roundLaw
-		pinnedEnd := int64(1)
+		law := roundLaw{omit: omit}
 		xs := st.x
 		if d.faults != nil {
 			st.scratch = chunkedBoundary(d, st.cur, st.scratch, st.g)
-			law.omit = newCoin(rng.BernoulliThreshold(d.faults.OmitProb(t)))
-			s1, s0 := d.faults.Stubborn(t, cfg.N)
-			pinnedEnd = 1 + s1 + s0
 			// The adoption law conditions on the one-count the agents
 			// sample from; the boundary may just have rewritten the bitset.
 			xs = st.cur.count()

@@ -7,7 +7,7 @@ package engine_test
 // instead of sampling indices), so the contract tested
 // here is determinism, absorption/semantic agreement, and fault-handling
 // behavior; the distributional agreement packed ↔ unpacked ↔ count-level
-// ↔ aggregated is pinned by the χ² suite in equivalence_chi_test.go.
+// is pinned by the χ² suite in equivalence_chi_test.go.
 // The suite lives in the external test package so it can exercise real
 // fault schedules (internal/fault implements engine.Perturber).
 

@@ -16,11 +16,33 @@ import (
 // probability P₀(x/n) (Eq. 4). The source contributes z.
 func StepCount(r *protocol.Rule, n int64, z int, x int64, g *rng.RNG) int64 {
 	p := float64(x) / float64(n)
-	p1 := r.AdoptProb(1, p)
-	p0 := r.AdoptProb(0, p)
-	m1 := x - int64(z)
-	m0 := (n - x) - int64(1-z)
-	return int64(z) + g.Binomial(m1, p1) + g.Binomial(m0, p0)
+	next, _ := countStep(g, n, x, int64(z), int64(1-z), 0, r.AdoptProb(0, p), r.AdoptProb(1, p))
+	return next
+}
+
+// countStep draws one round of the count chain; every count-level writer
+// calls it. Of the x agents holding 1, pin1 cannot change (the source and
+// the agents stubborn at 1), and likewise pin0 of the n-x holding 0.
+// Each free agent's update is lost with probability q, keeping its
+// opinion; the others adopt 1 with probability p1 if they hold 1 and p0 if
+// they hold 0. The draws come in a fixed order, which is part of every
+// count-engine realization: the omission thinning of the ones, then of the
+// zeros, then Binomial(m₁, p1), then Binomial(m₀, p0). It returns the next
+// one-count and the number of agents that drew samples (the free agents
+// whose update was not lost), which feeds Result.Activations.
+func countStep(g *rng.RNG, n, x, pin1, pin0 int64, q, p0, p1 float64) (next, sampled int64) {
+	// Valid inputs keep these non-negative; clamp so an invalid hand-rolled
+	// Perturber degrades instead of panicking in rng.
+	m1 := max(x-pin1, 0)
+	m0 := max(n-x-pin0, 0)
+	var keep1 int64
+	if q > 0 {
+		u1 := g.Binomial(m1, 1-q)
+		u0 := g.Binomial(m0, 1-q)
+		keep1 = m1 - u1
+		m1, m0 = u1, u0
+	}
+	return pin1 + keep1 + g.Binomial(m1, p1) + g.Binomial(m0, p0), m1 + m0
 }
 
 // RunParallel simulates the parallel-setting process with the exact
@@ -49,9 +71,10 @@ type countBody struct {
 	gs    []*rng.RNG
 }
 
-func (b *countBody) round(d *driver, t int64) {
-	n, z := d.cfg.N, d.cfg.Z
+func (b *countBody) round(d *driver) {
+	n := d.cfg.N
 	xs, gs := b.xs, b.gs
+	pin1, pin0 := d.pinned()
 	for _, i := range d.active {
 		x, g := xs[i], gs[i]
 		if d.faults != nil {
@@ -64,14 +87,7 @@ func (b *countBody) round(d *driver, t int64) {
 			p := float64(x) / float64(n)
 			p0, p1 = b.rule.AdoptProb(0, p), b.rule.AdoptProb(1, p)
 		}
-		sampled := n - 1
-		if d.faults != nil {
-			x, sampled = stepCountFaulty(p0, p1, d.faults, t, n, d.src, x, g)
-		} else {
-			m1 := x - int64(z)
-			m0 := (n - x) - int64(1-z)
-			x = int64(z) + g.Binomial(m1, p1) + g.Binomial(m0, p0)
-		}
+		x, sampled := countStep(g, n, x, pin1, pin0, d.omit, p0, p1)
 		xs[i] = x
 		d.end(i, x, sampled)
 	}

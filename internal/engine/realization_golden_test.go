@@ -108,10 +108,6 @@ func TestEngineRealizationGolden(t *testing.T) {
 			"ebca0928d8d99563249dd35e58f414ca8aafbbe6d606a16f38e9958e7cfd5f8f",
 			"0bd45ab5d50ffe99b54fa79e2cabb585a8a2c5b0586d001f87f1f46d011ef892",
 			"80030da601fdf55bafa0fb2f633f104c2f39dc9263f811a95354f75cb3a8d633"},
-		{"aggregated", engine.RunAggregated,
-			"cf23a1e62fd5108bec6d9cbed446d81c3a7497a7024d0c7cce2e7f2f858ac8d2",
-			"e5c4bc39183a8f2e7007a48761af5ff65cefe3c316e51f260c0812e00029c462",
-			"76a8f73c7920653f60dac482d3137174fad15107e5f774cd198cb6ef085a7565"},
 		{"literal", agents(engine.AgentOptions{Unpacked: true}),
 			"1669aa8fbc5330c7d34f191abd6f66f63ecf3c937301eddd1ff8b7ecacade9b1",
 			"181f2a61f5a9a96c5279e4e0f9530630142bf50ffaced511050ce9fdc3cdf55b",

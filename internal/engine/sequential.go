@@ -11,24 +11,47 @@ import (
 // sequential process is a birth–death chain for every protocol — the
 // structural fact behind the Ω(n) lower bound of [14].
 func SequentialStep(r *protocol.Rule, n int64, z int, x int64, g *rng.RNG) int64 {
+	next, _ := sequentialStep(r, g, n, x, int64(z), int64(1-z), 0)
+	return next
+}
+
+// sequentialStep draws one sequential activation; both sequential writers
+// call it. pin1 and pin0 count the agents holding 1 and 0 that cannot
+// change (the source and the stubborn agents): an activated stubborn agent
+// does nothing, and a free one loses its update with probability q. The
+// second return value reports whether the activated agent drew its
+// samples, which feeds Result.Activations.
+//
+// The single uniform is partitioned as [stubborn | omitted | down | up |
+// kept]: with pStub the stubborn share of the n-1 non-source agents, the
+// down and up masses are (m_b/(n-1))·(1-q)·(rule term), so the transition
+// law is that of the free agents alone. With nothing pinned beyond the
+// source and q = 0 the first two cells are empty and every bound is the
+// fault-free one, bit for bit.
+func sequentialStep(r *protocol.Rule, g *rng.RNG, n, x, pin1, pin0 int64, q float64) (int64, bool) {
 	p := float64(x) / float64(n)
-	m1 := float64(x - int64(z))       // non-source agents holding 1
-	m0 := float64(n - x - int64(1-z)) // non-source agents holding 0
+	m1 := float64(max(x-pin1, 0))   // free agents holding 1
+	m0 := float64(max(n-x-pin0, 0)) // free agents holding 0
 	nonSource := float64(n - 1)
+	pStub := float64(pin1+pin0-1) / nonSource
+	base := pStub + (1-pStub)*q
 
 	u := g.Float64()
+	if u < base {
+		return x, false
+	}
 	// The activated agent holds 1 with probability m1/(n-1); it then drops
 	// to 0 with probability 1-P₁(p). Otherwise it holds 0 and rises with
 	// probability P₀(p).
-	pDown := (m1 / nonSource) * (1 - r.AdoptProb(1, p))
-	pUp := (m0 / nonSource) * r.AdoptProb(0, p)
+	pDown := (m1 / nonSource) * (1 - r.AdoptProb(1, p)) * (1 - q)
+	pUp := (m0 / nonSource) * r.AdoptProb(0, p) * (1 - q)
 	switch {
-	case u < pDown:
-		return x - 1
-	case u < pDown+pUp:
-		return x + 1
+	case u < base+pDown:
+		return x - 1, true
+	case u < base+pDown+pUp:
+		return x + 1, true
 	default:
-		return x
+		return x, true
 	}
 }
 
@@ -54,22 +77,17 @@ type sequentialBody struct {
 	x int64
 }
 
-func (b *sequentialBody) round(d *driver, t int64) {
-	cfg := d.cfg
-	x := b.x
+func (b *sequentialBody) round(d *driver) {
+	n, x := d.cfg.N, b.x
 	if d.faults != nil {
 		x = d.perturbCount(x, b.g)
 	}
+	pin1, pin0 := d.pinned()
 	var sampled int64
-	for a := int64(0); a < cfg.N; a++ {
-		if d.faults != nil {
-			var did bool
-			x, did = sequentialStepFaulty(cfg.Rule, d.faults, t, cfg.N, d.src, x, b.g)
-			if did {
-				sampled++
-			}
-		} else {
-			x = SequentialStep(cfg.Rule, cfg.N, cfg.Z, x, b.g)
+	for a := int64(0); a < n; a++ {
+		var did bool
+		x, did = sequentialStep(d.cfg.Rule, b.g, n, x, pin1, pin0, d.omit)
+		if did {
 			sampled++
 		}
 		if x == d.trap {

@@ -47,8 +47,8 @@ func TestSampleCountPMFMatchesDefinition(t *testing.T) {
 	}
 }
 
-// The aggregated engine's exactness rests on Σ_k pmf(k)·g^[b](k) being
-// Eq. 4; check the pmf against AdoptProb across rules and fractions.
+// Σ_k pmf(k)·g^[b](k) is Eq. 4: check the pmf against AdoptProb across
+// rules and fractions.
 func TestSampleCountPMFConsistentWithAdoptProb(t *testing.T) {
 	rules := []*Rule{Voter(1), Minority(3), Majority(5), Minority(17)}
 	for _, r := range rules {

@@ -270,8 +270,7 @@ func (r *Rule) AdoptProb(b int, p float64) float64 {
 //
 // The pmf is evaluated by the same mode-outward multiplicative recurrence
 // as AdoptProb (O(ℓ) with three log-factorials, underflow-safe because terms
-// only shrink away from the mode). The aggregated agent engine uses it to
-// split each opinion class over observation counts.
+// only shrink away from the mode).
 func SampleCountPMF(ell int, p float64, dst []float64) {
 	if len(dst) != ell+1 {
 		panic(fmt.Sprintf("protocol: SampleCountPMF dst has %d entries, want ℓ+1 = %d", len(dst), ell+1))

@@ -38,8 +38,7 @@ type JobSpec struct {
 	Delta float64 `json:"delta,omitempty"`
 	// Threshold parameterizes the follower rule.
 	Threshold int `json:"threshold,omitempty"`
-	// Mode selects the engine: parallel (default), sequential, agents,
-	// aggregated.
+	// Mode selects the engine: parallel (default), sequential, agents.
 	Mode string `json:"mode,omitempty"`
 	// Replicas is the number of independent seeded runs (default 1).
 	Replicas int `json:"replicas,omitempty"`
@@ -88,10 +87,8 @@ func parseMode(mode string) (sim.Mode, error) {
 		return sim.Sequential, nil
 	case "agents", "agent-level":
 		return sim.AgentLevel, nil
-	case "aggregated":
-		return sim.Aggregated, nil
 	default:
-		return 0, fmt.Errorf("serve: unknown mode %q (want parallel, sequential, agents, aggregated)", mode)
+		return 0, fmt.Errorf("serve: unknown mode %q (want parallel, sequential, agents)", mode)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -185,6 +186,7 @@ func TestSubmitValidation(t *testing.T) {
 	bad := []string{
 		`{"n":64,"z":1,"rule":"nope","seed":1}`,
 		`{"n":64,"z":1,"rule":"voter","seed":1,"mode":"warp"}`,
+		`{"n":64,"z":1,"rule":"voter","seed":1,"mode":"aggregated"}`,
 		`{"n":64,"z":1,"rule":"voter","seed":1,"bogus_field":3}`,
 		`{"n":64,"z":7,"rule":"voter","seed":1}`,
 		`{"n":64,"z":1,"rule":"voter","seed":1,"timeout":"soon"}`,
@@ -194,9 +196,17 @@ func TestSubmitValidation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("post: %v", err)
 		}
+		var msg bytes.Buffer
+		_, err = msg.ReadFrom(resp.Body)
 		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("read: %v", err)
+		}
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("spec %s: code %d, want 400", body, resp.StatusCode)
+		}
+		if strings.Contains(body, `"mode"`) && !strings.Contains(msg.String(), "(want parallel, sequential, agents)") {
+			t.Errorf("spec %s: error %s does not list the modes", body, msg.String())
 		}
 	}
 }
@@ -657,6 +667,75 @@ func TestRestartResumesJournalByteIdentical(t *testing.T) {
 	}
 	if cached := getResult(t, ts3, id); !bytes.Equal(cached, control) {
 		t.Fatal("cache round-trip changed the payload")
+	}
+}
+
+// TestReplayDropsJobOfRemovedMode: an intent log written before the
+// aggregated mode was removed may hold an accepted, unfinished aggregated
+// job. On restart the daemon drops that job, logs why, and still finishes
+// the parallel job beside it with the payload of an uninterrupted run.
+func TestReplayDropsJobOfRemovedMode(t *testing.T) {
+	spec := testSpec(11)
+	spec.normalize()
+	task, err := spec.buildTask(nil)
+	if err != nil {
+		t.Fatalf("buildTask: %v", err)
+	}
+	id := jobID(task, spec.Replicas)
+	old := spec
+	old.Mode = "aggregated"
+	oldTask := task
+	oldTask.Mode = 4 // the aggregated mode's number, so the ID it was accepted under
+	oldID := jobID(oldTask, old.Replicas)
+
+	dir := t.TempDir()
+	lg, _, err := openJobLog(filepath.Join(dir, "jobs.jsonl"), nil)
+	if err != nil {
+		t.Fatalf("job log: %v", err)
+	}
+	for _, e := range []jobLogEntry{
+		{Ev: "submit", ID: oldID, Spec: &old},
+		{Ev: "submit", ID: id, Spec: &spec},
+	} {
+		if err := lg.append(e); err != nil {
+			t.Fatalf("append: %v", err)
+		}
+	}
+	if err := lg.close(); err != nil {
+		t.Fatalf("close job log: %v", err)
+	}
+
+	var mu sync.Mutex
+	var logged strings.Builder
+	logf := func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		fmt.Fprintf(&logged, format+"\n", args...)
+	}
+	_, ts := newTestServer(t, Options{DataDir: dir, Workers: 1, Logf: logf})
+	mu.Lock()
+	want := "serve: replay " + oldID + ": unbuildable spec dropped"
+	if !strings.Contains(logged.String(), want) {
+		t.Errorf("log %q lacks %q", logged.String(), want)
+	}
+	mu.Unlock()
+	if code, _ := getStatus(t, ts, oldID); code != http.StatusNotFound {
+		t.Errorf("dropped job: status code %d, want 404", code)
+	}
+	if st := waitTerminal(t, ts, id); st.State != "done" {
+		t.Fatalf("replayed job ended %q (error %q), want done", st.State, st.Error)
+	}
+	replayed := getResult(t, ts, id)
+
+	_, ts2 := newTestServer(t, Options{DataDir: t.TempDir(), Workers: 1})
+	if code, _, _ := submitJSON(t, ts2, spec, ""); code != http.StatusAccepted {
+		t.Fatalf("control submit: code %d", code)
+	}
+	if st := waitTerminal(t, ts2, id); st.State != "done" {
+		t.Fatalf("control job ended %q, want done", st.State)
+	}
+	if control := getResult(t, ts2, id); !bytes.Equal(replayed, control) {
+		t.Fatalf("replayed result differs from uninterrupted run:\nreplayed: %s\ncontrol:  %s", replayed, control)
 	}
 }
 

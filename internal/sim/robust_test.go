@@ -324,6 +324,23 @@ func TestTaskKeyDiscriminates(t *testing.T) {
 	}
 }
 
+// TestTaskKeyPinsModes pins the key of one fixed task per mode. TaskKey
+// hashes the mode's number, and journals and job IDs are addressed by the
+// key, so renumbering a Mode would orphan every result written before.
+func TestTaskKeyPinsModes(t *testing.T) {
+	task := Task{Name: "pin", Config: engine.Config{N: 48, Rule: protocol.Voter(1), Z: 1, X0: 24}, Seed: 1}
+	for mode, want := range map[Mode]string{
+		Parallel:   "pin#deab34572d939ac7",
+		Sequential: "pin#6bd39e1720019c1a",
+		AgentLevel: "pin#05f004f5ad82bd91",
+	} {
+		task.Mode = mode
+		if got := TaskKey(task); got != want {
+			t.Errorf("%v: TaskKey = %s, want %s", mode, got, want)
+		}
+	}
+}
+
 func TestNilJournalIsInert(t *testing.T) {
 	var j *Journal
 	if _, ok := j.Lookup("k", 0); ok {

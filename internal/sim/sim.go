@@ -23,7 +23,9 @@ import (
 	"bitspread/internal/stats"
 )
 
-// Mode selects the activation model / engine for a task.
+// Mode selects the activation model / engine for a task. TaskKey hashes
+// the numeric value, so a mode keeps its number for as long as journals
+// and job IDs written with it must resume.
 type Mode int
 
 const (
@@ -33,10 +35,6 @@ const (
 	Sequential
 	// AgentLevel uses the literal per-agent parallel engine.
 	AgentLevel
-	// Aggregated uses the opinion-class aggregated parallel engine:
-	// agent-level semantics (fault classes included) at count-level cost,
-	// exact in distribution.
-	Aggregated
 )
 
 // String implements fmt.Stringer.
@@ -48,8 +46,6 @@ func (m Mode) String() string {
 		return "sequential"
 	case AgentLevel:
 		return "agent-level"
-	case Aggregated:
-		return "aggregated"
 	default:
 		return fmt.Sprintf("Mode(%d)", int(m))
 	}
@@ -521,8 +517,6 @@ func runner(m Mode) (func(engine.Config, *rng.RNG) (engine.Result, error), error
 		return func(cfg engine.Config, g *rng.RNG) (engine.Result, error) {
 			return engine.RunAgents(cfg, engine.AgentOptions{}, g)
 		}, nil
-	case Aggregated:
-		return engine.RunAggregated, nil
 	default:
 		return nil, fmt.Errorf("unknown mode %d", int(m))
 	}

@@ -53,7 +53,6 @@ func engineVariants() map[string]func(engine.Config, *rng.RNG) (engine.Result, e
 		"sharded-chunked": func(cfg engine.Config, g *rng.RNG) (engine.Result, error) {
 			return engine.RunAgents(cfg, engine.AgentOptions{Chunked: true, Shards: 4}, g)
 		},
-		"aggregated": engine.RunAggregated,
 	}
 }
 
