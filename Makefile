@@ -38,9 +38,10 @@ vet-race:
 # bitsets (one writer per word by construction), and this runs exactly the
 # tests that exercise those fan-outs under -race. vet-race already covers
 # the whole engine package; this filter keeps a fast signal for the
-# word-ownership invariant itself.
+# word-ownership invariant itself, and for the Probe contract that no
+# shard goroutine calls the run's probe (TestProbeSingleGoroutine).
 race-packed:
-	$(GO) test -race -run 'TestPackedSharded|TestPackedDeterministic|TestChunked|TestShardedDeterministic|TestRunAgentsReplicas|TestSeedDeterminismUnderFaults/sharded-(packed|chunked)' ./internal/engine/
+	$(GO) test -race -run 'TestPackedSharded|TestPackedDeterministic|TestChunked|TestShardedDeterministic|TestRunAgentsReplicas|TestSeedDeterminismUnderFaults/sharded-(packed|chunked)|TestProbeSingleGoroutine' ./internal/engine/
 
 # Observability layer under the race detector: the shared metrics
 # registry, the span writer, and the probe/observer wiring through the

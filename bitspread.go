@@ -310,9 +310,9 @@ var (
 	StepConflict = engine.StepConflict
 )
 
-// Trajectory recording and terminal rendering. A TraceRecorder also
-// implements Probe, so it can be attached to Config.Probe instead of (or
-// alongside) Config.Record.
+// Trajectory recording and terminal rendering. A TraceRecorder is a
+// Probe: attach it to one run's Config.Probe (or ConflictConfig,
+// GraphConfig or MemoryConfig Probe) to record its trajectory.
 type TraceRecorder = trace.Recorder
 
 var (

@@ -123,26 +123,17 @@ func run(args []string, w io.Writer) (err error) {
 		}
 	}
 
-	recorder := trace.ForBudget(*n, cfg.MaxRounds, 64)
-	if cfg.MaxRounds == 0 {
-		recorder = trace.ForBudget(*n, engine.DefaultMaxRounds(*n), 64)
-	}
-	hook := recorder.Hook
+	recorder := trace.ForBudget(*n, cfg.RoundCap(), 64)
+	var printer, metrics engine.Probe
 	if *every > 0 {
-		step := *every
-		hook = func(round, count int64) {
-			recorder.Hook(round, count)
-			if round%step == 0 {
-				fmt.Fprintf(w, "round %8d  ones %8d  (%.4f)\n", round, count, float64(count)/float64(*n))
-			}
-		}
+		printer = tracePrinter{w: w, n: *n, every: *every}
 	}
-	cfg.Record = hook
 	var reg *obs.Registry
 	if *metricsPath != "" {
 		reg = obs.NewRegistry()
-		cfg.Probe = obs.NewMetrics(reg)
+		metrics = obs.NewMetrics(reg)
 	}
+	cfg.Probe = engine.Probes(recorder, printer, metrics)
 
 	shardNote := ""
 	switch *mode {
@@ -196,6 +187,22 @@ func run(args []string, w io.Writer) (err error) {
 	return obs.WriteSnapshot(reg, *metricsPath, w)
 }
 
+// tracePrinter is the -trace probe: it prints the one-count every k
+// rounds.
+type tracePrinter struct {
+	w        io.Writer
+	n, every int64
+}
+
+func (p tracePrinter) RoundDone(round, ones, _ int64) {
+	if round%p.every == 0 {
+		fmt.Fprintf(p.w, "round %8d  ones %8d  (%.4f)\n", round, ones, float64(ones)/float64(p.n))
+	}
+}
+
+func (tracePrinter) FaultApplied(int64)    {}
+func (tracePrinter) ShardRound(int, int64) {}
+
 // runConflict handles the stubborn-sources mode (§1.3): no consensus is
 // absorbing, so the run executes a fixed horizon and reports mixing
 // statistics instead of a convergence time.
@@ -211,7 +218,7 @@ func runConflict(w io.Writer, rule *protocol.Rule, n, s1, s0, rounds int64, seed
 		Sources0: s0,
 		X0:       (s1 + n - s0) / 2,
 		Rounds:   rounds,
-		Record:   recorder.Hook,
+		Probe:    recorder,
 	}, rng.New(seed))
 	if err != nil {
 		return err
@@ -268,7 +275,7 @@ func runTopology(w io.Writer, spec string, rule *protocol.Rule, n int64, z int, 
 		Z:           z,
 		InitialOnes: 0,
 		MaxRounds:   rounds,
-		Record:      recorder.Hook,
+		Probe:       recorder,
 	}, g)
 	if err != nil {
 		return err

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"log"
 	"math"
-	"strings"
 
 	"bitspread"
 )
@@ -42,8 +41,8 @@ func main() {
 	// 1. Memory-less control from the Theorem 12 adversarial start.
 	cfg, consts := bitspread.AdversarialConfig(bitspread.Minority(ell), n, budget)
 	cfg.X0 = int64((consts.A1 + consts.A3) / 2 * n)
-	trace1 := newTrace(budget)
-	cfg.Record = trace1.record
+	trace1 := bitspread.TraceForBudget(n, budget, 60)
+	cfg.Probe = trace1
 	res1, err := bitspread.RunParallel(cfg, bitspread.NewRNG(seed))
 	if err != nil {
 		log.Fatal(err)
@@ -55,10 +54,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	trace2 := newTrace(budget)
+	trace2 := bitspread.TraceForBudget(n, budget, 60)
 	res2, err := bitspread.RunMemory(bitspread.MemoryConfig{
 		N: n, Protocol: sync, Z: z, X0: 1, MaxRounds: budget,
-		Record: trace2.record,
+		Probe: trace2,
 	}, bitspread.NewRNG(seed))
 	if err != nil {
 		log.Fatal(err)
@@ -71,10 +70,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	trace3 := newTrace(budget)
+	trace3 := bitspread.TraceForBudget(n, budget, 60)
 	res3, err := bitspread.RunMemory(bitspread.MemoryConfig{
 		N: n, Protocol: unsync, Z: z, X0: 1, AdversarialMemory: true, MaxRounds: budget,
-		Record: trace3.record,
+		Probe: trace3,
 	}, bitspread.NewRNG(seed))
 	if err != nil {
 		log.Fatal(err)
@@ -85,43 +84,10 @@ func main() {
 	fmt.Println("reading: '▁..█' sparkline of the one-fraction over the run; both memory AND synchrony are needed")
 }
 
-// trace keeps a downsampled one-fraction trajectory for a sparkline.
-type trace struct {
-	every  int64
-	points []float64
-}
-
-func newTrace(budget int64) *trace {
-	every := budget / 60
-	if every < 1 {
-		every = 1
-	}
-	return &trace{every: every}
-}
-
-func (tr *trace) record(round, count int64) {
-	if round%tr.every == 0 {
-		tr.points = append(tr.points, float64(count)/n)
-	}
-}
-
-func (tr *trace) sparkline() string {
-	glyphs := []rune("▁▂▃▄▅▆▇█")
-	var b strings.Builder
-	for _, p := range tr.points {
-		idx := int(p * float64(len(glyphs)))
-		if idx >= len(glyphs) {
-			idx = len(glyphs) - 1
-		}
-		b.WriteRune(glyphs[idx])
-	}
-	return b.String()
-}
-
-func report(name string, converged bool, rounds, final int64, tr *trace) {
+func report(name string, converged bool, rounds, final int64, tr *bitspread.TraceRecorder) {
 	status := fmt.Sprintf("stalled at %d/%d after %d rounds", final, int64(n), rounds)
 	if converged {
 		status = fmt.Sprintf("converged in %d rounds", rounds)
 	}
-	fmt.Printf("%-48s %s\n  %s\n\n", name+":", status, tr.sparkline())
+	fmt.Printf("%-48s %s\n  %s\n\n", name+":", status, tr.Sparkline())
 }

@@ -36,17 +36,12 @@ func StepCountBatch(c *protocol.AdoptCache, z int, xs []int64, gs []*rng.RNG) {
 // drop out of the batch; the round loop ends when none remain active or
 // the cap expires.
 //
-// cfg.Record must be nil — a shared hook cannot tell replicas apart.
-// cfg.Probe is supported: probes are concurrency-safe aggregators by
-// contract, so RoundDone fires once per active replica per round, and
-// FaultApplied once per active replica per perturbed round, exactly as
-// in per-seed RunParallel runs.
+// cfg.Probe sees every replica: RoundDone fires once per active replica
+// per round, and FaultApplied once per active replica per perturbed
+// round, exactly as in per-seed RunParallel runs.
 func RunParallelReplicas(cfg Config, seeds []uint64) ([]Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Record != nil {
-		return nil, fmt.Errorf("engine: RunParallelReplicas does not support Config.Record")
 	}
 	d := newDriver(&cfg, len(seeds), 0)
 	if len(d.active) == 0 {

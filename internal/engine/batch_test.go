@@ -84,8 +84,8 @@ func TestRunParallelReplicasMatchesRunParallel(t *testing.T) {
 	}
 }
 
-// TestRunParallelReplicasEdgeCases: immediate convergence, Record
-// rejection, and invalid configs.
+// TestRunParallelReplicasEdgeCases: immediate convergence and invalid
+// configs.
 func TestRunParallelReplicasEdgeCases(t *testing.T) {
 	done := Config{N: 10, Rule: protocol.Voter(1), Z: 1, X0: 10}
 	res, err := RunParallelReplicas(done, []uint64{1, 2})
@@ -96,12 +96,6 @@ func TestRunParallelReplicasEdgeCases(t *testing.T) {
 		if !r.Converged || r.Rounds != 0 {
 			t.Errorf("replica %d: want immediate convergence, got %+v", i, r)
 		}
-	}
-
-	rec := done
-	rec.Record = func(_, _ int64) {}
-	if _, err := RunParallelReplicas(rec, []uint64{1}); err == nil {
-		t.Error("Record hook accepted")
 	}
 
 	if _, err := RunParallelReplicas(Config{N: 1, Rule: protocol.Voter(1), Z: 1, X0: 1}, []uint64{1}); err == nil {

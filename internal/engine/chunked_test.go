@@ -61,13 +61,13 @@ func TestChunkedCountsConsistent(t *testing.T) {
 	for _, n := range []int64{511, 512, 513, 1025} {
 		for _, shards := range []int{1, 3, 7} {
 			cfg := engine.Config{N: n, Rule: protocol.Voter(1), Z: 1, X0: n / 2, MaxRounds: 20000}
-			var traj []int64
-			cfg.Record = func(round, count int64) { traj = append(traj, count) }
+			p := &engine.Trajectory{}
+			cfg.Probe = p
 			res, err := engine.RunAgents(cfg, engine.AgentOptions{Chunked: true, Shards: shards}, rng.New(11))
 			if err != nil {
 				t.Fatal(err)
 			}
-			for r, c := range traj {
+			for r, c := range p.Counts {
 				if c < 1 || c > n {
 					t.Fatalf("n=%d shards=%d: round %d count %d out of [1, %d]", n, shards, r+1, c, n)
 				}

@@ -54,17 +54,10 @@ type Config struct {
 	// MaxRounds caps the simulation length in parallel rounds. Zero means
 	// DefaultMaxRounds(N).
 	MaxRounds int64
-	// Record, if non-nil, is invoked after every parallel round with the
-	// round index (1-based) and the new one-count. The sequential engine
-	// invokes it once per parallel round (n activations), plus once more
-	// for the final partial round when convergence lands mid-round, so the
-	// trajectory always ends at the terminal count.
-	Record func(round, count int64)
-	// Probe, if non-nil, receives structured per-round events (one-count,
-	// activation counts, fault applications, shard load); see Probe. Unlike
-	// Record it must be safe for concurrent use, so the sim layer shares
-	// one probe across replicas. Probes never affect the run: Results are
-	// byte-identical with and without one.
+	// Probe, if non-nil, receives the run's per-round events (one-count,
+	// activation counts, fault applications, shard load); see Probe.
+	// Probes never affect the run: Results are byte-identical with and
+	// without one.
 	Probe Probe
 	// Faults, if non-nil and non-empty, injects the schedule's mid-run
 	// perturbations at round boundaries (see internal/fault). A nil or

@@ -29,8 +29,9 @@ type ConflictConfig struct {
 	// Rounds is the number of rounds to run (the process has no absorbing
 	// state to stop at when both source counts are positive).
 	Rounds int64
-	// Record, if non-nil, receives (round, count) after every round.
-	Record func(round, count int64)
+	// Probe, if non-nil, receives RoundDone after every round; the
+	// sampled count is the N-Sources1-Sources0 agents that run the rule.
+	Probe Probe
 }
 
 func (c *ConflictConfig) validate() error {
@@ -86,13 +87,17 @@ func RunConflict(cfg ConflictConfig, g *rng.RNG) (ConflictResult, error) {
 	var res ConflictResult
 	var fracSum float64
 	for t := int64(1); t <= cfg.Rounds; t++ {
-		x = StepConflict(cfg.Rule, cfg.N, cfg.Sources1, cfg.Sources0, x, g)
+		// StepConflict's draw, keeping the sampled count for the probe.
+		p := float64(x) / float64(cfg.N)
+		var sampled int64
+		x, sampled = countStep(g, cfg.N, x, cfg.Sources1, cfg.Sources0, 0,
+			cfg.Rule.AdoptProb(0, p), cfg.Rule.AdoptProb(1, p))
 		fracSum += float64(x) / float64(cfg.N)
 		if x == 0 || x == cfg.N {
 			res.ConsensusVisits++
 		}
-		if cfg.Record != nil {
-			cfg.Record(t, x)
+		if cfg.Probe != nil {
+			cfg.Probe.RoundDone(t, x, sampled)
 		}
 	}
 	res.Rounds = cfg.Rounds

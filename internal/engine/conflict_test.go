@@ -102,22 +102,27 @@ func TestConflictSingleSourceMatchesBitDissemination(t *testing.T) {
 	}
 }
 
+// TestConflictRecord: the probe sees every round, each count feasible and
+// each sampled count the n-s1-s0 agents that run the rule.
 func TestConflictRecord(t *testing.T) {
-	var calls int64
-	_, err := RunConflict(ConflictConfig{
+	p := &Trajectory{}
+	res, err := RunConflict(ConflictConfig{
 		N: 16, Rule: protocol.Voter(1), Sources1: 1, Sources0: 1,
-		X0: 8, Rounds: 25,
-		Record: func(round, count int64) {
-			calls++
-			if count < 1 || count > 15 {
-				t.Errorf("count %d out of feasible range", count)
-			}
-		},
+		X0: 8, Rounds: 25, Probe: p,
 	}, rng.New(6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls != 25 {
-		t.Errorf("record fired %d times, want 25", calls)
+	if len(p.Counts) != 25 {
+		t.Fatalf("probe saw %d rounds, want 25", len(p.Counts))
+	}
+	for i, c := range p.Counts {
+		if p.Rounds[i] != int64(i+1) || c < 1 || c > 15 || p.Sampled[i] != 14 {
+			t.Errorf("event %d = (round %d, count %d, sampled %d), want round %d, count in [1, 15], sampled 14",
+				i, p.Rounds[i], c, p.Sampled[i], i+1)
+		}
+	}
+	if c := p.Counts[24]; c != res.FinalCount {
+		t.Errorf("last count %d, want FinalCount %d", c, res.FinalCount)
 	}
 }

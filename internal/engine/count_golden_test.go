@@ -43,13 +43,15 @@ func TestCountEngineGolden(t *testing.T) {
 			cfg := engine.Config{N: size.n, Rule: r, Z: 1, X0: size.x0, MaxRounds: size.rounds}
 			solo := make([]engine.Result, len(seeds))
 			for i, seed := range seeds {
+				p := &engine.Trajectory{}
 				traced := cfg
-				traced.Record = func(_, x int64) { put(x) }
+				traced.Probe = p
 				res, err := engine.RunParallel(traced, rng.New(seed))
 				if err != nil {
 					t.Fatal(err)
 				}
 				solo[i] = res
+				put(p.Counts...)
 				put(res.Rounds, res.Activations, res.FinalCount, b2i(res.Converged), b2i(res.HitWrongConsensus))
 			}
 			batched, err := engine.RunParallelReplicas(cfg, seeds)

@@ -6,7 +6,7 @@ package engine
 // differ only in how they draw the next one-count. The driver owns the
 // rest: the per-Config constants (absorbing target, trap, round cap, fault
 // horizon), the Halt poll, each round's fault view, the Result
-// bookkeeping, Record/Probe emission and the convergence test. Lockstep
+// bookkeeping, Probe emission and the convergence test. Lockstep
 // replicas are the general case; a solo run is one replica.
 //
 // A body supplies only its step. The driver calls it once per round; the
@@ -19,7 +19,6 @@ type driver struct {
 	trap      int64     // the all-wrong count
 	roundCap  int64
 	horizon   int64 // last perturbed round; consensus counts only from here
-	observed  bool  // a Record hook or a Probe is attached
 
 	results []Result
 	active  []int // replicas still running, in index order
@@ -52,7 +51,6 @@ func newDriver(cfg *Config, replicas, shards int) *driver {
 		target:    consensusTarget(cfg.N, cfg.Z),
 		trap:      wrongTrap(cfg.N, cfg.Z),
 		roundCap:  cfg.RoundCap(),
-		observed:  cfg.Record != nil || cfg.Probe != nil,
 		results:   make([]Result, replicas),
 		src:       cfg.Z,
 	}
@@ -123,7 +121,7 @@ func (d *driver) end(i int, x, sampled int64) bool {
 	if x == d.trap {
 		r.HitWrongConsensus = true
 	}
-	if d.observed {
+	if d.cfg.Probe != nil {
 		d.observe(x, sampled)
 	}
 	if d.converged(x) {
@@ -134,19 +132,14 @@ func (d *driver) end(i int, x, sampled int64) bool {
 	return true
 }
 
-// observe emits one replica's round events: Record, then FaultApplied when
+// observe emits one replica's round events to the probe: FaultApplied when
 // the schedule actively touched the round (a boundary event fired or the
 // source deviated from z), then RoundDone. It is out of line so that an
 // unobserved run pays one branch per replica-round.
 func (d *driver) observe(x, sampled int64) {
 	cfg := d.cfg
-	if cfg.Record != nil {
-		cfg.Record(d.t, x)
+	if d.faults != nil && (d.src != cfg.Z || d.boundary) {
+		cfg.Probe.FaultApplied(d.t)
 	}
-	if p := cfg.Probe; p != nil {
-		if d.faults != nil && (d.src != cfg.Z || d.boundary) {
-			p.FaultApplied(d.t)
-		}
-		p.RoundDone(d.t, x, sampled)
-	}
+	cfg.Probe.RoundDone(d.t, x, sampled)
 }

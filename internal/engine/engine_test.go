@@ -187,31 +187,24 @@ func TestRunParallelNoisyNeverConverges(t *testing.T) {
 	}
 }
 
+// TestRecordCallback: the probe sees one RoundDone per round, rounds
+// numbered 1, 2, ... with every count in range.
 func TestRecordCallback(t *testing.T) {
-	var rounds []int64
-	cfg := Config{
-		N:         32,
-		Rule:      protocol.Voter(1),
-		Z:         1,
-		X0:        16,
-		MaxRounds: 50,
-		Record: func(round, count int64) {
-			rounds = append(rounds, round)
-			if count < 1 || count > 32 {
-				t.Errorf("recorded count %d out of range", count)
-			}
-		},
-	}
+	p := &Trajectory{}
+	cfg := Config{N: 32, Rule: protocol.Voter(1), Z: 1, X0: 16, MaxRounds: 50, Probe: p}
 	res, err := RunParallel(cfg, rng.New(10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int64(len(rounds)) != res.Rounds {
-		t.Errorf("recorded %d rounds, result says %d", len(rounds), res.Rounds)
+	if int64(len(p.Rounds)) != res.Rounds {
+		t.Errorf("recorded %d rounds, result says %d", len(p.Rounds), res.Rounds)
 	}
-	for i, r := range rounds {
+	for i, r := range p.Rounds {
 		if r != int64(i+1) {
 			t.Fatalf("record round %d = %d", i, r)
+		}
+		if c := p.Counts[i]; c < 1 || c > 32 {
+			t.Errorf("recorded count %d out of range", c)
 		}
 	}
 }

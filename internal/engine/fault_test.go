@@ -205,15 +205,15 @@ func TestSourceCrashBlocksConsensus(t *testing.T) {
 	const n = 32
 	cfg := voterCfg(n)
 	cfg.X0 = n
-	counts := map[int64]int64{}
-	cfg.Record = func(round, count int64) { counts[round] = count }
+	p := &engine.Trajectory{}
+	cfg.Probe = p
 	cfg.Faults = fault.Must(fault.SourceCrashFor(1, 5))
 	res, err := engine.RunParallel(cfg, rng.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for tr := int64(1); tr <= 5; tr++ {
-		if counts[tr] == n {
+	for i, tr := range p.Rounds {
+		if tr <= 5 && p.Counts[i] == n {
 			t.Errorf("full consensus at round %d while the source is down", tr)
 		}
 	}
@@ -229,14 +229,14 @@ func TestStubbornWindowThenRecovery(t *testing.T) {
 	cfg := voterCfg(n)
 	cfg.X0 = n
 	cfg.Faults = fault.Must(fault.StubbornFor(2, 8, 0.25, 0))
-	counts := map[int64]int64{}
-	cfg.Record = func(round, count int64) { counts[round] = count }
+	p := &engine.Trajectory{}
+	cfg.Probe = p
 	res, err := engine.RunParallel(cfg, rng.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for tr := int64(2); tr <= 9; tr++ {
-		if counts[tr] == n {
+	for i, tr := range p.Rounds {
+		if tr >= 2 && tr <= 9 && p.Counts[i] == n {
 			t.Errorf("consensus at round %d despite a pinned wrong minority", tr)
 		}
 	}

@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"fmt"
-
-	"bitspread/internal/rng"
-)
+import "bitspread/internal/rng"
 
 // RunAgentsReplicas runs one bitset agent-level replica per seed, advancing
 // all of them in lockstep so each round's adoption coins — the T₀/T₁
@@ -18,15 +14,11 @@ import (
 //
 // Configurations the bitset engine does not serve (Unpacked,
 // without-replacement sampling) fall back to independent RunAgents calls,
-// one per seed — same results, no sharing. cfg.Record must be nil — a
-// shared hook cannot tell replicas apart. cfg.Probe is supported: probes
-// are concurrency-safe aggregators by contract.
+// one per seed — same results, no sharing. cfg.Probe sees every replica,
+// as in per-seed RunAgents runs.
 func RunAgentsReplicas(cfg Config, opts AgentOptions, seeds []uint64) ([]Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Record != nil {
-		return nil, fmt.Errorf("engine: RunAgentsReplicas does not support Config.Record")
 	}
 	ell := cfg.Rule.SampleSize()
 	withoutReplacement := opts.WithoutReplacement && ell <= int(cfg.N)

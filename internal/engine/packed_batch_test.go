@@ -109,11 +109,4 @@ func TestRunAgentsReplicasFallback(t *testing.T) {
 			}
 		}
 	}
-
-	if _, err := engine.RunAgentsReplicas(engine.Config{
-		N: 10, Rule: protocol.Voter(1), Z: 1, X0: 5,
-		Record: func(int64, int64) {},
-	}, engine.AgentOptions{}, seeds); err == nil {
-		t.Error("RunAgentsReplicas accepted a Config.Record hook")
-	}
 }

@@ -24,13 +24,13 @@ import (
 
 func runAgentsTraced(t *testing.T, cfg engine.Config, opts engine.AgentOptions, seed uint64) (engine.Result, []int64) {
 	t.Helper()
-	var traj []int64
-	cfg.Record = func(round, count int64) { traj = append(traj, count) }
+	p := &engine.Trajectory{}
+	cfg.Probe = p
 	res, err := engine.RunAgents(cfg, opts, rng.New(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, traj
+	return res, p.Counts
 }
 
 // The serial packed realization is frozen: these trajectories were
@@ -119,13 +119,13 @@ func TestPackedShardedCountsConsistent(t *testing.T) {
 	for _, n := range []int64{17, 64, 127, 500} {
 		for _, shards := range []int{2, 3, 4, 7} {
 			cfg := engine.Config{N: n, Rule: protocol.Voter(1), Z: 1, X0: n / 2, MaxRounds: 4000}
-			var traj []int64
-			cfg.Record = func(round, count int64) { traj = append(traj, count) }
+			p := &engine.Trajectory{}
+			cfg.Probe = p
 			res, err := engine.RunAgents(cfg, engine.AgentOptions{Shards: shards}, rng.New(11))
 			if err != nil {
 				t.Fatal(err)
 			}
-			for r, c := range traj {
+			for r, c := range p.Counts {
 				if c < 1 || c > n {
 					t.Fatalf("n=%d shards=%d: round %d count %d out of [1, %d]", n, shards, r+1, c, n)
 				}

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
-	"sync"
 	"testing"
 
 	"bitspread/internal/engine"
@@ -41,37 +40,20 @@ func (d *digest) putResult(r engine.Result) {
 func (d *digest) sum() string { return hex.EncodeToString(d.h.Sum(nil)) }
 
 // digestProbe hashes every probe event, tagged by kind, in arrival order.
-type digestProbe struct {
-	mu sync.Mutex
-	d  *digest
-}
+// One run calls its probe from one goroutine, so it takes no lock.
+type digestProbe struct{ d *digest }
 
-func (p *digestProbe) RoundDone(round, ones, sampled int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.d.put(1, round, ones, sampled)
-}
-
-func (p *digestProbe) FaultApplied(round int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.d.put(2, round)
-}
-
-func (p *digestProbe) ShardRound(shard int, sampled int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.d.put(3, int64(shard), sampled)
-}
+func (p *digestProbe) RoundDone(round, ones, sampled int64) { p.d.put(1, round, ones, sampled) }
+func (p *digestProbe) FaultApplied(round int64)             { p.d.put(2, round) }
+func (p *digestProbe) ShardRound(shard int, sampled int64)  { p.d.put(3, int64(shard), sampled) }
 
 // TestEngineRealizationGolden freezes the realization of every engine
-// body: for each solo engine the Result, the Record stream and the Probe
-// stream are hashed into separate digests (so a body may reorder Record
-// against probe events without either sink seeing it), and for both
-// replica runners the Results. Cases cover every fault family, Minority(3)
-// and Majority(5) from the all-wrong configuration (Majority stays
-// trapped there), a run to convergence and a noisy rule under faults,
-// three seeds each. Re-pin only for a deliberate change of realization.
+// body: for each solo engine the Result and the Probe stream are hashed
+// into separate digests, and for both replica runners the Results. Cases
+// cover every fault family, Minority(3) and Majority(5) from the
+// all-wrong configuration (Majority stays trapped there), a run to
+// convergence and a noisy rule under faults, three seeds each. Re-pin
+// only for a deliberate change of realization.
 func TestEngineRealizationGolden(t *testing.T) {
 	allFamilies := func() engine.Perturber {
 		return fault.Must(
@@ -96,39 +78,32 @@ func TestEngineRealizationGolden(t *testing.T) {
 		return func(cfg engine.Config, g *rng.RNG) (engine.Result, error) { return engine.RunAgents(cfg, opts, g) }
 	}
 	solo := []struct {
-		name                   string
-		run                    func(engine.Config, *rng.RNG) (engine.Result, error)
-		result, record, probes string
+		name           string
+		run            func(engine.Config, *rng.RNG) (engine.Result, error)
+		result, probes string
 	}{
 		{"count", engine.RunParallel,
 			"193d59a99dd3bf96f7acf83754fa2ac5620cfbb882f79276e9cd298610a636f7",
-			"6343096cfb8d5ba3057470dbb263d5fa39aca8bf0aad5070549225effce00645",
 			"5a2b37ee6c3d8a0533cbd2f1928fe2218b2c63122b489419d3f61094cee9d124"},
 		{"sequential", engine.RunSequential,
 			"ebca0928d8d99563249dd35e58f414ca8aafbbe6d606a16f38e9958e7cfd5f8f",
-			"0bd45ab5d50ffe99b54fa79e2cabb585a8a2c5b0586d001f87f1f46d011ef892",
 			"80030da601fdf55bafa0fb2f633f104c2f39dc9263f811a95354f75cb3a8d633"},
 		{"literal", agents(engine.AgentOptions{Unpacked: true}),
 			"1669aa8fbc5330c7d34f191abd6f66f63ecf3c937301eddd1ff8b7ecacade9b1",
-			"181f2a61f5a9a96c5279e4e0f9530630142bf50ffaced511050ce9fdc3cdf55b",
 			"6738de934b12327cbebdb58cd199b013761646a048072744caa6f65bc2911b59"},
 		{"literal-without-replacement", agents(engine.AgentOptions{WithoutReplacement: true}),
 			"3f6edab82479c0396c074248668ccb05cd60dac7f32a5f6e1e522f25109cf5a7",
-			"c4e80f7becd0cab3162ec2cf43468e94e2b88a9b317b3d6b6069b889c47eb62d",
 			"a489c5303f7a19c90f233354bbc007c47b79de5f53cb0ee20b4a3be81f3ccbe0"},
 		{"packed", agents(engine.AgentOptions{}),
 			"ff53133a94e0ee814b6981cc51df7142c1a537a97cf7724c1fdb4b3c843da5f7",
-			"0ca649ae664f5eb542d236152bc0b621f40ae116f28850265b1f9e89f007dce6",
 			"312d1919390006e46418abc4aacca233d35f66125f7070ad90d53ebdab4c9b2b"},
 		{"packed-shards3", agents(engine.AgentOptions{Shards: 3}),
 			"51046346507bbabf987c39796fee137822bf4d11a313409a47b6eb56a43b81f6",
-			"f2d269fdd5cf7b1f10614e09264ea53ca160793bbb4c005eeca2f7b05137dffa",
 			"1bbef9dd92b84baf3111dc02362b268ff12a4d9b00c31039781007c80d919fd4"},
 		// The chunk capacity changes addressing only, so the chunked
 		// layout reproduces the packed one.
 		{"chunked-shards3", agents(engine.AgentOptions{Chunked: true, Shards: 3}),
 			"51046346507bbabf987c39796fee137822bf4d11a313409a47b6eb56a43b81f6",
-			"f2d269fdd5cf7b1f10614e09264ea53ca160793bbb4c005eeca2f7b05137dffa",
 			"1bbef9dd92b84baf3111dc02362b268ff12a4d9b00c31039781007c80d919fd4"},
 	}
 
@@ -136,11 +111,10 @@ func TestEngineRealizationGolden(t *testing.T) {
 	defer engine.SetChunkShiftForTest(7)()
 
 	for _, e := range solo {
-		res, rec, probe := newDigest(), newDigest(), newDigest()
+		res, probe := newDigest(), newDigest()
 		for _, cfg := range cases {
 			for _, seed := range seeds {
 				cfg := cfg
-				cfg.Record = func(round, count int64) { rec.put(round, count) }
 				cfg.Probe = &digestProbe{d: probe}
 				r, err := e.run(cfg, rng.New(seed))
 				if err != nil {
@@ -151,7 +125,6 @@ func TestEngineRealizationGolden(t *testing.T) {
 		}
 		for _, got := range []struct{ what, got, want string }{
 			{"Result", res.sum(), e.result},
-			{"Record stream", rec.sum(), e.record},
 			{"Probe stream", probe.sum(), e.probes},
 		} {
 			if got.got != got.want {

@@ -16,14 +16,14 @@ func TestShardsOneMatchesSerial(t *testing.T) {
 		base := Config{N: 96, Rule: protocol.Minority(3), Z: 1, X0: 48, MaxRounds: 200}
 
 		runWithTrace := func(opts AgentOptions, seed uint64) (Result, []int64) {
-			var traj []int64
+			p := &Trajectory{}
 			cfg := base
-			cfg.Record = func(_, count int64) { traj = append(traj, count) }
+			cfg.Probe = p
 			res, err := RunAgents(cfg, opts, rng.New(seed))
 			if err != nil {
 				t.Fatal(err)
 			}
-			return res, traj
+			return res, p.Counts
 		}
 
 		serialRes, serialTraj := runWithTrace(AgentOptions{WithoutReplacement: withoutReplacement}, 31)
@@ -52,14 +52,14 @@ func TestShardedDeterministic(t *testing.T) {
 	for _, shards := range []int{2, 3, 8} {
 		base := Config{N: 200, Rule: protocol.Voter(3), Z: 1, X0: 100, MaxRounds: 150}
 		run := func() (Result, []int64) {
-			var traj []int64
+			p := &Trajectory{}
 			cfg := base
-			cfg.Record = func(_, count int64) { traj = append(traj, count) }
+			cfg.Probe = p
 			res, err := RunAgents(cfg, AgentOptions{Shards: shards}, rng.New(77))
 			if err != nil {
 				t.Fatal(err)
 			}
-			return res, traj
+			return res, p.Counts
 		}
 		resA, trajA := run()
 		resB, trajB := run()

@@ -106,6 +106,7 @@ func x7ConflictingSources() Experiment {
 					Sources0: c.s0,
 					X0:       n / 2,
 					Rounds:   rounds,
+					Probe:    opts.Probe,
 				}, rng.New(subSeed(opts, uint64(i)+300)))
 				if err != nil {
 					return nil, err

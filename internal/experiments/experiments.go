@@ -39,9 +39,12 @@ type Options struct {
 	// Journal, if non-nil, checkpoints every finished replica so an
 	// interrupted sweep can resume without recomputation.
 	Journal *sim.Journal
-	// Probe, if non-nil, is attached to every engine run of the suite as
-	// Config.Probe (it must be concurrency-safe; internal/obs.Metrics is
-	// the standard choice). Probes never change results.
+	// Probe, if non-nil, is attached to every engine run of the suite
+	// that takes a probe: every sim task's Config.Probe, X10's count
+	// runs, and the memory (X4), conflict (X7) and graph (X9) runs. X13's
+	// search runs its engines inside internal/evolve, which takes none.
+	// It must be concurrency-safe (internal/obs.Metrics is the standard
+	// choice). Probes never change results.
 	Probe engine.Probe
 	// Observer, if non-nil, receives run-level lifecycle events from
 	// every sim task of the suite (internal/obs.RunObserver is the

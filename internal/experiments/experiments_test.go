@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"bitspread/internal/obs"
 )
 
 var quickOpts = Options{Seed: 2024, Workers: 0, Quick: true}
@@ -293,6 +295,22 @@ func TestX7ConflictingSources(t *testing.T) {
 	}
 	if v := metric(t, res, "worst_mean_error"); v > 0.08 {
 		t.Errorf("zealot stationary mean off by %v", v)
+	}
+}
+
+// TestX7ProbeCountsConflictRounds: Options.Probe reaches the engine runs
+// an experiment makes outside the sim layer, so every round of quick X7's
+// five conflict runs lands in bitspread_rounds_total.
+func TestX7ProbeCountsConflictRounds(t *testing.T) {
+	m := obs.NewMetrics(obs.NewRegistry())
+	opts := quickOpts
+	opts.Probe = m
+	e, _ := ByID("X7")
+	if _, err := e.Run(opts); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := m.Rounds.Value(), int64(5*40_000); got != want {
+		t.Errorf("bitspread_rounds_total = %d, want %d (5 cases of 40,000 rounds)", got, want)
 	}
 }
 

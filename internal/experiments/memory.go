@@ -73,6 +73,7 @@ func x4MemoryAblation() Experiment {
 							X0:                1, // all wrong
 							AdversarialMemory: !synced,
 							MaxRounds:         budget,
+							Probe:             opts.Probe,
 						}, master.Split())
 						if err != nil {
 							return nil, err

@@ -65,6 +65,7 @@ func x9Topology() Experiment {
 						Z:           1,
 						InitialOnes: 0,
 						MaxRounds:   capRounds,
+						Probe:       opts.Probe,
 					}, g)
 					if err != nil {
 						return nil, err

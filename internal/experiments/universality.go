@@ -67,6 +67,7 @@ func x10Universality() Experiment {
 					}
 					cfg, c := engine.AdversarialConfig(r, n, budget)
 					cfg.Halt = halt
+					cfg.Probe = opts.Probe
 					if a.Classify() == bias.CaseNegative {
 						// As in T1: the proof's X₀=(a₂+a₃)/2 sits within
 						// O((1-a₁)^{ℓ+1}·n) of the consensus, a nearly

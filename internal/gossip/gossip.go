@@ -56,8 +56,6 @@ type Config struct {
 	// MaxRounds caps the run (0: 64·log₂n + 64, far above the Θ(log n)
 	// completion time).
 	MaxRounds int64
-	// Record, if non-nil, receives (round, informed) after every round.
-	Record func(round, informed int64)
 }
 
 // Result reports a spreading run.
@@ -123,9 +121,6 @@ func Spread(cfg Config, g *rng.RNG) (Result, error) {
 		informed = newInformed
 		res.Rounds = t
 		res.Informed = informed
-		if cfg.Record != nil {
-			cfg.Record(t, informed)
-		}
 		if informed == cfg.N {
 			res.Completed = true
 			return res, nil

@@ -63,24 +63,25 @@ func TestSpreadLogarithmic(t *testing.T) {
 }
 
 func TestSpreadMonotone(t *testing.T) {
-	// The informed count never decreases and never exceeds n.
+	// The informed count never decreases and never exceeds n. A seeded
+	// run capped at round r stops right after round r, so capping one
+	// seed at r = 1, 2, ... replays its trajectory round by round.
+	const n = 2048
 	prev := int64(1)
-	ok := true
-	_, err := Spread(Config{
-		N: 2048, Informed0: 1, Mode: PushPull,
-		Record: func(_, informed int64) {
-			if informed < prev || informed > 2048 {
-				ok = false
-			}
-			prev = informed
-		},
-	}, rng.New(5))
-	if err != nil {
-		t.Fatal(err)
+	for r := int64(1); r <= 64*log2Ceil(n)+64; r++ {
+		res, err := Spread(Config{N: n, Informed0: 1, Mode: PushPull, MaxRounds: r}, rng.New(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Informed < prev || res.Informed > n {
+			t.Fatalf("round %d: informed count %d after %d, want monotone in [1, %d]", r, res.Informed, prev, n)
+		}
+		prev = res.Informed
+		if res.Completed {
+			return
+		}
 	}
-	if !ok {
-		t.Error("informed count not monotone or out of range")
-	}
+	t.Error("push&pull never completed")
 }
 
 func TestSpreadAlreadyComplete(t *testing.T) {

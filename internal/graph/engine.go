@@ -2,8 +2,8 @@ package graph
 
 import (
 	"fmt"
-	"math"
 
+	"bitspread/internal/engine"
 	"bitspread/internal/protocol"
 	"bitspread/internal/rng"
 )
@@ -21,12 +21,13 @@ type Config struct {
 	// InitialOnes is the number of non-source agents starting with
 	// opinion 1, placed uniformly at random.
 	InitialOnes int
-	// MaxRounds caps the run (0: 64·n·ln n + 1024 — note sparse
+	// MaxRounds caps the run (0: engine.DefaultMaxRounds — note sparse
 	// topologies like the ring can genuinely need more; set an explicit
 	// cap for those).
 	MaxRounds int64
-	// Record, if non-nil, receives (round, ones) after every round.
-	Record func(round, ones int64)
+	// Probe, if non-nil, receives RoundDone after every round, with the
+	// n-1 non-source agents as the sampled count.
+	Probe engine.Probe
 }
 
 // Result reports a topology run.
@@ -59,7 +60,7 @@ func Run(cfg Config, g *rng.RNG) (Result, error) {
 	}
 	maxRounds := cfg.MaxRounds
 	if maxRounds <= 0 {
-		maxRounds = int64(64*float64(n)*math.Log(float64(n))) + 1024
+		maxRounds = engine.DefaultMaxRounds(int64(n))
 	}
 	ell := cfg.Rule.SampleSize()
 	absorbing := cfg.Rule.CheckProp3() == nil
@@ -98,8 +99,8 @@ func Run(cfg Config, g *rng.RNG) (Result, error) {
 		ones = count
 		res.Rounds = t
 		res.FinalOnes = ones
-		if cfg.Record != nil {
-			cfg.Record(t, ones)
+		if cfg.Probe != nil {
+			cfg.Probe.RoundDone(t, ones, int64(n-1))
 		}
 		if ones == target && absorbing {
 			res.Converged = true

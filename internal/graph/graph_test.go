@@ -6,6 +6,7 @@ import (
 
 	"bitspread/internal/protocol"
 	"bitspread/internal/rng"
+	"bitspread/internal/trace"
 )
 
 func TestCompleteTopology(t *testing.T) {
@@ -166,21 +167,22 @@ func TestRunOnRingAndTorus(t *testing.T) {
 
 func TestRunRecordMonotoneRange(t *testing.T) {
 	topo, _ := NewStar(32)
-	bad := false
-	_, err := Run(Config{
+	rec := trace.NewRecorder(32, 1)
+	res, err := Run(Config{
 		Topology: topo, Rule: protocol.Voter(1), Z: 1, InitialOnes: 16,
-		MaxRounds: 100,
-		Record: func(_, ones int64) {
-			if ones < 1 || ones > 32 {
-				bad = true
-			}
-		},
+		MaxRounds: 100, Probe: rec,
 	}, rng.New(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bad {
-		t.Error("recorded one-count out of range")
+	if int64(rec.Len()) != res.Rounds {
+		t.Errorf("probe saw %d rounds, result says %d", rec.Len(), res.Rounds)
+	}
+	_, counts := rec.Points()
+	for _, ones := range counts {
+		if ones < 1 || ones > 32 {
+			t.Errorf("recorded one-count %d out of range", ones)
+		}
 	}
 }
 

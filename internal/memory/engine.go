@@ -2,8 +2,8 @@ package memory
 
 import (
 	"fmt"
-	"math"
 
+	"bitspread/internal/engine"
 	"bitspread/internal/rng"
 )
 
@@ -23,11 +23,12 @@ type Config struct {
 	// self-stabilizing regime); otherwise the protocol's designated start
 	// state is used.
 	AdversarialMemory bool
-	// MaxRounds caps the run (0: 64·n·ln n + 1024, as in the memory-less
-	// engine).
+	// MaxRounds caps the run (0: engine.DefaultMaxRounds, as in the
+	// memory-less engine).
 	MaxRounds int64
-	// Record, if non-nil, receives (round, count) after every round.
-	Record func(round, count int64)
+	// Probe, if non-nil, receives RoundDone after every round, with the
+	// N-1 non-source agents as the sampled count.
+	Probe engine.Probe
 }
 
 // Result reports a bounded-memory run. Unlike the memory-less engines,
@@ -75,7 +76,7 @@ func Run(cfg Config, g *rng.RNG) (Result, error) {
 	}
 	maxRounds := cfg.MaxRounds
 	if maxRounds <= 0 {
-		maxRounds = defaultRounds(cfg.N)
+		maxRounds = engine.DefaultMaxRounds(cfg.N)
 	}
 
 	n := int(cfg.N)
@@ -113,8 +114,8 @@ func Run(cfg Config, g *rng.RNG) (Result, error) {
 		opinions, nextOps = nextOps, opinions
 		res.Rounds = t
 		res.FinalCount = count
-		if cfg.Record != nil {
-			cfg.Record(t, count)
+		if cfg.Probe != nil {
+			cfg.Probe.RoundDone(t, count, cfg.N-1)
 		}
 		if count == target {
 			if stableSince < 0 {
@@ -130,13 +131,4 @@ func Run(cfg Config, g *rng.RNG) (Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// defaultRounds mirrors engine.DefaultMaxRounds (64·n·ln n + 1024),
-// duplicated to keep this package free of an engine dependency.
-func defaultRounds(n int64) int64 {
-	if n < 2 {
-		return 1024
-	}
-	return int64(64*float64(n)*math.Log(float64(n))) + 1024
 }

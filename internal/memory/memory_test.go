@@ -7,6 +7,7 @@ import (
 	"bitspread/internal/engine"
 	"bitspread/internal/protocol"
 	"bitspread/internal/rng"
+	"bitspread/internal/trace"
 )
 
 func TestAdapterMatchesMemorylessEngine(t *testing.T) {
@@ -223,22 +224,22 @@ func TestRunValidation(t *testing.T) {
 }
 
 func TestRunRecord(t *testing.T) {
-	var rounds int64
 	p, _ := NewAccumulatorMinority(1, 2, true)
+	rec := trace.NewRecorder(16, 1)
 	_, err := Run(Config{
-		N: 16, Protocol: p, Z: 1, X0: 8, MaxRounds: 10,
-		Record: func(round, count int64) {
-			rounds++
-			if count < 1 || count > 16 {
-				t.Errorf("count %d out of range", count)
-			}
-		},
+		N: 16, Protocol: p, Z: 1, X0: 8, MaxRounds: 10, Probe: rec,
 	}, rng.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rounds == 0 {
-		t.Error("record hook never fired")
+	if rec.Len() == 0 {
+		t.Error("probe never fired")
+	}
+	_, counts := rec.Points()
+	for _, count := range counts {
+		if count < 1 || count > 16 {
+			t.Errorf("count %d out of range", count)
+		}
 	}
 }
 

@@ -2,8 +2,8 @@ package multi
 
 import (
 	"fmt"
-	"math"
 
+	"bitspread/internal/engine"
 	"bitspread/internal/rng"
 )
 
@@ -18,10 +18,11 @@ type Config struct {
 	// X0 is the initial opinion histogram (length q, summing to N, with
 	// the source counted under Z).
 	X0 []int64
-	// MaxRounds caps the run (0: 64·n·ln n + 1024).
+	// MaxRounds caps the run (0: engine.DefaultMaxRounds).
 	MaxRounds int64
 	// Record, if non-nil, receives (round, histogram) after every round;
-	// the histogram slice is reused between calls.
+	// the histogram slice is reused between calls. It is not an
+	// engine.Probe because a one-count cannot carry a q-opinion histogram.
 	Record func(round int64, counts []int64)
 }
 
@@ -130,7 +131,7 @@ func RunParallel(cfg Config, g *rng.RNG) (Result, error) {
 	}
 	maxRounds := cfg.MaxRounds
 	if maxRounds <= 0 {
-		maxRounds = int64(64*float64(cfg.N)*math.Log(float64(cfg.N))) + 1024
+		maxRounds = engine.DefaultMaxRounds(cfg.N)
 	}
 	x := append([]int64(nil), cfg.X0...)
 	res := Result{Final: x}

@@ -8,8 +8,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"bitspread/internal/durable/durabletest"
@@ -31,36 +31,13 @@ type crashPath struct {
 	opts func(dir string, logf func(string, ...any)) Options
 	// drive runs the path until it finishes or fsys stops, and returns
 	// what the daemon acknowledged, keyed by kind and ID.
-	drive func(t *testing.T, s *Server, fsys *durabletest.FS, logs *logLines) map[string]bool
+	drive func(t *testing.T, s *Server, fsys *durabletest.FS) map[string]bool
 	// reference renders the path's results after an uninterrupted drive.
 	reference func(t *testing.T, s *Server) map[string][]byte
 	// check restarts on a crash directory; life counts restarts from 0.
 	check func(t *testing.T, at string, s *Server, life int, acked map[string]bool, ref map[string][]byte)
 	// logs are the append logs whose synced bytes every restart keeps.
 	logs []string
-}
-
-// logLines collects a daemon's diagnostics.
-type logLines struct {
-	mu    sync.Mutex
-	lines []string
-}
-
-func (l *logLines) logf(format string, args ...any) {
-	l.mu.Lock()
-	l.lines = append(l.lines, fmt.Sprintf(format, args...))
-	l.mu.Unlock()
-}
-
-func (l *logLines) contains(s string) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for _, line := range l.lines {
-		if strings.Contains(line, s) {
-			return true
-		}
-	}
-	return false
 }
 
 // call serves one request in process and returns the code and body.
@@ -87,12 +64,11 @@ func enumerateCrashPoints(t *testing.T, p crashPath) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var logs logLines
-	s, err := newServer(p.opts(dir, logs.logf), fsys)
+	s, err := newServer(p.opts(dir, nil), fsys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.drive(t, s, fsys, &logs)
+	p.drive(t, s, fsys)
 	ref := p.reference(t, s)
 	s.Close()
 	points := fsys.Points()
@@ -104,11 +80,10 @@ func enumerateCrashPoints(t *testing.T, p crashPath) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var logs logLines
 		acked := map[string]bool{}
 		// A stop inside New fails it before anything is acknowledged.
-		if s, err := newServer(p.opts(dir, logs.logf), fsys); err == nil {
-			acked = p.drive(t, s, fsys, &logs)
+		if s, err := newServer(p.opts(dir, nil), fsys); err == nil {
+			acked = p.drive(t, s, fsys)
 			s.Close()
 		} else if !fsys.Stopped() {
 			t.Fatalf("crash point %d: New failed before the stop: %v", k, err)
@@ -159,7 +134,7 @@ func TestCrashPointsJobPath(t *testing.T) {
 			return Options{DataDir: dir, Workers: 1, Logf: logf}
 		},
 		logs: []string{"jobs.jsonl", "replicas.jsonl"},
-		drive: func(t *testing.T, s *Server, fsys *durabletest.FS, _ *logLines) map[string]bool {
+		drive: func(t *testing.T, s *Server, fsys *durabletest.FS) map[string]bool {
 			acked := map[string]bool{}
 			code, body := call(s, "POST", "/v1/protocols", mustJSON(t, ProtocolSpec{Asm: voterAsm}))
 			if code != http.StatusCreated {
@@ -246,8 +221,9 @@ func TestCrashPointsFabricShards(t *testing.T) {
 		shards[i] = runShardBytes(t, fopts.spec(), fabric.Shard{Index: i, Count: fopts.Partitions})
 	}
 	// leaseAndComplete uploads every partition the board still leases and
-	// returns those it acknowledged as published.
-	leaseAndComplete := func(t *testing.T, s *Server, stopped func() bool, logs *logLines) map[string]bool {
+	// returns those it acknowledged as published: a 200 means durable, and
+	// a publish the stop failed answers 503 and stays leased.
+	leaseAndComplete := func(t *testing.T, s *Server, stopped func() bool) map[string]bool {
 		published := map[string]bool{}
 		for !stopped() {
 			code, body := call(s, "POST", "/v1/lease", mustJSON(t, LeaseRequest{Worker: "w"}))
@@ -259,13 +235,11 @@ func TestCrashPointsFabricShards(t *testing.T) {
 				break
 			}
 			code, body = call(s, "POST", "/v1/lease/"+lr.LeaseID+"/complete", shards[lr.Partition])
-			if code != http.StatusOK {
-				t.Fatalf("complete partition %d: code %d %s", lr.Partition, code, body)
-			}
-			// complete answers 200 even when persisting fails (the lease
-			// is done); a shard is published when nothing was logged.
-			if !logs.contains(fmt.Sprintf("persisting shard %d", lr.Partition)) {
+			switch {
+			case code == http.StatusOK:
 				published[fmt.Sprintf("shard %d", lr.Partition)] = true
+			case code != http.StatusServiceUnavailable || !stopped():
+				t.Fatalf("complete partition %d: code %d %s", lr.Partition, code, body)
 			}
 		}
 		return published
@@ -281,15 +255,14 @@ func TestCrashPointsFabricShards(t *testing.T) {
 		opts: func(dir string, logf func(string, ...any)) Options {
 			return Options{DataDir: dir, Workers: 1, Fabric: fopts, Logf: logf}
 		},
-		drive: func(t *testing.T, s *Server, fsys *durabletest.FS, logs *logLines) map[string]bool {
-			return leaseAndComplete(t, s, fsys.Stopped, logs)
+		drive: func(t *testing.T, s *Server, fsys *durabletest.FS) map[string]bool {
+			return leaseAndComplete(t, s, fsys.Stopped)
 		},
 		reference: func(t *testing.T, s *Server) map[string][]byte {
 			return map[string][]byte{"journal": merged(t, s)}
 		},
 		check: func(t *testing.T, at string, s *Server, life int, acked map[string]bool, ref map[string][]byte) {
-			var logs logLines
-			leased := leaseAndComplete(t, s, func() bool { return false }, &logs)
+			leased := leaseAndComplete(t, s, func() bool { return false })
 			for shard := range leased {
 				if acked[shard] || life > 0 {
 					t.Errorf("%s: restart %d re-leased published %s", at, life, shard)
@@ -300,4 +273,28 @@ func TestCrashPointsFabricShards(t *testing.T) {
 			}
 		},
 	})
+}
+
+// TestRestartSyncsNewFabricDir: a subdirectory first created on a later
+// start — the fabric's, on a data directory a plain daemon made — is
+// synced into the data directory.
+func TestRestartSyncsNewFabricDir(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(Options{DataDir: dir, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	fsys, err := durabletest.New(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err = newServer(Options{DataDir: dir, Workers: 1, Fabric: &FabricOptions{Exps: []string{"T2"}, Seed: 7, Quick: true}}, fsys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if points := fsys.Points(); !slices.Contains(points, "syncdir .") {
+		t.Errorf("restart crash points %v lack a sync of the data directory", points)
+	}
 }

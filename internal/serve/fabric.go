@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -59,8 +60,9 @@ type fabricState struct {
 	mu     sync.Mutex
 	spec   fabric.SweepSpec
 	board  *fabric.Board
-	shards [][]byte // uploaded shard journals, indexed by partition; nil = not done
-	dir    string   // persistence root, "" = memory only
+	shards [][]byte       // uploaded shard journals, indexed by partition; nil = not done
+	leases map[string]int // every lease granted since start → its partition
+	dir    string         // persistence root, "" = memory only
 	fsys   durable.FS
 	now    func() time.Time
 	logf   func(string, ...any)
@@ -84,6 +86,7 @@ func newFabricState(opts FabricOptions, dataDir string, fsys durable.FS, now fun
 		spec:   opts.spec(),
 		board:  board,
 		shards: make([][]byte, opts.Partitions),
+		leases: map[string]int{},
 		fsys:   fsys,
 		now:    now,
 		logf:   logf,
@@ -115,14 +118,32 @@ func (f *fabricState) shardPath(i int) string {
 	return filepath.Join(f.dir, fmt.Sprintf("shard-%d.jsonl", i))
 }
 
-// complete stores a partition's shard bytes. A duplicate completion (a
-// stolen lease's second copy, a re-leased worker resurfacing) is verified
-// merge-consistent with the stored bytes — shard files are not
-// byte-ordered deterministically under parallel sim workers, but their
-// entry sets are — and then dropped.
+// errShardNotDurable marks a first upload that could not be persisted.
+var errShardNotDurable = errors.New("shard not persisted")
+
+// complete stores a partition's shard bytes. The first upload must merge
+// with itself (or it would poison the final join) and is made durable
+// before the board marks the partition done, so one that fails either
+// step leaves the partition leased, to be re-issued when its lease
+// expires; a partition has bytes exactly when the board has marked it
+// done. A duplicate completion (a stolen lease's second copy, a
+// re-leased worker resurfacing) is verified merge-consistent with the
+// stored bytes — shard files are not byte-ordered deterministically under
+// parallel sim workers, but their entry sets are — and then dropped.
 func (f *fabricState) complete(leaseID string, data []byte) (partIdx int, duplicate bool, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if part, ok := f.leases[leaseID]; ok && f.shards[part] == nil {
+		if _, merr := sim.MergeJournals(io.Discard, []sim.MergeSource{{Name: "upload", Data: data}}); merr != nil {
+			return part, false, fmt.Errorf("shard %d upload is not a parseable journal: %w", part, merr)
+		}
+		if f.dir != "" {
+			if perr := durable.Publish(f.fsys, f.shardPath(part), data); perr != nil {
+				return part, false, fmt.Errorf("%w: shard %d: %v", errShardNotDurable, part, perr)
+			}
+		}
+		f.shards[part] = data
+	}
 	part, already, err := f.board.Complete(leaseID)
 	if err != nil {
 		return 0, false, err
@@ -135,21 +156,6 @@ func (f *fabricState) complete(leaseID string, data []byte) (partIdx int, duplic
 			return part, true, fmt.Errorf("duplicate shard %d upload conflicts with the stored copy: %w", part, merr)
 		}
 		return part, true, nil
-	}
-	// Reject garbage before marking the partition done durable: a shard
-	// that cannot merge with itself would poison the final join.
-	if _, merr := sim.MergeJournals(io.Discard, []sim.MergeSource{{Name: "upload", Data: data}}); merr != nil {
-		// The board already flipped the partition; undo is not modelled, so
-		// fail loudly — the lease generation still guards correctness
-		// because the worker will retry against a done partition and hit
-		// the duplicate path.
-		return part, false, fmt.Errorf("shard %d upload is not a parseable journal: %w", part, merr)
-	}
-	f.shards[part] = data
-	if f.dir != "" {
-		if perr := durable.Publish(f.fsys, f.shardPath(part), data); perr != nil {
-			f.logf("serve: fabric: persisting shard %d: %v", part, perr)
-		}
 	}
 	return part, false, nil
 }
@@ -212,6 +218,9 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	f := s.fabric
 	f.mu.Lock()
 	status, lease := f.board.Acquire(req.Worker, f.now())
+	if status == fabric.Granted {
+		f.leases[lease.ID] = lease.Shard.Index
+	}
 	f.mu.Unlock()
 	switch status {
 	case fabric.Granted:
@@ -258,7 +267,8 @@ type CompleteResponse struct {
 }
 
 // handleLeaseComplete is POST /v1/lease/{id}/complete with the shard
-// journal bytes as the body.
+// journal bytes as the body. A 200 means the shard is durable; 503 means
+// it could not be persisted and the partition stays leasable.
 func (s *Server) handleLeaseComplete(w http.ResponseWriter, r *http.Request) {
 	if s.fabric == nil {
 		writeError(w, http.StatusNotFound, "fabric coordinator not enabled")
@@ -272,8 +282,12 @@ func (s *Server) handleLeaseComplete(w http.ResponseWriter, r *http.Request) {
 	part, duplicate, err := s.fabric.complete(r.PathValue("id"), data)
 	if err != nil {
 		status := http.StatusBadRequest
-		if duplicate {
+		switch {
+		case duplicate:
 			status = http.StatusConflict
+		case errors.Is(err, errShardNotDurable):
+			status = http.StatusServiceUnavailable
+			s.fabric.logf("serve: fabric: %v", err)
 		}
 		writeError(w, status, "%v", err)
 		return

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -11,9 +12,11 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"bitspread/internal/durable"
 	"bitspread/internal/experiments"
 	"bitspread/internal/fabric"
 	"bitspread/internal/sim"
@@ -331,5 +334,62 @@ func TestFabricCoordinatorRestartKeepsShards(t *testing.T) {
 	resp.Body.Close()
 	if want := referenceJournalBytes(t, fopts.spec()); !bytes.Equal(got, want) {
 		t.Fatal("post-restart merge differs from reference")
+	}
+}
+
+// failShardRename is the real filesystem except that its first rename onto
+// a fabric shard fails, as when the disk fills mid-publish.
+type failShardRename struct {
+	durable.OS
+	failed atomic.Bool
+}
+
+func (f *failShardRename) Rename(oldpath, newpath string) error {
+	if strings.HasPrefix(filepath.Base(newpath), "shard-") && f.failed.CompareAndSwap(false, true) {
+		return errors.New("injected rename failure")
+	}
+	return f.OS.Rename(oldpath, newpath)
+}
+
+// A 200 from the complete endpoint means the shard is durable: an upload
+// whose publish fails answers 503 and leaves the partition leasable, and
+// the re-issued lease's upload lands on disk.
+func TestFabricCompleteUnpersistedIs503(t *testing.T) {
+	dir := t.TempDir()
+	clk := newFakeClock()
+	fopts := &FabricOptions{Exps: []string{"T2"}, Seed: 7, Quick: true, Partitions: 1, LeaseTTL: 10 * time.Second}
+	s, err := newServer(Options{DataDir: dir, Workers: 1, Fabric: fopts, now: clk.now}, &failShardRename{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	lease := func(worker string) LeaseResponse {
+		code, body := call(s, "POST", "/v1/lease", mustJSON(t, LeaseRequest{Worker: worker}))
+		var lr LeaseResponse
+		if err := json.Unmarshal(body, &lr); code != http.StatusOK || err != nil {
+			t.Fatalf("lease: code %d: %v", code, err)
+		}
+		return lr
+	}
+	shard := runShardBytes(t, fopts.spec(), fabric.Shard{Index: 0, Count: 1})
+	path := filepath.Join(dir, "fabric", "shard-0.jsonl")
+
+	first := lease("w1")
+	if code, body := call(s, "POST", "/v1/lease/"+first.LeaseID+"/complete", shard); code != http.StatusServiceUnavailable {
+		t.Fatalf("upload whose publish fails: code %d %s, want 503", code, body)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("shard file after the failed publish: %v, want none", err)
+	}
+	clk.advance(11 * time.Second)
+	again := lease("w2")
+	if again.Status != "lease" || again.Partition != 0 || again.LeaseID == first.LeaseID {
+		t.Fatalf("after the failed publish: %+v, want partition 0 re-issued", again)
+	}
+	if code, body := call(s, "POST", "/v1/lease/"+again.LeaseID+"/complete", shard); code != http.StatusOK {
+		t.Fatalf("second upload: code %d %s, want 200", code, body)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, shard) {
+		t.Fatalf("shard on disk after the 200: %d bytes, %v", len(got), err)
 	}
 }

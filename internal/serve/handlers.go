@@ -8,31 +8,11 @@ import (
 	"sort"
 	"strconv"
 
-	"bitspread/internal/engine"
 	"bitspread/internal/sim"
 )
 
-// probeFan tees engine probe events to the metrics probe and the job's
-// stream hub. Both legs honour the probe contract (non-blocking,
-// result-neutral), so the fan does too.
-type probeFan struct {
-	a, b engine.Probe
-}
-
-func (f probeFan) RoundDone(round, ones, sampled int64) {
-	f.a.RoundDone(round, ones, sampled)
-	f.b.RoundDone(round, ones, sampled)
-}
-func (f probeFan) FaultApplied(round int64) {
-	f.a.FaultApplied(round)
-	f.b.FaultApplied(round)
-}
-func (f probeFan) ShardRound(shard int, sampled int64) {
-	f.a.ShardRound(shard, sampled)
-	f.b.ShardRound(shard, sampled)
-}
-
-// observerFan tees sim run-level observer events the same way.
+// observerFan tees sim run-level observer events to the run observer and
+// the job's stream hub, as engine.Probes does for probe events.
 type observerFan struct {
 	a, b sim.Observer
 }

@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"bitspread/internal/durable"
+	"bitspread/internal/engine"
 	"bitspread/internal/obs"
 	"bitspread/internal/sim"
 )
@@ -217,15 +218,19 @@ func newServer(opts Options, fsys durable.FS) (*Server, error) {
 			return nil, err
 		}
 	}
-	// Every directory exists before the logs open: creating jobs.jsonl on
-	// a first start syncs the data directory, and with it their entries.
-	// The logs lock before they read or cut a byte, so a second daemon on
-	// a live directory fails here without touching it.
+	// Once every subdirectory exists, the data directory is synced, so
+	// each survives power loss whichever start created it (the fabric's
+	// may first appear on a later start). The logs lock before they read
+	// or cut a byte, so a second daemon on a live directory fails here
+	// without touching it.
 	var replayed []jobLogEntry
 	if opts.DataDir != "" {
 		s.cache, err = newResultCache(fsys, filepath.Join(opts.DataDir, "cache"))
 		if err != nil {
 			return nil, err
+		}
+		if err := fsys.SyncDir(opts.DataDir); err != nil {
+			return nil, fmt.Errorf("serve: sync data directory: %w", err)
 		}
 		s.log, replayed, err = openJobLogFS(fsys, filepath.Join(opts.DataDir, "jobs.jsonl"), opts.Logf)
 		if err != nil {
@@ -467,7 +472,7 @@ func (s *Server) runJob(jb *job, m *obs.Metrics) {
 	}
 
 	task := jb.task
-	task.Config.Probe = probeFan{m, jb.hub}
+	task.Config.Probe = engine.Probes(m, jb.hub)
 	task.Observer = observerFan{s.runObs, jb.hub}
 	out, err := sim.RunContext(ctx, task, s.opts.SimWorkers, s.journal)
 	s.probe.Fold(m)

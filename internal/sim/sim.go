@@ -61,9 +61,9 @@ type Task struct {
 	Seed     uint64
 	// Observer, if non-nil, receives the task's run-level lifecycle
 	// events (replica start/finish, checkpoint, recovery). Like
-	// Config.Probe it must be safe for concurrent use and never affects
-	// results; it is excluded from TaskKey, so journal resume is
-	// unchanged by attaching one.
+	// Config.Probe, which every worker's runs share, it must be safe for
+	// concurrent use and never affects results; it is excluded from
+	// TaskKey, so journal resume is unchanged by attaching one.
 	Observer Observer
 }
 
@@ -183,10 +183,8 @@ func (o *Outcome) SkippedCount() int {
 }
 
 // Run executes the task's replicas on at most workers goroutines
-// (workers <= 0 means GOMAXPROCS). The task's Config.Record must be nil:
-// recording hooks are not safe to share across replicas. Run never
-// cancels and keeps no checkpoint; it is RunContext with a background
-// context and no journal.
+// (workers <= 0 means GOMAXPROCS). Run never cancels and keeps no
+// checkpoint; it is RunContext with a background context and no journal.
 func Run(t Task, workers int) (Outcome, error) {
 	return RunContext(context.Background(), t, workers, nil)
 }
@@ -210,9 +208,6 @@ func Run(t Task, workers int) (Outcome, error) {
 func RunContext(ctx context.Context, t Task, workers int, journal *Journal) (Outcome, error) {
 	if t.Replicas < 1 {
 		return Outcome{}, fmt.Errorf("sim: task %q has %d replicas", t.Name, t.Replicas)
-	}
-	if t.Config.Record != nil {
-		return Outcome{}, fmt.Errorf("sim: task %q sets Config.Record; per-replica recording is not supported", t.Name)
 	}
 	run, err := runner(t.Mode)
 	if err != nil {

@@ -149,11 +149,6 @@ func TestRunValidation(t *testing.T) {
 		t.Error("unknown mode accepted")
 	}
 	task = voterTask(2, 1)
-	task.Config.Record = func(int64, int64) {}
-	if _, err := Run(task, 1); err == nil {
-		t.Error("shared Record hook accepted")
-	}
-	task = voterTask(2, 1)
 	task.Config.N = 0
 	if _, err := Run(task, 1); err == nil {
 		t.Error("invalid engine config accepted")

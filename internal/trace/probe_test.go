@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"reflect"
 	"testing"
 
 	"bitspread/internal/engine"
@@ -9,57 +8,17 @@ import (
 	"bitspread/internal/rng"
 )
 
-// *Recorder must satisfy the engine probe contract, so a trajectory tap
-// can ride the structured event stream instead of Config.Record.
+// *Recorder must satisfy the engine probe contract: it is how a run's
+// trajectory is recorded.
 var _ engine.Probe = (*Recorder)(nil)
 
-// TestRecorderAsEngineProbe runs the same seeded instance twice — once
-// with the recorder as Config.Record, once as Config.Probe — and demands
-// identical trajectories and identical Results.
-func TestRecorderAsEngineProbe(t *testing.T) {
-	rule := protocol.Minority(3)
-	base := engine.Config{N: 512, Rule: rule, Z: 1, X0: 256}
-
-	viaRecord := NewRecorder(base.N, 4)
-	cfgR := base
-	cfgR.Record = viaRecord.Hook
-	resR, err := engine.RunParallel(cfgR, rng.New(42))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	viaProbe := NewRecorder(base.N, 4)
-	cfgP := base
-	cfgP.Probe = viaProbe
-	resP, err := engine.RunParallel(cfgP, rng.New(42))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if resR != resP {
-		t.Errorf("Result differs: record=%+v probe=%+v", resR, resP)
-	}
-	r1, c1 := viaRecord.Points()
-	r2, c2 := viaProbe.Points()
-	if !reflect.DeepEqual(r1, r2) || !reflect.DeepEqual(c1, c2) {
-		t.Errorf("trajectories differ:\nrecord %v %v\nprobe  %v %v", r1, c1, r2, c2)
-	}
-	if viaProbe.Len() == 0 {
-		t.Fatal("probe recorded nothing")
-	}
-	last := c2[len(c2)-1]
-	if resP.Converged && last != base.N {
-		t.Errorf("terminal point = %d, want consensus %d", last, base.N)
-	}
-}
-
 // TestSequentialTerminalPoint pins the sequential engine's terminal
-// emission: mid-round convergence must surface the final count to the
-// Record hook instead of stopping one partial round short.
+// emission: mid-round convergence must surface the final count through
+// RoundDone instead of stopping one partial round short.
 func TestSequentialTerminalPoint(t *testing.T) {
 	rule := protocol.Voter(1)
 	rec := NewRecorder(64, 1)
-	cfg := engine.Config{N: 64, Rule: rule, Z: 1, X0: 32, Record: rec.Hook}
+	cfg := engine.Config{N: 64, Rule: rule, Z: 1, X0: 32, Probe: rec}
 	res, err := engine.RunSequential(cfg, rng.New(7))
 	if err != nil {
 		t.Fatal(err)

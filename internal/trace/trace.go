@@ -1,5 +1,5 @@
 // Package trace records and renders one-count trajectories: downsampling
-// recorders that plug into the engines' Record hooks, and terminal
+// recorders that attach to an engine run as its probe, and terminal
 // renderings (sparklines and signed bar charts) used by the examples and
 // the bitsim tool.
 package trace
@@ -9,25 +9,24 @@ import (
 	"strings"
 )
 
-// Recorder collects a downsampled trajectory through an engine Record
-// hook. The zero value records nothing; construct with NewRecorder.
+// Recorder collects a downsampled trajectory of one run as its engine
+// probe (it satisfies the engine Probe contract): RoundDone feeds the
+// trajectory, and the fault/shard events are ignored. The zero value
+// records nothing; construct with NewRecorder.
 //
-// The recorder always retains the last hooked point: when a run
+// The recorder always retains the last point it was fed: when a run
 // converges at a round that is not a multiple of the sampling stride,
 // the terminal point is appended to Points/Fractions/Plot anyway, so a
 // trajectory ends at consensus instead of up to every-1 rounds early.
 //
-// A *Recorder is also an engine probe (it satisfies the engine Probe
-// contract): RoundDone feeds the trajectory exactly like Hook, and the
-// fault/shard events are ignored. Unlike the atomic obs probes it is NOT
-// safe for concurrent use — attach it to single-run configs only, as
-// Config.Record.
+// Unlike the atomic obs probes it is not safe for concurrent use, so it
+// watches one run, never a sweep's shared replicas.
 type Recorder struct {
 	every  int64
 	n      int64
 	rounds []int64
 	counts []int64
-	// Terminal-point retention: the last hooked point, kept even when its
+	// Terminal-point retention: the last point fed, kept even when its
 	// round is not a multiple of every.
 	lastRound int64
 	lastCount int64
@@ -53,23 +52,20 @@ func ForBudget(n, budget int64, points int) *Recorder {
 	return NewRecorder(n, budget/int64(points))
 }
 
-// Hook is the engine-compatible record callback. On a zero-value (or
-// nil) recorder it records nothing — it must never be the hook that
+// RoundDone implements the engine Probe contract, feeding the trajectory;
+// the sampled-agent count is not part of a trajectory. On a zero-value
+// (or nil) recorder it records nothing — it must never be the probe that
 // crashes a run.
-func (r *Recorder) Hook(round, count int64) {
+func (r *Recorder) RoundDone(round, ones, sampled int64) {
 	if r == nil || r.every < 1 {
 		return
 	}
-	r.lastRound, r.lastCount, r.hasLast = round, count, true
+	r.lastRound, r.lastCount, r.hasLast = round, ones, true
 	if round%r.every == 0 {
 		r.rounds = append(r.rounds, round)
-		r.counts = append(r.counts, count)
+		r.counts = append(r.counts, ones)
 	}
 }
-
-// RoundDone implements the engine Probe contract, feeding the trajectory
-// like Hook; the sampled-agent count is not part of a trajectory.
-func (r *Recorder) RoundDone(round, ones, sampled int64) { r.Hook(round, ones) }
 
 // FaultApplied implements the engine Probe contract; recorders track
 // counts only.

@@ -8,7 +8,7 @@ import (
 func TestRecorderDownsamples(t *testing.T) {
 	r := NewRecorder(100, 10)
 	for round := int64(1); round <= 95; round++ {
-		r.Hook(round, round)
+		r.RoundDone(round, round, 0)
 	}
 	// Rounds 10..90 on the stride, plus the retained terminal round 95.
 	if r.Len() != 10 {
@@ -32,14 +32,14 @@ func TestRecorderDownsamples(t *testing.T) {
 func TestRecorderTerminalRetention(t *testing.T) {
 	r := NewRecorder(100, 10)
 	for round := int64(1); round <= 20; round++ {
-		r.Hook(round, round)
+		r.RoundDone(round, round, 0)
 	}
 	// On-stride ending: no duplicate terminal point.
 	rounds, _ := r.Points()
 	if len(rounds) != 2 || rounds[1] != 20 {
 		t.Fatalf("on-stride points = %v, want [10 20]", rounds)
 	}
-	r.Hook(23, 99)
+	r.RoundDone(23, 99, 0)
 	rounds, counts := r.Points()
 	if len(rounds) != 3 || rounds[2] != 23 || counts[2] != 99 {
 		t.Fatalf("off-stride points = %v/%v, want terminal (23, 99)", rounds, counts)
@@ -53,7 +53,7 @@ func TestRecorderTerminalRetention(t *testing.T) {
 	// The terminal point is only the run's LAST point: once a later
 	// on-stride round arrives, the former off-stride tail (23) drops back
 	// out of the downsample.
-	r.Hook(30, 30)
+	r.RoundDone(30, 30, 0)
 	rounds, _ = r.Points()
 	if len(rounds) != 3 || rounds[2] != 30 {
 		t.Errorf("points after round 30 = %v, want [10 20 30]", rounds)
@@ -61,11 +61,11 @@ func TestRecorderTerminalRetention(t *testing.T) {
 }
 
 // TestZeroValueRecorderIsInert is the regression test for the zero-value
-// panic: the docs promise "the zero value records nothing", but Hook used
-// to divide by the zero stride.
+// panic: the docs promise "the zero value records nothing", but the
+// recorder used to divide by the zero stride.
 func TestZeroValueRecorderIsInert(t *testing.T) {
 	var r Recorder
-	r.Hook(1, 5) // must not panic
+	r.RoundDone(1, 5, 0) // must not panic
 	r.RoundDone(2, 6, 4)
 	if r.Len() != 0 {
 		t.Errorf("zero value recorded %d points", r.Len())
@@ -80,7 +80,7 @@ func TestZeroValueRecorderIsInert(t *testing.T) {
 		t.Errorf("zero value plot = %q", got)
 	}
 	var nilR *Recorder
-	nilR.Hook(1, 5) // nil receiver is inert too
+	nilR.RoundDone(1, 5, 0) // nil receiver is inert too
 }
 
 // TestFractionsZeroPopulation is the regression test for the NaN leak: a
@@ -88,7 +88,7 @@ func TestZeroValueRecorderIsInert(t *testing.T) {
 // renderers must survive NaN inputs regardless.
 func TestFractionsZeroPopulation(t *testing.T) {
 	r := &Recorder{every: 1} // hand-rolled: n == 0 but recording enabled
-	r.Hook(1, 5)
+	r.RoundDone(1, 5, 0)
 	fr := r.Fractions()
 	if len(fr) != 1 || fr[0] != 0 {
 		t.Errorf("fractions with n=0 = %v, want [0]", fr)
@@ -108,7 +108,7 @@ func TestFractionsZeroPopulation(t *testing.T) {
 
 func TestRecorderEveryClamped(t *testing.T) {
 	r := NewRecorder(10, 0)
-	r.Hook(1, 5)
+	r.RoundDone(1, 5, 0)
 	if r.Len() != 1 {
 		t.Error("every=0 should record every round")
 	}
@@ -117,7 +117,7 @@ func TestRecorderEveryClamped(t *testing.T) {
 func TestForBudget(t *testing.T) {
 	r := ForBudget(100, 600, 60)
 	for round := int64(1); round <= 600; round++ {
-		r.Hook(round, 50)
+		r.RoundDone(round, 50, 0)
 	}
 	if r.Len() != 60 {
 		t.Errorf("recorded %d points, want 60", r.Len())
@@ -129,8 +129,8 @@ func TestForBudget(t *testing.T) {
 
 func TestFractions(t *testing.T) {
 	r := NewRecorder(200, 1)
-	r.Hook(1, 100)
-	r.Hook(2, 200)
+	r.RoundDone(1, 100, 0)
+	r.RoundDone(2, 200, 0)
 	fr := r.Fractions()
 	if len(fr) != 2 || fr[0] != 0.5 || fr[1] != 1 {
 		t.Errorf("fractions = %v", fr)
@@ -139,7 +139,7 @@ func TestFractions(t *testing.T) {
 
 func TestPointsAreCopies(t *testing.T) {
 	r := NewRecorder(10, 1)
-	r.Hook(1, 5)
+	r.RoundDone(1, 5, 0)
 	rounds, _ := r.Points()
 	rounds[0] = 999
 	if again, _ := r.Points(); again[0] != 1 {
@@ -160,8 +160,8 @@ func TestSparkline(t *testing.T) {
 
 func TestRecorderSparkline(t *testing.T) {
 	r := NewRecorder(8, 1)
-	r.Hook(1, 0)
-	r.Hook(2, 8)
+	r.RoundDone(1, 0, 0)
+	r.RoundDone(2, 8, 0)
 	if got := r.Sparkline(); got != "▁█" {
 		t.Errorf("Sparkline = %q", got)
 	}
@@ -169,9 +169,9 @@ func TestRecorderSparkline(t *testing.T) {
 
 func TestPlot(t *testing.T) {
 	r := NewRecorder(10, 1)
-	r.Hook(1, 0)
-	r.Hook(2, 5)
-	r.Hook(3, 10)
+	r.RoundDone(1, 0, 0)
+	r.RoundDone(2, 5, 0)
+	r.RoundDone(3, 10, 0)
 	out := r.Plot(5)
 	if !strings.Contains(out, "1.00 |") || !strings.Contains(out, "0.00 |") {
 		t.Errorf("axis labels missing:\n%s", out)
@@ -194,7 +194,7 @@ func TestPlotEmptyAndClamp(t *testing.T) {
 	if got := r.Plot(5); !strings.Contains(got, "no points") {
 		t.Errorf("empty plot = %q", got)
 	}
-	r.Hook(1, 5)
+	r.RoundDone(1, 5, 0)
 	if out := r.Plot(1); strings.Count(out, "|") < 2 {
 		t.Errorf("rows clamp failed:\n%s", out)
 	}

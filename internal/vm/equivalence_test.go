@@ -14,6 +14,7 @@ import (
 	"bitspread/internal/fault"
 	"bitspread/internal/protocol"
 	"bitspread/internal/rng"
+	"bitspread/internal/trace"
 	"bitspread/internal/vm"
 )
 
@@ -108,7 +109,7 @@ func TestCompiledBuiltinsByteIdenticalAcrossEngines(t *testing.T) {
 
 	run := func(f func(engine.Config, *rng.RNG) (engine.Result, error),
 		r *protocol.Rule, seed uint64) (engine.Result, []int64) {
-		var traj []int64
+		rec := trace.NewRecorder(256, 1)
 		cfg := engine.Config{
 			N:         256,
 			Rule:      r,
@@ -116,12 +117,13 @@ func TestCompiledBuiltinsByteIdenticalAcrossEngines(t *testing.T) {
 			X0:        96,
 			MaxRounds: 48,
 			Faults:    sched,
-			Record:    func(round, count int64) { traj = append(traj, count) },
+			Probe:     rec,
 		}
 		res, err := f(cfg, rng.New(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
+		_, traj := rec.Points()
 		return res, traj
 	}
 
