@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test verify fmt-check bench-check vet-race race-packed obs-race serve-race fabric-race vm-race lint lint-fixtures lint-audit lint-baseline ci bench bench-compare bench-packed-scale bench-fabric-scale fuzz-fault fuzz-vm bench-smoke
+.PHONY: build test verify fmt-check bench-check vet-race race-packed obs-race serve-race fabric-race vm-race lint lint-fixtures lint-audit lint-baseline ci bench bench-compare fuzz-fault fuzz-vm bench-smoke
 
 build:
 	$(GO) build ./...
@@ -122,12 +122,13 @@ fuzz-vm:
 	$(GO) test -fuzz=FuzzVMEquivalence -fuzztime=10s -run '^$$' ./internal/vm/
 	$(GO) test -fuzz=FuzzProgramTotality -fuzztime=10s -run '^$$' ./internal/vm/
 
-# Bench smoke: compile and run each engine micro-benchmark once (the
-# agent bodies, and the exported count and sequential steps, which share
-# the bodies' step functions) so a broken benchmark body fails CI rather
-# than the next perf run.
+# Bench smoke: run each engine micro-benchmark once (the agent-engine
+# scaling cells, and the exported count and sequential steps, which share
+# the bodies' step functions) and each fabric worker-count cell, whose
+# merged journal must equal the single-process reference, so a broken
+# benchmark body fails CI rather than the next perf run.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkRunAgents|BenchmarkAgentBody|BenchmarkStepCount|BenchmarkSequentialStep|BenchmarkEngineAblation' -benchtime 1x . ./internal/engine/
+	$(GO) test -run '^$$' -bench 'BenchmarkRunAgents|BenchmarkStepCount|BenchmarkSequentialStep|BenchmarkEngineAblation|BenchmarkFabricWorkers' -benchtime 1x . ./internal/serve/
 
 ci: verify fmt-check bench-check vet-race race-packed obs-race serve-race fabric-race vm-race lint lint-fixtures fuzz-fault fuzz-vm bench-smoke
 
@@ -143,20 +144,3 @@ bench:
 #   make bench-compare OLD=parent.jsonl NEW=change.jsonl
 bench-compare:
 	bash benchmark/run.sh -compare $(OLD) $(NEW)
-
-# Multi-core scaling matrix: GOMAXPROCS × shards × n cells of the packed
-# and chunked layouts, each cell recording ns/op and agent-rounds/sec in
-# one JSON record. Axes default to powers of two up to NumCPU, n ∈
-# {2²⁰, 2²⁴} and shards ∈ {1, NumCPU}; override with SCALE_ARGS, e.g.
-# SCALE_ARGS='-scale-ns 4294967296 -scale-shards 4' for a multi-chunk
-# huge-n record.
-bench-packed-scale:
-	$(GO) run ./cmd/bitbench -suite packed-scale -out BENCH_engines.json $(SCALE_ARGS)
-
-# Distributed-sweep scaling matrix: worker counts over an in-process
-# lease board, each cell timing the full lease-compute-merge cycle
-# (tasks/sec, steal counts) and asserting merge byte-identity against
-# the single-worker cell. Override axes with FABRIC_ARGS, e.g.
-# FABRIC_ARGS='-fabric-workers 1,2,4,8 -fabric-partitions 8'.
-bench-fabric-scale:
-	$(GO) run ./cmd/bitbench -suite fabric-scale -out BENCH_engines.json $(FABRIC_ARGS)

@@ -10,6 +10,7 @@
 package bitspread_test
 
 import (
+	"fmt"
 	"os"
 	"runtime"
 	"testing"
@@ -141,38 +142,50 @@ func BenchmarkEngineAblation(b *testing.B) {
 	})
 }
 
-// BenchmarkRunAgents compares the agent-engine variants on the
-// acceptance instance n = 2¹⁸, ℓ = 3: the historical byte-per-opinion
-// body (literal), its bit-packed fast path (packed, the RunAgents
-// default) and the GOMAXPROCS-sharded packed engine (DESIGN.md §10).
-// Throughput is reported as agent updates per second.
+// BenchmarkRunAgents times full two-round runs of the Minority(3) trap
+// from X₀ = n/2 on the agent-engine variants: the byte-per-opinion
+// reference body (literal, at n = 2²⁰ only), the bitset engine (packed,
+// the RunAgents default) and the bitset engine split into NumCPU shards
+// (sharded; DESIGN.md §10). The GOMAXPROCS axis is -cpu; sharded keeps
+// NumCPU shards at every value, so -cpu 1 measures the cost of sharding
+// on one proc:
+//
+//	go test -run '^$' -bench BenchmarkRunAgents -cpu 1,2,4 .
+//
+// Throughput is agent-rounds (n × Result.Rounds) per second.
 func BenchmarkRunAgents(b *testing.B) {
-	const n = 1 << 18
-	cfg := bitspread.Config{
-		N:         n,
-		Rule:      bitspread.Minority(3),
-		Z:         1,
-		X0:        n / 2,
-		MaxRounds: 2,
-	}
-	run := func(b *testing.B, opts bitspread.AgentOptions) {
-		g := bitspread.NewRNG(1)
-		var updates int64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			res, err := bitspread.RunAgents(cfg, opts, g)
-			if err != nil {
-				b.Fatal(err)
-			}
-			updates += res.Activations
+	sharded := bitspread.AgentOptions{Shards: runtime.NumCPU()}
+	for _, c := range []struct {
+		n    int64
+		name string
+		opts bitspread.AgentOptions
+	}{
+		{1 << 20, "literal", bitspread.AgentOptions{Unpacked: true}},
+		{1 << 20, "packed", bitspread.AgentOptions{}},
+		{1 << 20, "sharded", sharded},
+		{1 << 24, "packed", bitspread.AgentOptions{}},
+		{1 << 24, "sharded", sharded},
+	} {
+		cfg := bitspread.Config{
+			N:         c.n,
+			Rule:      bitspread.Minority(3),
+			Z:         1,
+			X0:        c.n / 2,
+			MaxRounds: 2,
 		}
-		b.ReportMetric(float64(updates)/b.Elapsed().Seconds()/1e6, "Mupdates/s")
+		b.Run(fmt.Sprintf("n=%d/%s", c.n, c.name), func(b *testing.B) {
+			g := bitspread.NewRNG(1)
+			var agentRounds int64
+			for i := 0; i < b.N; i++ {
+				res, err := bitspread.RunAgents(cfg, c.opts, g)
+				if err != nil {
+					b.Fatal(err)
+				}
+				agentRounds += c.n * res.Rounds
+			}
+			b.ReportMetric(float64(agentRounds)/b.Elapsed().Seconds(), "agent-rounds/s")
+		})
 	}
-	b.Run("literal", func(b *testing.B) { run(b, bitspread.AgentOptions{Unpacked: true}) })
-	b.Run("packed", func(b *testing.B) { run(b, bitspread.AgentOptions{}) })
-	b.Run("sharded", func(b *testing.B) {
-		run(b, bitspread.AgentOptions{Shards: runtime.GOMAXPROCS(0)})
-	})
 }
 
 // BenchmarkStepCountBatch measures one lockstep round of a replica batch

@@ -50,8 +50,8 @@ func run(args []string, w io.Writer) (err error) {
 		n           = fs.Int64("n", 1024, "population size (including sources)")
 		z           = fs.Int("z", 1, "correct opinion held by the source")
 		initSpec    = fs.String("init", "worst", "initial configuration: worst, balanced, adversarial, or an explicit count")
-		mode        = fs.String("mode", "parallel", "activation model: parallel, sequential, agents, packed, chunked")
-		shards      = fs.Int("shards", 1, "agent-engine shards (mode=agents/packed/chunked; deterministic per seed+shards)")
+		mode        = fs.String("mode", "parallel", "activation model: parallel, sequential, agents")
+		shards      = fs.Int("shards", 1, "agent-engine shards (mode=agents; deterministic per seed+shards)")
 		unpacked    = fs.Bool("unpacked", false, "force the serial byte-per-opinion reference agent engine (mode=agents; no -shards)")
 		rounds      = fs.Int64("rounds", 0, "round cap (0: default O(n log n))")
 		seed        = fs.Uint64("seed", 1, "random seed")
@@ -67,6 +67,19 @@ func run(args []string, w io.Writer) (err error) {
 	}
 	if *unpacked && *shards > 1 {
 		return fmt.Errorf("-unpacked runs the serial reference engine and takes no -shards (got %d); drop -unpacked to shard the bitset engine", *shards)
+	}
+	switch *mode {
+	case "parallel", "sequential":
+	case "agents":
+		// The engine would clamp an unsatisfiable shard count; reject it
+		// instead, so the run is the one asked for: a shard of the bitset
+		// engine must own at least one whole 64-bit word.
+		if max := engine.MaxPackedShards(*n); *shards > max {
+			return fmt.Errorf("-shards %d exceeds the bitset limit for n=%d: a shard must own at least one whole word (max %d)",
+				*shards, *n, max)
+		}
+	default:
+		return fmt.Errorf("unknown mode %q (want parallel, sequential or agents)", *mode)
 	}
 	if err := prof.Start(); err != nil {
 		return err
@@ -136,11 +149,8 @@ func run(args []string, w io.Writer) (err error) {
 	cfg.Probe = engine.Probes(recorder, printer, metrics)
 
 	shardNote := ""
-	switch *mode {
-	case "agents", "packed", "chunked":
-		if *shards > 1 {
-			shardNote = fmt.Sprintf("  shards=%d", *shards)
-		}
+	if *mode == "agents" && *shards > 1 {
+		shardNote = fmt.Sprintf("  shards=%d", *shards)
 	}
 	fmt.Fprintf(w, "rule=%v  n=%d  z=%d  X0=%d  mode=%s  seed=%d%s\n",
 		rule, cfg.N, cfg.Z, cfg.X0, *mode, *seed, shardNote)
@@ -151,23 +161,12 @@ func run(args []string, w io.Writer) (err error) {
 	g := rng.New(*seed)
 	var res engine.Result
 	switch *mode {
-	case "parallel":
-		res, err = engine.RunParallel(cfg, g)
 	case "sequential":
 		res, err = engine.RunSequential(cfg, g)
 	case "agents":
 		res, err = engine.RunAgents(cfg, engine.AgentOptions{Shards: *shards, Unpacked: *unpacked}, g)
-	case "packed", "chunked":
-		// These modes request an explicit bitset body, so an unsatisfiable
-		// shard count is an error rather than the silent clamp of -mode
-		// agents: a packed shard must own at least one whole 64-bit word.
-		if max := engine.MaxPackedShards(cfg.N); *shards > max {
-			return fmt.Errorf("-shards %d exceeds the bitset limit for n=%d: a shard must own at least one whole word (max %d)",
-				*shards, cfg.N, max)
-		}
-		res, err = engine.RunAgents(cfg, engine.AgentOptions{Shards: *shards, Chunked: *mode == "chunked"}, g)
 	default:
-		return fmt.Errorf("unknown mode %q", *mode)
+		res, err = engine.RunParallel(cfg, g)
 	}
 	if err != nil {
 		return err

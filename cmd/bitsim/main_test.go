@@ -59,7 +59,7 @@ func TestRunSequentialAndAgents(t *testing.T) {
 func TestRunAgentsSharded(t *testing.T) {
 	runOnce := func() string {
 		var out strings.Builder
-		err := run([]string{"-rule", "voter", "-n", "64", "-mode", "agents",
+		err := run([]string{"-rule", "voter", "-n", "256", "-mode", "agents",
 			"-shards", "4", "-init", "worst", "-seed", "3"}, &out)
 		if err != nil {
 			t.Fatal(err)
@@ -96,42 +96,44 @@ func TestRunUnpackedRejectsShards(t *testing.T) {
 	}
 }
 
+// The sharded run the removed -mode packed and -mode chunked gave is
+// -mode agents: the bitset engine with the requested shard count.
 func TestRunPackedAndChunkedModes(t *testing.T) {
-	for _, mode := range []string{"packed", "chunked"} {
-		runOnce := func() string {
-			var out strings.Builder
-			err := run([]string{"-rule", "voter", "-n", "256", "-mode", mode,
-				"-shards", "3", "-init", "worst", "-seed", "5"}, &out)
-			if err != nil {
-				t.Fatalf("%s: %v", mode, err)
-			}
-			return out.String()
+	runOnce := func() string {
+		var out strings.Builder
+		err := run([]string{"-rule", "voter", "-n", "256", "-mode", "agents",
+			"-shards", "3", "-init", "worst", "-seed", "5"}, &out)
+		if err != nil {
+			t.Fatal(err)
 		}
-		got := runOnce()
-		if !strings.Contains(got, "shards=3") {
-			t.Errorf("%s header missing shard count:\n%s", mode, got)
-		}
-		if !strings.Contains(got, "converged in") {
-			t.Errorf("%s mode did not converge:\n%s", mode, got)
-		}
-		if again := runOnce(); again != got {
-			t.Errorf("%s: same (seed, shards) produced different output:\n%s\nvs\n%s", mode, got, again)
-		}
+		return out.String()
+	}
+	got := runOnce()
+	if !strings.Contains(got, "mode=agents  seed=5  shards=3") {
+		t.Errorf("header missing mode or shard count:\n%s", got)
+	}
+	if !strings.Contains(got, "converged in") {
+		t.Errorf("sharded run did not converge:\n%s", got)
+	}
+	if again := runOnce(); again != got {
+		t.Errorf("same (seed, shards) produced different output:\n%s\nvs\n%s", got, again)
 	}
 }
 
 func TestRunPackedShardLimit(t *testing.T) {
 	// n=64 is a single bitset word, so any shard count above 1 cannot give
-	// every shard a whole word and must be rejected, not clamped.
-	for _, mode := range []string{"packed", "chunked"} {
-		var out strings.Builder
-		err := run([]string{"-rule", "voter", "-n", "64", "-mode", mode, "-shards", "2"}, &out)
-		if err == nil {
-			t.Fatalf("%s: oversubscribed shard count accepted", mode)
-		}
-		if !strings.Contains(err.Error(), "whole word") {
-			t.Errorf("%s: error %q does not explain the word-ownership rule", mode, err)
-		}
+	// every shard a whole word and must be rejected, not clamped, before
+	// anything is printed.
+	var out strings.Builder
+	err := run([]string{"-rule", "voter", "-n", "64", "-mode", "agents", "-shards", "2"}, &out)
+	if err == nil {
+		t.Fatal("oversubscribed shard count accepted")
+	}
+	if !strings.Contains(err.Error(), "whole word") {
+		t.Errorf("error %q does not explain the word-ownership rule", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("rejected shard count printed output:\n%s", out.String())
 	}
 }
 
@@ -175,6 +177,8 @@ func TestRunErrors(t *testing.T) {
 		{"-mode", "warp", "-n", "16"},
 		{"-mode", "aggregated", "-n", "16"},
 		{"-mode", "aggregate", "-n", "16"},
+		{"-mode", "packed", "-n", "16"},
+		{"-mode", "chunked", "-n", "16"},
 		{"-init", "not-a-number", "-n", "16"},
 		{"-schedule", "bogus"},
 	}
@@ -182,6 +186,9 @@ func TestRunErrors(t *testing.T) {
 		var out strings.Builder
 		if err := run(args, &out); err == nil {
 			t.Errorf("args %v accepted", args)
+		}
+		if out.Len() != 0 {
+			t.Errorf("args %v printed output before failing:\n%s", args, out.String())
 		}
 	}
 }

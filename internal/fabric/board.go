@@ -7,8 +7,7 @@ import (
 
 // Board is the coordinator-side lease state machine for one sweep: N
 // partitions, each walked through pending → leased → done. It is the
-// authority behind internal/serve's /v1/lease endpoints and the
-// in-process scheduler of the fabric-scale bench.
+// authority behind internal/serve's /v1/lease endpoints.
 //
 // The board deliberately trusts determinism instead of workers:
 //

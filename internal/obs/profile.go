@@ -10,8 +10,8 @@ import (
 
 // Profile is the unified pprof flag pair of the CLIs: every tool
 // registers the same -cpuprofile/-memprofile flags with the same
-// semantics, so profiling a hot path works identically across bitsim,
-// bitsweep and bitbench.
+// semantics, so profiling a hot path works identically in bitsim and
+// bitsweep (a Go benchmark takes go test's flags of the same names).
 //
 //	var prof obs.Profile
 //	prof.Register(fs)

@@ -185,7 +185,8 @@ type LeaseRequest struct {
 
 // LeaseResponse answers lease acquisition and renewal.
 type LeaseResponse struct {
-	// Status is "lease", "wait" or "done".
+	// Status is "lease", "wait" (every live partition is leased; ask
+	// again after a backoff) or "done".
 	Status string `json:"status"`
 	// LeaseID, Partition, Partitions and Spec are set when Status=="lease".
 	LeaseID    string            `json:"lease_id,omitempty"`
@@ -194,8 +195,6 @@ type LeaseResponse struct {
 	Stolen     bool              `json:"stolen,omitempty"`
 	TTLMillis  int64             `json:"ttl_ms,omitempty"`
 	Spec       *fabric.SweepSpec `json:"spec,omitempty"`
-	// RetryMillis hints the backoff when Status=="wait".
-	RetryMillis int64 `json:"retry_ms,omitempty"`
 }
 
 // handleLease is POST /v1/lease: a worker asks for its next partition.
@@ -235,7 +234,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 			Spec:       &spec,
 		})
 	case fabric.Wait:
-		writeJSON(w, http.StatusOK, LeaseResponse{Status: "wait", RetryMillis: (f.board.TTL() / 4).Milliseconds()})
+		writeJSON(w, http.StatusOK, LeaseResponse{Status: "wait"})
 	default:
 		writeJSON(w, http.StatusOK, LeaseResponse{Status: "done"})
 	}

@@ -42,7 +42,7 @@ func (c *fakeClock) advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-func postLease(t *testing.T, ts *httptest.Server, worker string) (int, LeaseResponse) {
+func postLease(t testing.TB, ts *httptest.Server, worker string) (int, LeaseResponse) {
 	t.Helper()
 	body, _ := json.Marshal(LeaseRequest{Worker: worker})
 	resp, err := http.Post(ts.URL+"/v1/lease", "application/json", bytes.NewReader(body))
@@ -55,7 +55,7 @@ func postLease(t *testing.T, ts *httptest.Server, worker string) (int, LeaseResp
 	return resp.StatusCode, lr
 }
 
-func postComplete(t *testing.T, ts *httptest.Server, leaseID string, shard []byte) (int, CompleteResponse, string) {
+func postComplete(t testing.TB, ts *httptest.Server, leaseID string, shard []byte) (int, CompleteResponse, string) {
 	t.Helper()
 	resp, err := http.Post(ts.URL+"/v1/lease/"+leaseID+"/complete", "application/x-ndjson", bytes.NewReader(shard))
 	if err != nil {
@@ -68,7 +68,7 @@ func postComplete(t *testing.T, ts *httptest.Server, leaseID string, shard []byt
 	return resp.StatusCode, cr, string(raw)
 }
 
-func runShardBytes(t *testing.T, spec fabric.SweepSpec, shard fabric.Shard) []byte {
+func runShardBytes(t testing.TB, spec fabric.SweepSpec, shard fabric.Shard) []byte {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "shard.jsonl")
 	if _, err := fabric.RunShard(context.Background(), spec, shard, path, false, t.Logf); err != nil {
@@ -83,7 +83,7 @@ func runShardBytes(t *testing.T, spec fabric.SweepSpec, shard fabric.Shard) []by
 
 // referenceJournalBytes is the single-process single-worker journal the
 // coordinator's merge must reproduce byte for byte.
-func referenceJournalBytes(t *testing.T, spec fabric.SweepSpec) []byte {
+func referenceJournalBytes(t testing.TB, spec fabric.SweepSpec) []byte {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "ref.jsonl")
 	j, err := sim.OpenJournal(path, false)
@@ -391,5 +391,68 @@ func TestFabricCompleteUnpersistedIs503(t *testing.T) {
 	}
 	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, shard) {
 		t.Fatalf("shard on disk after the 200: %d bytes, %v", len(got), err)
+	}
+}
+
+// leaseWatch is an HTTP transport that reports the status of the first
+// /v1/lease answer it carries.
+type leaseWatch struct {
+	once   sync.Once
+	status chan string
+}
+
+func (l *leaseWatch) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err != nil || req.URL.Path != "/v1/lease" {
+		return resp, err
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(raw))
+	var lr LeaseResponse
+	_ = json.Unmarshal(raw, &lr)
+	l.once.Do(func() { l.status <- lr.Status })
+	return resp, nil
+}
+
+// A worker told to wait while every live partition is leased and stolen
+// paces itself with its own backoff, so it leaves soon after the sweep
+// drains instead of sleeping out a fraction of the lease TTL.
+func TestPullWorkerWaitEndsWithSweep(t *testing.T) {
+	fopts := &FabricOptions{Exps: []string{"T2"}, Seed: 7, Quick: true, Partitions: 1}
+	_, ts := newTestServer(t, Options{Fabric: fopts})
+	_, a := postLease(t, ts, "a")
+	_, b := postLease(t, ts, "b")
+	if a.Status != "lease" || b.Status != "lease" || !b.Stolen {
+		t.Fatalf("a %+v, b %+v: want a lease and its steal", a, b)
+	}
+	shard := runShardBytes(t, fopts.spec(), fabric.Shard{Index: 0, Count: 1})
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	watch := &leaseWatch{status: make(chan string, 1)}
+	done := make(chan error, 1)
+	go func() {
+		done <- RunPullWorker(ctx, PullWorkerOptions{
+			URL: ts.URL, Name: "c", ShardDir: t.TempDir(),
+			Client: &http.Client{Transport: watch},
+		})
+	}()
+	select {
+	case st := <-watch.status:
+		if st != "wait" {
+			t.Fatalf("c's first lease answer: %q, want wait", st)
+		}
+	case err := <-done:
+		t.Fatalf("c returned %v before its first lease answer", err)
+	}
+	if code, _, raw := postComplete(t, ts, a.LeaseID, shard); code != http.StatusOK {
+		t.Fatalf("complete a: %d %s", code, raw)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("c after the sweep drained: %v, want nil", err)
 	}
 }

@@ -61,9 +61,10 @@ func (o *PullWorkerOptions) withDefaults() error {
 // sweep drains: lease → run the shard locally (checkpointing to
 // ShardDir, heartbeating the lease) → upload the shard bytes → repeat.
 // It returns nil once the coordinator answers "done", and ctx.Err()
-// if cancelled. Transient coordinator errors (unreachable, 5xx) are
-// retried with jittered backoff; losing a lease mid-shard (renew
-// answers 410 Gone) abandons that partition and asks for the next one.
+// if cancelled. Transient coordinator errors (unreachable, 5xx) and
+// "wait" answers are retried on one jittered backoff, reset by each
+// granted lease; losing a lease mid-shard (renew answers 410 Gone)
+// abandons that partition and asks for the next one.
 func RunPullWorker(ctx context.Context, opts PullWorkerOptions) error {
 	if err := opts.withDefaults(); err != nil {
 		return err
@@ -84,20 +85,18 @@ func RunPullWorker(ctx context.Context, opts PullWorkerOptions) error {
 			}
 			continue
 		}
-		w.backoff.Reset()
 		switch lr.Status {
 		case "done":
 			opts.Logf("worker %s: sweep drained", opts.Name)
 			return nil
 		case "wait":
-			delay := time.Duration(lr.RetryMillis) * time.Millisecond
-			if delay <= 0 {
-				delay = w.backoff.Next()
-			}
-			if serr := w.sleep(ctx, delay); serr != nil {
+			// Every live partition is leased and stolen; a straggler may
+			// finish any moment, so poll on the growing backoff.
+			if serr := w.sleep(ctx, w.backoff.Next()); serr != nil {
 				return serr
 			}
 		case "lease":
+			w.backoff.Reset()
 			if err := w.runLease(ctx, lr); err != nil {
 				if ctx.Err() != nil {
 					return ctx.Err()
