@@ -142,7 +142,7 @@ func BenchmarkEngineAblation(b *testing.B) {
 	})
 }
 
-// BenchmarkRunAgents times full two-round runs of the Minority(3) trap
+// BenchmarkRunAgents times full 16-round runs of the Minority(3) trap
 // from X₀ = n/2 on the agent-engine variants: the byte-per-opinion
 // reference body (literal, at n = 2²⁰ only), the bitset engine (packed,
 // the RunAgents default) and the bitset engine split into NumCPU shards
@@ -171,7 +171,7 @@ func BenchmarkRunAgents(b *testing.B) {
 			Rule:      bitspread.Minority(3),
 			Z:         1,
 			X0:        c.n / 2,
-			MaxRounds: 2,
+			MaxRounds: 16,
 		}
 		b.Run(fmt.Sprintf("n=%d/%s", c.n, c.name), func(b *testing.B) {
 			g := bitspread.NewRNG(1)

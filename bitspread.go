@@ -109,9 +109,7 @@ type (
 	Result = engine.Result
 	// AgentOptions tunes the literal agent-level simulator; its Shards
 	// field splits the per-round loop across goroutines with independent
-	// split-derived streams (deterministic per (seed, shards)), and its
-	// Chunked field selects the chunked bitset layout, which changes
-	// addressing but not the realization.
+	// split-derived streams (deterministic per (seed, shards)).
 	AgentOptions = engine.AgentOptions
 	// AdoptCache memoizes a rule's Eq. 4 adopt probabilities per exact
 	// one-count for a fixed population, the engine behind batched replica

@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	bitlint [-json] [-show-suppressed] [-baseline FILE] [-write-baseline FILE] [-suppression-audit] [packages...]
+//	bitlint [-json] [-show-suppressed] [-suppression-audit] [packages...]
 //
 // Packages default to ./... and accept any `go list` pattern. The exit
 // status is non-zero when an unsuppressed diagnostic is found, so the
@@ -17,13 +17,6 @@
 // including suppressed ones with their justifications — as one JSON
 // document for tooling, with SARIF-style tool/rule metadata; the human
 // mode prints vet-style lines.
-//
-// -write-baseline FILE snapshots the current unsuppressed findings as a
-// sorted line-per-finding file; -baseline FILE then fails only on
-// findings NOT in the snapshot, so the suite can be adopted on a tree
-// with known debt and still block regressions. Baseline keys omit line
-// numbers deliberately: unrelated edits that shift a known finding must
-// not resurrect it.
 //
 // -suppression-audit lists every //bitlint: justification in the tree
 // (file, analyzer, reason) and fails if any directive has an empty
@@ -80,54 +73,6 @@ type jsonReport struct {
 	Unsuppressed int        `json:"unsuppressed"`
 }
 
-// baselineKey renders one finding as its baseline line. Line and column
-// are omitted so unrelated edits that move a known finding do not
-// resurrect it; file, analyzer, and message identify it well enough in
-// practice because messages embed the symbol names involved.
-func baselineKey(d analysis.Diagnostic) string {
-	return d.Pos.Filename + "\t" + d.Analyzer + "\t" + d.Message
-}
-
-// readBaseline loads a baseline file into a set of finding keys.
-func readBaseline(path string) (map[string]bool, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("bitlint: baseline: %w", err)
-	}
-	set := map[string]bool{}
-	for _, line := range strings.Split(string(data), "\n") {
-		if line = strings.TrimSpace(line); line != "" {
-			set[line] = true
-		}
-	}
-	return set, nil
-}
-
-// writeBaseline snapshots the unsuppressed findings, sorted and
-// deduplicated, one key per line.
-func writeBaseline(path string, diags []analysis.Diagnostic) (int, error) {
-	seen := map[string]bool{}
-	var keys []string
-	for _, d := range diags {
-		if d.Suppressed {
-			continue
-		}
-		if k := baselineKey(d); !seen[k] {
-			seen[k] = true
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	out := strings.Join(keys, "\n")
-	if out != "" {
-		out += "\n"
-	}
-	if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
-		return 0, fmt.Errorf("bitlint: baseline: %w", err)
-	}
-	return len(keys), nil
-}
-
 // emptyReasonDiag recognizes the diagnostic the suite reports for a
 // //bitlint: directive that carries no justification text.
 func emptyReasonDiag(d analysis.Diagnostic) bool {
@@ -163,8 +108,6 @@ func run(args []string, w io.Writer) error {
 	jsonOut := fs.Bool("json", false, "emit diagnostics (including suppressed ones) as JSON")
 	showSuppressed := fs.Bool("show-suppressed", false, "also print suppressed diagnostics with their justifications")
 	dir := fs.String("C", ".", "directory to resolve package patterns in")
-	baseline := fs.String("baseline", "", "fail only on findings not present in this baseline file")
-	writeBaselineTo := fs.String("write-baseline", "", "write the sorted unsuppressed-finding snapshot to this file and exit")
 	audit := fs.Bool("suppression-audit", false, "list every //bitlint: suppression with its justification; fail on empty reasons")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -195,32 +138,11 @@ func run(args []string, w io.Writer) error {
 	if *audit {
 		return suppressionAudit(w, diags)
 	}
-	if *writeBaselineTo != "" {
-		n, err := writeBaseline(*writeBaselineTo, diags)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "bitlint: wrote %d finding(s) to %s\n", n, *writeBaselineTo)
-		return nil
-	}
-
-	known := map[string]bool{}
-	if *baseline != "" {
-		if known, err = readBaseline(*baseline); err != nil {
-			return err
-		}
-	}
-
-	unsuppressed, baselined := 0, 0
+	unsuppressed := 0
 	for _, d := range diags {
-		if d.Suppressed {
-			continue
+		if !d.Suppressed {
+			unsuppressed++
 		}
-		if known[baselineKey(d)] {
-			baselined++
-			continue
-		}
-		unsuppressed++
 	}
 
 	if *jsonOut {
@@ -254,13 +176,9 @@ func run(args []string, w io.Writer) error {
 			if d.Suppressed && !*showSuppressed {
 				continue
 			}
-			switch {
-			case d.Suppressed:
+			if d.Suppressed {
 				fmt.Fprintf(w, "%s: suppressed [%s]: %s (%s)\n", d.Pos, d.Reason, d.Message, d.Analyzer)
-			case known[baselineKey(d)]:
-				// Baselined findings are known debt; the baseline file is
-				// the ledger, so CI output stays signal-only.
-			default:
+			} else {
 				fmt.Fprintln(w, d)
 			}
 		}
@@ -270,18 +188,10 @@ func run(args []string, w io.Writer) error {
 		return fmt.Errorf("%w: %d finding(s) across %d package(s)", errViolations, unsuppressed, len(pkgs))
 	}
 	if !*jsonOut {
-		suffix := ""
-		if baselined > 0 {
-			suffix = fmt.Sprintf(", %d baselined finding(s)", baselined)
-		}
-		suppressedCount := 0
-		for _, d := range diags {
-			if d.Suppressed {
-				suppressedCount++
-			}
-		}
-		fmt.Fprintf(w, "bitlint: %d package(s) clean (%d suppressed justification(s)%s)\n",
-			len(pkgs), suppressedCount, suffix)
+		// Nothing is unsuppressed here, so every diagnostic is a justified
+		// suppression.
+		fmt.Fprintf(w, "bitlint: %d package(s) clean (%d suppressed justification(s))\n",
+			len(pkgs), len(diags))
 	}
 	return nil
 }

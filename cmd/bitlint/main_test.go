@@ -202,54 +202,6 @@ func TestJSONRuleTable(t *testing.T) {
 	}
 }
 
-// TestBaselineRoundTrip proves -write-baseline then -baseline accepts the
-// same tree, and that an emptied baseline resurrects the failures.
-func TestBaselineRoundTrip(t *testing.T) {
-	dir := writeSeededModule(t)
-	baseline := filepath.Join(t.TempDir(), "baseline.txt")
-
-	var out strings.Builder
-	if err := run([]string{"-C", dir, "-write-baseline", baseline, "./..."}, &out); err != nil {
-		t.Fatalf("-write-baseline failed: %v\n%s", err, out.String())
-	}
-	data, err := os.ReadFile(baseline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	if len(lines) < 5 {
-		t.Fatalf("baseline has %d lines, expected the seeded findings", len(lines))
-	}
-	if !sortedLines(lines) {
-		t.Errorf("baseline is not sorted:\n%s", data)
-	}
-
-	out.Reset()
-	if err := run([]string{"-C", dir, "-baseline", baseline, "./..."}, &out); err != nil {
-		t.Fatalf("baselined tree should pass: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "baselined finding(s)") {
-		t.Errorf("expected baselined-count summary, got:\n%s", out.String())
-	}
-
-	if err := os.WriteFile(baseline, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	if err := run([]string{"-C", dir, "-baseline", baseline, "./..."}, &out); !errors.Is(err, errViolations) {
-		t.Fatalf("emptied baseline should fail with findings, got: %v", err)
-	}
-}
-
-func sortedLines(lines []string) bool {
-	for i := 1; i < len(lines); i++ {
-		if lines[i-1] > lines[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // writeSuppressedModule seeds one justified suppression and one
 // empty-reason directive for the audit tests.
 func writeSuppressedModule(t *testing.T) string {

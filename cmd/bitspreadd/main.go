@@ -95,9 +95,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		burst        = fs.Int("burst", 8, "per-tenant token-bucket burst capacity")
 		jobTimeout   = fs.Duration("job-timeout", 10*time.Minute, "wall-clock cap per job; specs may ask for less, never more")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "graceful-drain budget after SIGTERM/SIGINT")
-		chaosSeed    = fs.Uint64("chaos-seed", 0, "seed for injected worker faults (fault drills)")
-		chaosPanic   = fs.Float64("chaos-panic", 0, "probability a job's worker panics at start (fault drills)")
-		chaosTimeout = fs.Float64("chaos-timeout", 0, "probability a job's deadline collapses to ~1ms (fault drills)")
 
 		fabricExp        = fs.String("fabric-exp", "", "coordinate a distributed sweep of these comma-separated experiment IDs ('all': every experiment); enables the /v1/lease and /v1/fabric endpoints")
 		fabricPartitions = fs.Int("fabric-partitions", 2, "number of (task, replica) partitions the fabric sweep is split into")
@@ -130,12 +127,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	// Operational diagnostics go to stderr via a mutex-protected logger;
 	// stdout carries only the machine-scrapable lifecycle lines.
 	diag := log.New(os.Stderr, "bitspreadd: ", 0)
-	var chaos *serve.Chaos
-	if *chaosPanic > 0 || *chaosTimeout > 0 {
-		chaos = serve.NewChaos(*chaosSeed, *chaosPanic, *chaosTimeout)
-		diag.Printf("chaos enabled: seed=%d panic=%g timeout=%g", *chaosSeed, *chaosPanic, *chaosTimeout)
-	}
-
 	var fabricOpts *serve.FabricOptions
 	if *fabricExp != "" {
 		var exps []string
@@ -161,7 +152,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		TenantRate:  *rate,
 		TenantBurst: *burst,
 		JobTimeout:  *jobTimeout,
-		Chaos:       chaos,
 		Fabric:      fabricOpts,
 		Logf:        diag.Printf,
 	})

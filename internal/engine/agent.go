@@ -25,12 +25,10 @@ type AgentOptions struct {
 	// equivalence tests, and for callers that need the historical
 	// realization for a fixed seed.
 	Unpacked bool
-	// Chunked selects the chunked layout of the bitset engine (see
-	// chunked.go), whose chunk capacity tests can shrink to exercise
-	// multi-chunk runs at small n. Chunks change addressing only: at any
-	// chunk capacity a run reproduces the default layout's realization.
-	// Ignored when Unpacked or without-replacement sampling already forces
-	// the historical body.
+	// Chunked does nothing: the bitset engine has one flat layout.
+	//
+	// Deprecated: kept only until benchmark/layers.go stops setting it;
+	// leave it unset.
 	Chunked bool
 }
 

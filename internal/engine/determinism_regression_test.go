@@ -88,17 +88,7 @@ func TestSeedDeterminismUnderFaults(t *testing.T) {
 		"sharded-packed": func(cfg engine.Config, g *rng.RNG) (engine.Result, error) {
 			return engine.RunAgents(cfg, engine.AgentOptions{Shards: 4}, g)
 		},
-		"chunked": func(cfg engine.Config, g *rng.RNG) (engine.Result, error) {
-			return engine.RunAgents(cfg, engine.AgentOptions{Chunked: true}, g)
-		},
-		"sharded-chunked": func(cfg engine.Config, g *rng.RNG) (engine.Result, error) {
-			return engine.RunAgents(cfg, engine.AgentOptions{Chunked: true, Shards: 4}, g)
-		},
 	}
-
-	// 128-agent chunks put a chunk boundary inside the n=256 population, so
-	// the chunked engines replay their multi-chunk code paths.
-	defer engine.SetChunkShiftForTest(7)()
 
 	for name, run := range engines {
 		t.Run(name, func(t *testing.T) {

@@ -445,8 +445,8 @@ func TestWithoutReplacementCrossCheck(t *testing.T) {
 // count in Result.Shards — 0 for the single-stream count-level and
 // sequential engines; 1 for the serial literal body
 // whatever shard count is asked; the resolved, word-clamped shard count
-// for the packed and chunked bodies, where the requested and effective
-// values differ exactly when the request exceeds the engine's ceiling.
+// for the bitset body, where the requested and effective values differ
+// exactly when the request exceeds the engine's ceiling.
 func TestResultShardsReported(t *testing.T) {
 	cfg := Config{N: 200, Rule: protocol.Voter(1), Z: 1, X0: 100, MaxRounds: 2}
 	words := MaxPackedShards(200)
@@ -474,12 +474,6 @@ func TestResultShardsReported(t *testing.T) {
 		}, 3},
 		{"packed-overclamped", func() (Result, error) {
 			return RunAgents(cfg, AgentOptions{Shards: 1000}, rng.New(1))
-		}, words},
-		{"chunked-sharded", func() (Result, error) {
-			return RunAgents(cfg, AgentOptions{Chunked: true, Shards: 3}, rng.New(1))
-		}, 3},
-		{"chunked-overclamped", func() (Result, error) {
-			return RunAgents(cfg, AgentOptions{Chunked: true, Shards: 1000}, rng.New(1))
 		}, words},
 	}
 	for _, tc := range cases {

@@ -42,8 +42,6 @@ func chiEngines() []chiEngine {
 		{"packed", agents(engine.AgentOptions{})},
 		{"packed-sharded", agents(engine.AgentOptions{Shards: 3})},
 		{"packed-sharded-ncpu", agents(engine.AgentOptions{Shards: runtime.NumCPU()})},
-		{"chunked", agents(engine.AgentOptions{Chunked: true})},
-		{"chunked-sharded", agents(engine.AgentOptions{Chunked: true, Shards: 3})},
 	}
 }
 
@@ -129,9 +127,6 @@ func TestEngineEquivalenceChiSquare(t *testing.T) {
 		reps  = 1500
 		alpha = 0.01
 	)
-	// 128-agent chunks put a chunk boundary inside the population, so the
-	// chunked engines are compared on their multi-chunk code paths.
-	defer engine.SetChunkShiftForTest(7)()
 	schedules := map[string]*fault.Schedule{
 		"none":         nil,
 		"stubborn":     fault.Must(fault.StubbornFor(1, 2, 0.25, 0)),

@@ -1,22 +1,6 @@
 package engine
 
-// Test-only exports. The chunked engine's chunk capacity is package state
-// solely so tests can shrink it and exercise multi-chunk runs at
-// testing-sized n; production code never writes it.
-
-// SetChunkShiftForTest overrides the chunked engine's chunk capacity
-// (log₂ agents per chunk, minimum 6 — a chunk must hold a whole word) and
-// returns a restore func. Callers must defer the restore; the override is
-// process-global, so tests using it cannot run in parallel with other
-// chunked-engine tests.
-func SetChunkShiftForTest(shift uint) (restore func()) {
-	if shift < 6 {
-		panic("SetChunkShiftForTest: shift must be at least 6")
-	}
-	old := chunkShift
-	chunkShift = shift
-	return func() { chunkShift = old }
-}
+// Test-only exports.
 
 // PackedWordBoundsForTest exposes the shard partition of nWords bitset
 // words for alignment tests.

@@ -335,7 +335,6 @@ func TestHaltMidRunKeepsPartialTrajectory(t *testing.T) {
 		{"literal", agents(engine.AgentOptions{Unpacked: true})},
 		{"packed", agents(engine.AgentOptions{})},
 		{"packed-sharded", agents(engine.AgentOptions{Shards: 2})},
-		{"chunked", agents(engine.AgentOptions{Chunked: true})},
 	}
 	for _, e := range solo {
 		res, err := e.run(haltAfterK(cfg), rng.New(2))

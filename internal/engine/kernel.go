@@ -148,17 +148,16 @@ func lanesFrom(base, i int64) uint64 {
 	}
 }
 
-// stepWords advances agents [lo, hi) one round, where cur and next are one
-// chunk's words and base is the global index of the chunk's first agent.
-// Agents below pinnedEnd are stubborn and keep their opinion; the others
-// first flip the omission coin, and those whose update survives flip the
+// stepWords advances agents [lo, hi) one round from cur into next. Agents
+// below pinnedEnd are stubborn and keep their opinion; the others first
+// flip the omission coin, and those whose update survives flip the
 // adoption coin of their current bit. Lanes outside [lo, hi) are written
 // as zero: [lo, hi) covers whole words except for the coordinator-owned
 // source bit and the tail past n. It returns the ones written and the
 // number of agents that updated.
-func stepWords(s *wordStream, cur, next []uint64, base, lo, hi, pinnedEnd int64, law *roundLaw) (ones, updated int64) {
-	for wi := (lo - base) >> 6; wi <= (hi-1-base)>>6; wi++ {
-		first := base + wi<<6
+func stepWords(s *wordStream, cur, next bitset, lo, hi, pinnedEnd int64, law *roundLaw) (ones, updated int64) {
+	for wi := lo >> 6; wi <= (hi-1)>>6; wi++ {
+		first := wi << 6
 		in := lanesFrom(first, lo) &^ lanesFrom(first, hi)
 		free := in & lanesFrom(first, pinnedEnd)
 		c := cur[wi]

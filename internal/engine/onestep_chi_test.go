@@ -125,7 +125,7 @@ func oneStepVariants() []oneStepVariant {
 		{0, "packed", agents(engine.AgentOptions{})},
 		{1, "sharded-3", agents(engine.AgentOptions{Shards: 3})},
 		{2, "sharded-ncpu", agents(engine.AgentOptions{Shards: runtime.NumCPU()})},
-		{3, "chunked", agents(engine.AgentOptions{Chunked: true, Shards: 2})},
+		{3, "sharded-2", agents(engine.AgentOptions{Shards: 2})},
 		{4, "replicas", batched(func(cfg engine.Config, seeds []uint64) ([]engine.Result, error) {
 			return engine.RunAgentsReplicas(cfg, engine.AgentOptions{}, seeds)
 		})},
@@ -162,9 +162,6 @@ func TestOneStepKernelMatchesEq4(t *testing.T) {
 		reps  = 3000
 		alpha = 0.01
 	)
-	// 128-agent chunks put a chunk boundary inside the population, so the
-	// chunked variant runs its multi-chunk code path.
-	defer engine.SetChunkShiftForTest(7)()
 	prog, err := vm.Compile(protocol.TwoChoice())
 	if err != nil {
 		t.Fatal(err)

@@ -7,14 +7,13 @@ import (
 )
 
 // This file is the bitset agent engine, the default body of RunAgents:
-// opinions live one bit per agent (chunked.go; 8× less memory traffic than
+// opinions live one bit per agent (bitset.go; 8× less memory traffic than
 // the historical []uint8 layout, so the population stays cache-resident
 // far longer), and every round decides 64 agents per handful of random
 // words through the word-parallel kernel (kernel.go), which draws each
 // agent's next opinion straight from its Eq. 4 adoption law instead of
-// sampling ℓ indices. Serial, sharded, chunked and replica-batched runs
-// all share that kernel; they differ only in how agents are split among
-// workers and how words are addressed.
+// sampling ℓ indices. Serial, sharded and replica-batched runs all share
+// that kernel; they differ only in how agents are split among workers.
 //
 // The engine draws each round's transition from the same law as the
 // literal byte-per-opinion body, at the 53-bit granularity at which
@@ -81,11 +80,10 @@ func packedEffectiveShards(requested, nWords int) int {
 // packedWorker is one agent range of the bitset engine: the serial engine
 // is a single worker spanning [1, n) on the main stream; the sharded
 // engine runs one per shard on Split-derived streams over word-aligned
-// ranges (packedWordBounds), so every bitset word — in whichever chunk —
-// has exactly one writer and rounds need no partial-word merge. The
-// trailing pad keeps the per-round stores of adjacent workers on distinct
-// cache lines (the workers are small heap objects that would otherwise
-// share one).
+// ranges (packedWordBounds), so every bitset word has exactly one writer
+// and rounds need no partial-word merge. The trailing pad keeps the
+// per-round stores of adjacent workers on distinct cache lines (the
+// workers are small heap objects that would otherwise share one).
 type packedWorker struct {
 	lo, hi  int64 // global agent index range [lo, hi)
 	s       *wordStream
@@ -94,19 +92,9 @@ type packedWorker struct {
 	_       [11]uint64 // pad to 128 B: no false sharing between workers
 }
 
-// step advances the worker's range one round, chunk segment by chunk
-// segment on one stream.
-func (w *packedWorker) step(cur, next *chunkedBits, law *roundLaw, pinnedEnd int64) {
-	w.ones, w.updated = 0, 0
-	for i := w.lo; i < w.hi; {
-		c := i >> cur.shift
-		base := c << cur.shift
-		end := min(base+int64(1)<<cur.shift, w.hi)
-		ones, updated := stepWords(w.s, cur.chunks[c], next.chunks[c], base, i, end, pinnedEnd, law)
-		w.ones += ones
-		w.updated += updated
-		i = end
-	}
+// step advances the worker's range one round on its stream.
+func (w *packedWorker) step(cur, next bitset, law *roundLaw, pinnedEnd int64) {
+	w.ones, w.updated = stepWords(w.s, cur, next, w.lo, w.hi, pinnedEnd, law)
 }
 
 // bitsetBody is the bitset engine's step over one or more lockstep
@@ -114,8 +102,7 @@ func (w *packedWorker) step(cur, next *chunkedBits, law *roundLaw, pinnedEnd int
 // packedState.
 type bitsetBody struct {
 	cfg    *Config
-	shift  uint // chunk capacity of the layout
-	shards int  // resolved shard count (packedEffectiveShards)
+	shards int // resolved shard count (packedEffectiveShards)
 	states []*packedState
 	// memo holds a replica batch's adoption coins per one-count; a solo
 	// run (nil memo) computes them in place.
@@ -123,12 +110,7 @@ type bitsetBody struct {
 }
 
 func newBitsetBody(cfg *Config, opts AgentOptions) *bitsetBody {
-	b := &bitsetBody{cfg: cfg, shift: packedChunkShift}
-	if opts.Chunked {
-		b.shift = chunkShift
-	}
-	b.shards = packedEffectiveShards(opts.Shards, MaxPackedShards(cfg.N))
-	return b
+	return &bitsetBody{cfg: cfg, shards: packedEffectiveShards(opts.Shards, MaxPackedShards(cfg.N))}
 }
 
 // adopt returns the adoption coins of a round whose agents sample from
@@ -155,7 +137,7 @@ func (b *bitsetBody) adopt(x int64) [2]coin {
 // and workers.
 type packedState struct {
 	g         *rng.RNG
-	cur, next *chunkedBits
+	cur, next bitset
 	x         int64
 	scratch   []uint8
 	workers   []*packedWorker
@@ -172,20 +154,17 @@ type packedState struct {
 func (b *bitsetBody) newState(g *rng.RNG) *packedState {
 	n := b.cfg.N
 	main := newWordStream(g)
-	st := &packedState{g: g, cur: initialBits(*b.cfg, b.shift, main), x: b.cfg.X0}
-	st.next = newChunkedBits(n, b.shift)
+	st := &packedState{g: g, cur: initialBits(*b.cfg, main), next: newBitset(n), x: b.cfg.X0}
 	st.workers = make([]*packedWorker, b.shards)
 	if b.shards == 1 {
 		st.workers[0] = &packedWorker{lo: 1, hi: n, s: main}
 		return st
 	}
 	// Word-aligned, cache-line-padded agent ranges: every bitset word has
-	// exactly one writer and shard ranges start on 64-byte boundaries;
-	// chunk boundaries fall on word boundaries by construction, so the two
-	// alignments compose. Each shard consumes its own Split-derived stream;
-	// boundary draws stay on the main generator, so rounds are
-	// reproducible for a given (seed, Shards) regardless of GOMAXPROCS or
-	// scheduling.
+	// exactly one writer and shard ranges start on 64-byte boundaries.
+	// Each shard consumes its own Split-derived stream; boundary draws stay
+	// on the main generator, so rounds are reproducible for a given (seed,
+	// Shards) regardless of GOMAXPROCS or scheduling.
 	bounds := packedWordBounds(MaxPackedShards(n), b.shards)
 	streams := g.SplitN(b.shards)
 	for s := range st.workers {
@@ -210,7 +189,7 @@ func (b *bitsetBody) round(d *driver) {
 		law := roundLaw{omit: omit}
 		xs := st.x
 		if d.faults != nil {
-			st.scratch = chunkedBoundary(d, st.cur, st.scratch, st.g)
+			st.scratch = bitsetBoundary(d, st.cur, st.scratch, st.g)
 			// The adoption law conditions on the one-count the agents
 			// sample from; the boundary may just have rewritten the bitset.
 			xs = st.cur.count()
@@ -237,7 +216,7 @@ func (b *bitsetBody) round(d *driver) {
 			count += w.ones
 			updated += w.updated
 		}
-		st.next.chunks[0][0] |= uint64(d.src)
+		st.next[0] |= uint64(d.src)
 		st.cur, st.next = st.next, st.cur
 		st.x = count
 		if cfg.Probe != nil && b.shards > 1 {

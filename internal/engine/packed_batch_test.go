@@ -85,15 +85,13 @@ func TestRunAgentsReplicasRetirement(t *testing.T) {
 }
 
 // Configurations the bitset engine does not serve fall back to independent
-// solo runs with the same results, and the chunked layout batches like the
-// packed one.
+// solo runs with the same results.
 func TestRunAgentsReplicasFallback(t *testing.T) {
 	cfg := engine.Config{N: 120, Rule: protocol.Minority(3), Z: 1, X0: 60, MaxRounds: 10}
 	seeds := []uint64{11, 12, 13}
 	for name, opts := range map[string]engine.AgentOptions{
 		"unpacked":            {Unpacked: true},
 		"without-replacement": {WithoutReplacement: true},
-		"chunked":             {Chunked: true},
 	} {
 		batch, err := engine.RunAgentsReplicas(cfg, opts, seeds)
 		if err != nil {

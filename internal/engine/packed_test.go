@@ -140,6 +140,34 @@ func TestPackedShardedCountsConsistent(t *testing.T) {
 	}
 }
 
+// Voter runs, serial and sharded, whose populations end mid-word (511,
+// 513, 1025) or exactly on a word boundary (512) must absorb at the true
+// fixed point with every one-bit counted exactly once; n = 1025 at 3
+// shards takes packedWordBounds' line-aligned branch. The name dates from
+// the chunked bitset layout, which split these populations into 512-agent
+// chunks; the bitset is one flat slice now.
+func TestChunkedCountsConsistent(t *testing.T) {
+	for _, n := range []int64{511, 512, 513, 1025} {
+		for _, shards := range []int{1, 3, 7} {
+			cfg := engine.Config{N: n, Rule: protocol.Voter(1), Z: 1, X0: n / 2, MaxRounds: 20000}
+			p := &engine.Trajectory{}
+			cfg.Probe = p
+			res, err := engine.RunAgents(cfg, engine.AgentOptions{Shards: shards}, rng.New(11))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r, c := range p.Counts {
+				if c < 1 || c > n {
+					t.Fatalf("n=%d shards=%d: round %d count %d out of [1, %d]", n, shards, r+1, c, n)
+				}
+			}
+			if !res.Converged || res.FinalCount != n {
+				t.Errorf("n=%d shards=%d: Voter run did not absorb at n: %+v", n, shards, res)
+			}
+		}
+	}
+}
+
 // Without-replacement sampling needs per-agent sample sets, so RunAgents
 // must fall back to the unpacked body (same realization with or without
 // the Unpacked flag).

@@ -100,15 +100,7 @@ func TestEngineRealizationGolden(t *testing.T) {
 		{"packed-shards3", agents(engine.AgentOptions{Shards: 3}),
 			"51046346507bbabf987c39796fee137822bf4d11a313409a47b6eb56a43b81f6",
 			"1bbef9dd92b84baf3111dc02362b268ff12a4d9b00c31039781007c80d919fd4"},
-		// The chunk capacity changes addressing only, so the chunked
-		// layout reproduces the packed one.
-		{"chunked-shards3", agents(engine.AgentOptions{Chunked: true, Shards: 3}),
-			"51046346507bbabf987c39796fee137822bf4d11a313409a47b6eb56a43b81f6",
-			"1bbef9dd92b84baf3111dc02362b268ff12a4d9b00c31039781007c80d919fd4"},
 	}
-
-	// 128-agent chunks put a chunk boundary inside every case's population.
-	defer engine.SetChunkShiftForTest(7)()
 
 	for _, e := range solo {
 		res, probe := newDigest(), newDigest()

@@ -427,18 +427,24 @@ func TestDrainDeadlineInterruptsWithoutTerminalRecord(t *testing.T) {
 	}
 }
 
-func TestChaosPanicIsIsolated(t *testing.T) {
-	chaos := NewChaos(42, 1, 0) // every job's worker panics
-	_, ts := newTestServer(t, Options{Workers: 1, Chaos: chaos})
+// A job whose worker panics fails alone: runJob's recover books the
+// panic, and the daemon and its one-worker pool carry on.
+func TestPanickingJobIsIsolated(t *testing.T) {
+	var started atomic.Int32
+	_, ts := newTestServer(t, Options{Workers: 1, testHook: func(*job) {
+		if started.Add(1) == 1 {
+			panic("injected worker panic")
+		}
+	}})
 
 	_, _, js := submitJSON(t, ts, testSpec(1), "")
 	st := waitTerminal(t, ts, js.ID)
 	if st.State != "failed" || !strings.Contains(st.Error, "job panicked") {
-		t.Fatalf("chaos job ended %+v, want failed with panic error", st)
+		t.Fatalf("panicking job ended %+v, want failed with panic error", st)
 	}
 
-	// The daemon survived: liveness is green and, with chaos off, the next
-	// job completes normally on the same worker pool.
+	// The daemon survived: liveness is green and the next job completes
+	// normally on the same worker pool.
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatalf("healthz: %v", err)
@@ -447,9 +453,6 @@ func TestChaosPanicIsIsolated(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz after panic: %d", resp.StatusCode)
 	}
-	chaos.mu.Lock()
-	chaos.PanicProb = 0
-	chaos.mu.Unlock()
 	_, _, js2 := submitJSON(t, ts, testSpec(2), "")
 	if st := waitTerminal(t, ts, js2.ID); st.State != "done" {
 		t.Fatalf("post-panic job ended %q, want done", st.State)
@@ -459,14 +462,17 @@ func TestChaosPanicIsIsolated(t *testing.T) {
 	}
 }
 
-func TestChaosForcedTimeoutFailsJob(t *testing.T) {
-	chaos := NewChaos(7, 0, 1) // every job's deadline collapses to 1ms
-	_, ts := newTestServer(t, Options{Workers: 1, Chaos: chaos})
+// A spec's timeout bounds its job: a job that cannot finish within it
+// fails as timed out.
+func TestSpecTimeoutFailsJob(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
 
-	_, _, js := submitJSON(t, ts, longSpec(1), "")
+	spec := longSpec(1)
+	spec.Timeout = "1ms"
+	_, _, js := submitJSON(t, ts, spec, "")
 	st := waitTerminal(t, ts, js.ID)
 	if st.State != "failed" || !strings.Contains(st.Error, "timed out") {
-		t.Fatalf("chaos-timeout job ended %+v, want failed timeout", st)
+		t.Fatalf("job with a 1ms spec timeout ended %+v, want failed timeout", st)
 	}
 }
 

@@ -72,9 +72,6 @@ type Options struct {
 	MaxDone int
 	// Registry receives service and engine metrics (nil: a fresh one).
 	Registry *obs.Registry
-	// Chaos, if non-nil, injects seeded worker faults; integration tests
-	// use it to prove panic isolation and timeout handling.
-	Chaos *Chaos
 	// Fabric, if non-nil, additionally runs the daemon as a distributed
 	// sweep coordinator: /v1/lease hands shard leases of the configured
 	// sweep to pulling workers, completed shard bytes persist under
@@ -86,7 +83,8 @@ type Options struct {
 	// now overrides the admission clock in tests.
 	now func() time.Time
 	// testHook, if set, runs on the worker goroutine right after a job
-	// enters the running state; tests use it to hold workers at a barrier.
+	// enters the running state; tests use it to hold workers at a barrier
+	// or to panic inside a job.
 	testHook func(jb *job)
 }
 
@@ -428,8 +426,8 @@ func (s *Server) worker(m *obs.Metrics) {
 	}
 }
 
-// runJob executes one job with panic isolation: a panicking worker —
-// chaos-injected or real — fails only its job, never the daemon.
+// runJob executes one job with panic isolation: a panicking worker fails
+// only its job, never the daemon.
 func (s *Server) runJob(jb *job, m *obs.Metrics) {
 	defer s.jobsWG.Done()
 	defer func() {
@@ -453,12 +451,7 @@ func (s *Server) runJob(jb *job, m *obs.Metrics) {
 		s.opts.testHook(jb)
 	}
 
-	panicNow, forceTimeout, forced := s.opts.Chaos.plan()
-	timeout := jb.timeout
-	if forceTimeout {
-		timeout = forced
-	}
-	ctx, cancel := context.WithTimeout(s.baseCtx, timeout)
+	ctx, cancel := context.WithTimeout(s.baseCtx, jb.timeout)
 	defer cancel()
 	jb.mu.Lock()
 	jb.cancel = cancel
@@ -466,9 +459,6 @@ func (s *Server) runJob(jb *job, m *obs.Metrics) {
 	jb.mu.Unlock()
 	if cancelled {
 		cancel()
-	}
-	if panicNow {
-		panic("chaos: injected worker panic")
 	}
 
 	task := jb.task
@@ -503,7 +493,7 @@ func (s *Server) runJob(jb *job, m *obs.Metrics) {
 			// journal instead of forgetting it.
 			s.interruptJob(jb)
 		default:
-			s.finishJob(jb, stateFailed, fmt.Sprintf("job timed out after %s", timeout), nil)
+			s.finishJob(jb, stateFailed, fmt.Sprintf("job timed out after %s", jb.timeout), nil)
 		}
 	case err != nil:
 		s.finishJob(jb, stateFailed, err.Error(), nil)

@@ -48,12 +48,6 @@ func engineVariants() map[string]func(engine.Config, *rng.RNG) (engine.Result, e
 		"sharded-packed": func(cfg engine.Config, g *rng.RNG) (engine.Result, error) {
 			return engine.RunAgents(cfg, engine.AgentOptions{Shards: 4}, g)
 		},
-		"chunked": func(cfg engine.Config, g *rng.RNG) (engine.Result, error) {
-			return engine.RunAgents(cfg, engine.AgentOptions{Chunked: true}, g)
-		},
-		"sharded-chunked": func(cfg engine.Config, g *rng.RNG) (engine.Result, error) {
-			return engine.RunAgents(cfg, engine.AgentOptions{Chunked: true, Shards: 4}, g)
-		},
 	}
 }
 
