@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test verify fmt-check bench-check vet-race race-packed obs-race serve-race fabric-race vm-race lint lint-fixtures lint-audit ci bench bench-compare fuzz-fault fuzz-vm bench-smoke
+.PHONY: build test verify fmt-check bench-check vet-386 vet-race race-packed obs-race serve-race fabric-race vm-race lint lint-fixtures lint-audit ci bench bench-compare fuzz-fault fuzz-vm bench-smoke
 
 build:
 	$(GO) build ./...
@@ -24,6 +24,11 @@ fmt-check:
 # change that breaks it fails CI rather than the next benchmark run.
 bench-check:
 	cd benchmark && $(GO) vet . && $(GO) test .
+
+# 32-bit build check: vet every package, tests included, for GOARCH=386
+# so that nothing assumes a 64-bit int. Runs natively on an amd64 host.
+vet-386:
+	GOARCH=386 $(GO) vet ./...
 
 # Static analysis + race detection on the packages that spawn goroutines
 # or are shared across them (the sharded bitset engine, the Monte-Carlo
@@ -124,7 +129,7 @@ fuzz-vm:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkRunAgents|BenchmarkStepCount|BenchmarkSequentialStep|BenchmarkEngineAblation|BenchmarkFabricWorkers' -benchtime 1x . ./internal/serve/
 
-ci: verify fmt-check bench-check vet-race race-packed obs-race serve-race fabric-race vm-race lint lint-fixtures fuzz-fault fuzz-vm bench-smoke
+ci: verify fmt-check bench-check vet-386 vet-race race-packed obs-race serve-race fabric-race vm-race lint lint-fixtures fuzz-fault fuzz-vm bench-smoke
 
 # Full experiment benchmarks (quick sizes; BITSPREAD_FULL=1 for the sizes
 # reported in EXPERIMENTS.md).

@@ -131,15 +131,6 @@ func BenchmarkEngineAblation(b *testing.B) {
 			}
 		}
 	})
-	b.Run("agent-noreplace", func(b *testing.B) {
-		g := bitspread.NewRNG(1)
-		opts := bitspread.AgentOptions{WithoutReplacement: true}
-		for i := 0; i < b.N; i++ {
-			if _, err := bitspread.RunAgents(cfg, opts, g); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkRunAgents times full 16-round runs of the Minority(3) trap

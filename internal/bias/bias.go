@@ -144,9 +144,6 @@ func Polynomial(r *protocol.Rule) poly.Poly {
 	return poly.New(cleaned...)
 }
 
-// Rule returns the analysed rule.
-func (a *Analysis) Rule() *protocol.Rule { return a.rule }
-
 // F returns the bias polynomial (a copy).
 func (a *Analysis) F() poly.Poly { return append(poly.Poly(nil), a.f...) }
 

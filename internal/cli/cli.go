@@ -70,7 +70,7 @@ func LoadVMRule(path string) (*protocol.Rule, *vm.Program, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("cli: loading vm program %s: %w", path, err)
 	}
-	rule, err := prog.Materialize(vm.EvalLimits{})
+	rule, err := prog.Materialize()
 	if err != nil {
 		return nil, nil, fmt.Errorf("cli: materializing vm program %s: %w", path, err)
 	}

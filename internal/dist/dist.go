@@ -1,8 +1,8 @@
-// Package dist provides the probability distributions and concentration
-// bounds used throughout the reproduction: numerically stable binomial
-// pmf/cdf, exact log-factorials, the standard normal, the Hoeffding and
-// Azuma–Hoeffding bounds of the paper's Appendix A (Theorems 15 and 16),
-// and Wilson score confidence intervals for the Monte-Carlo harness.
+// Package dist provides the probability helpers used throughout the
+// reproduction: exact log-factorials and binomial coefficients, the
+// standard normal, the χ² goodness-of-fit statistic, the constant y(c, ℓ)
+// of Proposition 4, and Wilson score confidence intervals for the
+// Monte-Carlo harness.
 package dist
 
 import "math"
@@ -55,54 +55,6 @@ func Choose(n, k int64) float64 {
 	return math.Exp(LogChoose(n, k))
 }
 
-// BinomialPMF returns P(X = k) for X ~ Binomial(n, p), computed in log
-// space so it is accurate in the far tails.
-func BinomialPMF(n, k int64, p float64) float64 {
-	switch {
-	case k < 0 || k > n:
-		return 0
-	case p <= 0:
-		if k == 0 {
-			return 1
-		}
-		return 0
-	case p >= 1:
-		if k == n {
-			return 1
-		}
-		return 0
-	}
-	lp := LogChoose(n, k) + float64(k)*math.Log(p) + float64(n-k)*math.Log1p(-p)
-	return math.Exp(lp)
-}
-
-// BinomialCDF returns P(X <= k) for X ~ Binomial(n, p). It sums the pmf from
-// the lighter tail for stability; cost is O(min(k, n-k)).
-func BinomialCDF(n, k int64, p float64) float64 {
-	switch {
-	case k < 0:
-		return 0
-	case k >= n:
-		return 1
-	case p <= 0:
-		return 1
-	case p >= 1:
-		return 0
-	}
-	if k < n-k {
-		sum := 0.0
-		for i := int64(0); i <= k; i++ {
-			sum += BinomialPMF(n, i, p)
-		}
-		return math.Min(sum, 1)
-	}
-	sum := 0.0
-	for i := k + 1; i <= n; i++ {
-		sum += BinomialPMF(n, i, p)
-	}
-	return math.Max(1-sum, 0)
-}
-
 // NormalCDF returns the standard normal cumulative distribution Φ(x).
 func NormalCDF(x float64) float64 {
 	return 0.5 * math.Erfc(-x/math.Sqrt2)
@@ -138,26 +90,6 @@ func NormalQuantile(p float64) float64 {
 		x -= (NormalCDF(x) - p) / pdf
 	}
 	return x
-}
-
-// HoeffdingTail is the bound of Theorem 15: for X the sum of n i.i.d.
-// {0,1} variables, P(X >= EX + delta) and P(X <= EX - delta) are each at
-// most exp(-2 delta² / n).
-func HoeffdingTail(n int64, delta float64) float64 {
-	if n <= 0 {
-		return 1
-	}
-	return math.Exp(-2 * delta * delta / float64(n))
-}
-
-// AzumaTail is the bound of Theorem 16 (Chung–Lu form): for a martingale
-// with increments exceeding c only with probability at most p over T steps,
-// P(|X_T - X_0| > delta) <= 2 exp(-delta² / (2 T c²)) + p.
-func AzumaTail(steps int64, c, delta, p float64) float64 {
-	if steps <= 0 || c <= 0 {
-		return p
-	}
-	return 2*math.Exp(-delta*delta/(2*float64(steps)*c*c)) + p
 }
 
 // Prop4Y returns the constant y(c, ℓ) = 1 - (1-c)^{ℓ+1}/2 from the proof of

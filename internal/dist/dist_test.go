@@ -82,86 +82,6 @@ func TestChoosePascal(t *testing.T) {
 	}
 }
 
-func TestBinomialPMFSumsToOne(t *testing.T) {
-	for _, c := range []struct {
-		n int64
-		p float64
-	}{{10, 0.5}, {50, 0.1}, {100, 0.99}, {1000, 0.3}} {
-		sum := 0.0
-		for k := int64(0); k <= c.n; k++ {
-			sum += BinomialPMF(c.n, k, c.p)
-		}
-		if !almost(sum, 1, 1e-9) {
-			t.Errorf("pmf(n=%d,p=%v) sums to %v", c.n, c.p, sum)
-		}
-	}
-}
-
-func TestBinomialPMFEdges(t *testing.T) {
-	if got := BinomialPMF(10, 0, 0); got != 1 {
-		t.Errorf("PMF(10,0,p=0) = %v, want 1", got)
-	}
-	if got := BinomialPMF(10, 10, 1); got != 1 {
-		t.Errorf("PMF(10,10,p=1) = %v, want 1", got)
-	}
-	if got := BinomialPMF(10, 3, 0); got != 0 {
-		t.Errorf("PMF(10,3,p=0) = %v, want 0", got)
-	}
-	if got := BinomialPMF(10, -1, 0.5); got != 0 {
-		t.Errorf("PMF out of range = %v, want 0", got)
-	}
-}
-
-func TestBinomialPMFKnownValues(t *testing.T) {
-	// P(X=2) for Binomial(4, 0.5) = 6/16.
-	if got := BinomialPMF(4, 2, 0.5); !almost(got, 0.375, 1e-12) {
-		t.Errorf("PMF(4,2,0.5) = %v, want 0.375", got)
-	}
-	// Deep tail: P(X=0) for Binomial(1000, 0.5) = 2^-1000.
-	got := BinomialPMF(1000, 0, 0.5)
-	want := math.Exp(-1000 * math.Ln2)
-	if got == 0 || math.Abs(math.Log(got)-math.Log(want)) > 1e-9 {
-		t.Errorf("deep tail PMF = %v, want %v", got, want)
-	}
-}
-
-func TestBinomialCDF(t *testing.T) {
-	tests := []struct {
-		n, k int64
-		p    float64
-		want float64
-	}{
-		{10, -1, 0.5, 0},
-		{10, 10, 0.5, 1},
-		{4, 2, 0.5, (1 + 4 + 6) / 16.0},
-		{10, 5, 0, 1},
-		{10, 5, 1, 0},
-	}
-	for _, tt := range tests {
-		if got := BinomialCDF(tt.n, tt.k, tt.p); !almost(got, tt.want, 1e-12) {
-			t.Errorf("CDF(%d,%d,%v) = %v, want %v", tt.n, tt.k, tt.p, got, tt.want)
-		}
-	}
-}
-
-func TestBinomialCDFMonotone(t *testing.T) {
-	f := func(pRaw uint8) bool {
-		p := float64(pRaw) / 256
-		prev := -1.0
-		for k := int64(0); k <= 30; k++ {
-			c := BinomialCDF(30, k, p)
-			if c < prev-1e-12 {
-				return false
-			}
-			prev = c
-		}
-		return almost(prev, 1, 1e-9)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestNormalCDFValues(t *testing.T) {
 	tests := []struct{ x, want float64 }{
 		{0, 0.5},
@@ -195,37 +115,6 @@ func TestNormalQuantilePanics(t *testing.T) {
 			}()
 			NormalQuantile(p)
 		}()
-	}
-}
-
-func TestHoeffdingTail(t *testing.T) {
-	// delta = sqrt(n) gives exp(-2).
-	if got := HoeffdingTail(100, 10); !almost(got, math.Exp(-2), 1e-12) {
-		t.Errorf("HoeffdingTail(100,10) = %v", got)
-	}
-	if got := HoeffdingTail(0, 5); got != 1 {
-		t.Errorf("HoeffdingTail with n=0 = %v, want 1", got)
-	}
-	// The bound is a valid probability bound: verify it dominates the exact
-	// binomial tail on a grid.
-	const n = 200
-	for _, delta := range []float64{5, 10, 20, 40} {
-		exact := 1 - BinomialCDF(n, int64(n/2+delta)-1, 0.5) // P(X >= n/2 + delta)
-		bound := HoeffdingTail(n, delta)
-		if exact > bound+1e-12 {
-			t.Errorf("Hoeffding bound violated at delta=%v: exact %v > bound %v", delta, exact, bound)
-		}
-	}
-}
-
-func TestAzumaTail(t *testing.T) {
-	got := AzumaTail(100, 1, 20, 0.01)
-	want := 2*math.Exp(-400.0/200.0) + 0.01
-	if !almost(got, want, 1e-12) {
-		t.Errorf("AzumaTail = %v, want %v", got, want)
-	}
-	if got := AzumaTail(0, 1, 5, 0.25); got != 0.25 {
-		t.Errorf("AzumaTail with 0 steps = %v, want p", got)
 	}
 }
 

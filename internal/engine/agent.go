@@ -6,15 +6,12 @@ import (
 
 // AgentOptions tunes the literal agent-level simulator.
 type AgentOptions struct {
-	// WithoutReplacement makes each agent draw its ℓ samples as distinct
-	// agents (an ablation; the paper's model samples with replacement).
-	WithoutReplacement bool
 	// Shards splits the bitset engine's per-round loop over that many
 	// goroutines, each consuming its own Split-derived random stream over
 	// a fixed word-aligned range of agents. Results are bit-reproducible
 	// given (seed, Shards) regardless of GOMAXPROCS or scheduling; values
-	// <= 1 select the serial body. The literal body (Unpacked,
-	// without-replacement sampling) is serial and ignores it.
+	// <= 1 select the serial body. The literal body (Unpacked) is serial
+	// and ignores it.
 	Shards int
 	// Unpacked forces the literal byte-per-opinion reference body instead
 	// of the bitset engine (see packed.go). The two sample from the same
@@ -34,32 +31,24 @@ type AgentOptions struct {
 
 // RunAgents simulates the parallel setting literally, agent by agent, per
 // the model definition in Section 1.1: in every round each non-source
-// agent i draws a vector of ℓ agent indices uniformly at random (with
-// replacement, unless opts says otherwise), counts the ones among the
-// sampled opinions, and redraws its opinion from g^[b](k). Agent 0 is the
-// source and always holds z.
+// agent i draws a vector of ℓ agent indices uniformly at random with
+// replacement, counts the ones among the sampled opinions, and redraws its
+// opinion from g^[b](k). Agent 0 is the source and always holds z.
 //
 // By default opinions live in the bitset engine (packed.go), which draws
 // each agent's next opinion from the same per-round law 64 agents at a
 // time and splits rounds over opts.Shards goroutines. opts.Unpacked
 // forces the literal byte-per-opinion reference body, O(n·ℓ) per round on
-// one stream (Result.Shards is 1 whatever opts.Shards asks), and
-// without-replacement sampling falls back to it on its own; it exists to
+// one stream (Result.Shards is 1 whatever opts.Shards asks); it exists to
 // cross-validate the other engines and to host per-agent extensions.
 func RunAgents(cfg Config, opts AgentOptions, g *rng.RNG) (Result, error) {
 	if err := cfg.validate(); err != nil {
 		return Result{}, err
 	}
-	ell := cfg.Rule.SampleSize()
-	withoutReplacement := opts.WithoutReplacement && ell <= int(cfg.N)
-	if !opts.Unpacked && !withoutReplacement {
+	if !opts.Unpacked {
 		return runAgentsPacked(cfg, opts, g), nil
 	}
-	n := int(cfg.N)
-	b := &literalBody{g: g, ell: ell, cur: initialOpinions(cfg, g), next: make([]uint8, n)}
-	if withoutReplacement {
-		b.sampler = newDistinctSampler(n, ell)
-	}
+	b := &literalBody{g: g, ell: cfg.Rule.SampleSize(), cur: initialOpinions(cfg, g), next: make([]uint8, cfg.N)}
 	return newDriver(&cfg, 1, 1).run(b)[0], nil
 }
 
@@ -69,7 +58,6 @@ type literalBody struct {
 	g         *rng.RNG
 	ell       int
 	cur, next []uint8
-	sampler   *distinctSampler // without-replacement draws; nil samples with replacement
 }
 
 func (b *literalBody) round(d *driver) {
@@ -98,14 +86,8 @@ func (b *literalBody) round(d *driver) {
 			continue
 		}
 		k := 0
-		if b.sampler != nil {
-			for _, j := range b.sampler.sample(g) {
-				k += int(cur[j])
-			}
-		} else {
-			for s := 0; s < b.ell; s++ {
-				k += int(cur[g.Intn(n)])
-			}
+		for s := 0; s < b.ell; s++ {
+			k += int(cur[g.Intn(n)])
 		}
 		sampled++
 		if g.Bernoulli(rule.G(int(cur[i]), k)) {
@@ -143,87 +125,4 @@ func initialOpinions(cfg Config, g *rng.RNG) []uint8 {
 		}
 	}
 	return ops
-}
-
-// smallSampleCut is the ℓ at or below which a linear duplicate scan beats
-// map bookkeeping for without-replacement draws.
-const smallSampleCut = 16
-
-// distinctSampler draws ℓ distinct uniform indices from [0, n) repeatedly
-// without allocating per call. Strategy by regime:
-//
-//   - ℓ ≤ smallSampleCut: rejection with a linear duplicate scan (the
-//     historical path, fastest while the scan fits in a cache line);
-//   - ℓ ≤ n/2: rejection with a hash-set duplicate check, expected O(ℓ)
-//     per call instead of the linear scan's O(ℓ²);
-//   - ℓ > n/2: partial Fisher–Yates over a persistent index permutation,
-//     O(ℓ) swaps with no rejection at all (the permutation stays valid
-//     between calls, so no re-initialization is needed).
-type distinctSampler struct {
-	n, ell int
-	buf    []int
-	seen   map[int]struct{} // map-rejection path
-	perm   []int            // partial-shuffle path
-}
-
-func newDistinctSampler(n, ell int) *distinctSampler {
-	s := &distinctSampler{n: n, ell: ell}
-	switch {
-	case ell <= smallSampleCut:
-		s.buf = make([]int, 0, ell)
-	case ell <= n/2:
-		s.buf = make([]int, 0, ell)
-		s.seen = make(map[int]struct{}, ell)
-	default:
-		s.perm = make([]int, n)
-		for i := range s.perm {
-			s.perm[i] = i
-		}
-	}
-	return s
-}
-
-// sample returns ℓ distinct indices; the slice is valid until the next
-// call.
-func (s *distinctSampler) sample(g *rng.RNG) []int {
-	switch {
-	case s.perm != nil:
-		// Partial Fisher–Yates: any permutation prefix of length ℓ is a
-		// uniform ordered sample without replacement.
-		for i := 0; i < s.ell; i++ {
-			j := i + g.Intn(s.n-i)
-			s.perm[i], s.perm[j] = s.perm[j], s.perm[i]
-		}
-		return s.perm[:s.ell]
-	case s.seen != nil:
-		clear(s.seen)
-		dst := s.buf[:0]
-		for len(dst) < s.ell {
-			v := g.Intn(s.n)
-			if _, dup := s.seen[v]; dup {
-				continue
-			}
-			s.seen[v] = struct{}{}
-			dst = append(dst, v)
-		}
-		s.buf = dst
-		return dst
-	default:
-		dst := s.buf[:0]
-		for len(dst) < s.ell {
-			v := g.Intn(s.n)
-			dup := false
-			for _, u := range dst {
-				if u == v {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				dst = append(dst, v)
-			}
-		}
-		s.buf = dst
-		return dst
-	}
 }

@@ -14,9 +14,10 @@ import (
 // visited by the batch instead of once per replica-round.
 //
 // Each replica's update is identical — in value and in stream consumption —
-// to StepCount(c.Rule(), c.N(), z, xs[i], gs[i]): the cache is exact, so
-// batched and unbatched trajectories coincide realization-by-realization
-// for the same generators. It panics if len(xs) != len(gs).
+// to StepCount(r, c.N(), z, xs[i], gs[i]) for the rule r the cache was
+// built with: the cache is exact, so batched and unbatched trajectories
+// coincide realization-by-realization for the same generators. It panics
+// if len(xs) != len(gs).
 func StepCountBatch(c *protocol.AdoptCache, z int, xs []int64, gs []*rng.RNG) {
 	if len(xs) != len(gs) {
 		panic(fmt.Sprintf("engine: StepCountBatch with %d counts but %d generators", len(xs), len(gs)))

@@ -285,17 +285,6 @@ func TestRunAgentsConverges(t *testing.T) {
 	}
 }
 
-func TestRunAgentsWithoutReplacement(t *testing.T) {
-	cfg := Config{N: 64, Rule: protocol.Minority(3), Z: 1, X0: 32, MaxRounds: 5000}
-	res, err := RunAgents(cfg, AgentOptions{WithoutReplacement: true}, rng.New(12))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FinalCount < 1 || res.FinalCount > 64 {
-		t.Errorf("final count out of range: %d", res.FinalCount)
-	}
-}
-
 func TestRunSequentialVoterConverges(t *testing.T) {
 	cfg := Config{N: 32, Rule: protocol.Voter(1), Z: 1, X0: 1}
 	res, err := RunSequential(cfg, rng.New(13))
@@ -393,51 +382,6 @@ func TestRunParallelLargePopulation(t *testing.T) {
 	}
 	if !res.Converged {
 		t.Errorf("BiasedVoter(+0.2) with z=1 should converge upward quickly: %+v", res)
-	}
-}
-
-// TestWithoutReplacementCrossCheck validates the agent engine's
-// without-replacement option against the hypergeometric adopt
-// probability: the one-round mean must match the analytic value, which
-// differs measurably from the with-replacement one at small n.
-func TestWithoutReplacementCrossCheck(t *testing.T) {
-	const (
-		n    = 60
-		x0   = 20
-		z    = 1
-		reps = 4000
-	)
-	r := protocol.Minority(5)
-	p1 := r.AdoptProbWithoutReplacement(1, n, x0)
-	p0 := r.AdoptProbWithoutReplacement(0, n, x0)
-	wantMean := float64(z) + float64(x0-z)*p1 + float64(n-x0-(1-z))*p0
-
-	// Sanity: the two sampling models must differ at this scale, so the
-	// test can actually distinguish them.
-	with := float64(z) + float64(x0-z)*r.AdoptProb(1, float64(x0)/n) +
-		float64(n-x0-(1-z))*r.AdoptProb(0, float64(x0)/n)
-	if math.Abs(with-wantMean) < 0.3 {
-		t.Fatalf("models too close to distinguish (%v vs %v); pick different parameters", with, wantMean)
-	}
-
-	g := rng.New(404)
-	sum := 0.0
-	for i := 0; i < reps; i++ {
-		res, err := RunAgents(Config{N: n, Rule: r, Z: z, X0: x0, MaxRounds: 1},
-			AgentOptions{WithoutReplacement: true}, g.Split())
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum += float64(res.FinalCount)
-	}
-	mean := sum / reps
-	se := math.Sqrt(float64(n) / 4 / reps)
-	if math.Abs(mean-wantMean) > 6*se {
-		t.Errorf("without-replacement mean = %v, hypergeometric predicts %v (±%v)", mean, wantMean, 6*se)
-	}
-	if math.Abs(mean-with) < math.Abs(mean-wantMean) {
-		t.Errorf("measured mean %v is closer to the with-replacement value %v than to the hypergeometric %v",
-			mean, with, wantMean)
 	}
 }
 

@@ -72,13 +72,33 @@ func oneStepLaw(r *protocol.Rule, n, z, x0 int64, q float64, s int64) []float64 
 		p1 := q + (1-q)*r.AdoptProb(1, p)
 		p0 := (1 - q) * r.AdoptProb(0, p)
 		for j1 := int64(0); j1 <= m1; j1++ {
-			b1 := dist.BinomialPMF(m1, j1, p1)
+			b1 := binomialPMF(m1, j1, p1)
 			for j0 := int64(0); j0 <= m0; j0++ {
-				law[z+s+j1+j0] += w * b1 * dist.BinomialPMF(m0, j0, p0)
+				law[z+s+j1+j0] += w * b1 * binomialPMF(m0, j0, p0)
 			}
 		}
 	}
 	return law
+}
+
+// binomialPMF returns P(X = k) for X ~ Binomial(n, p), in log space so it
+// stays accurate in the far tails.
+func binomialPMF(n, k int64, p float64) float64 {
+	switch {
+	case k < 0 || k > n:
+		return 0
+	case p <= 0:
+		if k == 0 {
+			return 1
+		}
+		return 0
+	case p >= 1:
+		if k == n {
+			return 1
+		}
+		return 0
+	}
+	return math.Exp(dist.LogChoose(n, k) + float64(k)*math.Log(p) + float64(n-k)*math.Log1p(-p))
 }
 
 // oneStepVariant runs reps one-round replicas and returns their X₁. Its
@@ -166,7 +186,7 @@ func TestOneStepKernelMatchesEq4(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vmRule, err := prog.Materialize(vm.EvalLimits{})
+	vmRule, err := prog.Materialize()
 	if err != nil {
 		t.Fatal(err)
 	}

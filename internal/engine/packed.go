@@ -24,8 +24,7 @@ import (
 // not across the packed/unpacked pair; the χ² suites
 // (equivalence_chi_test.go, onestep_chi_test.go) pin the distributional
 // agreement, with each other and with the exact one-step law, under every
-// fault family. AgentOptions.Unpacked forces the literal body;
-// without-replacement sampling falls back to it on its own.
+// fault family. AgentOptions.Unpacked forces the literal body.
 
 // lineWords is the cache-line granularity of shard ownership: 8 words of
 // 64 opinions each, so one shard's round flips never dirty a cache line

@@ -12,17 +12,14 @@ import "bitspread/internal/rng"
 // count level. Converged replicas drop out of the batch; the round loop
 // ends when none remain active or the cap expires.
 //
-// Configurations the bitset engine does not serve (Unpacked,
-// without-replacement sampling) fall back to independent RunAgents calls,
-// one per seed — same results, no sharing. cfg.Probe sees every replica,
-// as in per-seed RunAgents runs.
+// An Unpacked configuration, which the bitset engine does not serve, falls
+// back to independent RunAgents calls, one per seed — same results, no
+// sharing. cfg.Probe sees every replica, as in per-seed RunAgents runs.
 func RunAgentsReplicas(cfg Config, opts AgentOptions, seeds []uint64) ([]Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	ell := cfg.Rule.SampleSize()
-	withoutReplacement := opts.WithoutReplacement && ell <= int(cfg.N)
-	if opts.Unpacked || withoutReplacement {
+	if opts.Unpacked {
 		results := make([]Result, len(seeds))
 		for i, seed := range seeds {
 			res, err := RunAgents(cfg, opts, rng.New(seed))

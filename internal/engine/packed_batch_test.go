@@ -84,27 +84,23 @@ func TestRunAgentsReplicasRetirement(t *testing.T) {
 	}
 }
 
-// Configurations the bitset engine does not serve fall back to independent
-// solo runs with the same results.
+// An Unpacked configuration, which the bitset engine does not serve,
+// falls back to independent solo runs with the same results.
 func TestRunAgentsReplicasFallback(t *testing.T) {
 	cfg := engine.Config{N: 120, Rule: protocol.Minority(3), Z: 1, X0: 60, MaxRounds: 10}
 	seeds := []uint64{11, 12, 13}
-	for name, opts := range map[string]engine.AgentOptions{
-		"unpacked":            {Unpacked: true},
-		"without-replacement": {WithoutReplacement: true},
-	} {
-		batch, err := engine.RunAgentsReplicas(cfg, opts, seeds)
+	opts := engine.AgentOptions{Unpacked: true}
+	batch, err := engine.RunAgentsReplicas(cfg, opts, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, seed := range seeds {
+		solo, err := engine.RunAgents(cfg, opts, rng.New(seed))
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatal(err)
 		}
-		for i, seed := range seeds {
-			solo, err := engine.RunAgents(cfg, opts, rng.New(seed))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if batch[i] != solo {
-				t.Errorf("%s seed=%d: batched %+v differs from solo %+v", name, seed, batch[i], solo)
-			}
+		if batch[i] != solo {
+			t.Errorf("seed=%d: batched %+v differs from solo %+v", seed, batch[i], solo)
 		}
 	}
 }

@@ -168,18 +168,6 @@ func TestChunkedCountsConsistent(t *testing.T) {
 	}
 }
 
-// Without-replacement sampling needs per-agent sample sets, so RunAgents
-// must fall back to the unpacked body (same realization with or without
-// the Unpacked flag).
-func TestWithoutReplacementIgnoresPacking(t *testing.T) {
-	cfg := engine.Config{N: 120, Rule: protocol.Minority(3), Z: 1, X0: 60, MaxRounds: 10}
-	a, trajA := runAgentsTraced(t, cfg, engine.AgentOptions{WithoutReplacement: true}, 5)
-	b, trajB := runAgentsTraced(t, cfg, engine.AgentOptions{WithoutReplacement: true, Unpacked: true}, 5)
-	if a != b || !reflect.DeepEqual(trajA, trajB) {
-		t.Errorf("without-replacement runs differ: %+v vs %+v", a, b)
-	}
-}
-
 // The packed engines must skip non-sampling agents in Activations: with
 // every update omitted, no agent samples at all and the count freezes.
 func TestPackedActivationsUnderTotalOmission(t *testing.T) {

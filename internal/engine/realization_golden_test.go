@@ -91,9 +91,6 @@ func TestEngineRealizationGolden(t *testing.T) {
 		{"literal", agents(engine.AgentOptions{Unpacked: true}),
 			"1669aa8fbc5330c7d34f191abd6f66f63ecf3c937301eddd1ff8b7ecacade9b1",
 			"6738de934b12327cbebdb58cd199b013761646a048072744caa6f65bc2911b59"},
-		{"literal-without-replacement", agents(engine.AgentOptions{WithoutReplacement: true}),
-			"3f6edab82479c0396c074248668ccb05cd60dac7f32a5f6e1e522f25109cf5a7",
-			"a489c5303f7a19c90f233354bbc007c47b79de5f53cb0ee20b4a3be81f3ccbe0"},
 		{"packed", agents(engine.AgentOptions{}),
 			"ff53133a94e0ee814b6981cc51df7142c1a537a97cf7724c1fdb4b3c843da5f7",
 			"312d1919390006e46418abc4aacca233d35f66125f7070ad90d53ebdab4c9b2b"},

@@ -12,35 +12,31 @@ import (
 // serial engine and reproduce its realization byte-for-byte, trajectory
 // included.
 func TestShardsOneMatchesSerial(t *testing.T) {
-	for _, withoutReplacement := range []bool{false, true} {
-		base := Config{N: 96, Rule: protocol.Minority(3), Z: 1, X0: 48, MaxRounds: 200}
+	base := Config{N: 96, Rule: protocol.Minority(3), Z: 1, X0: 48, MaxRounds: 200}
 
-		runWithTrace := func(opts AgentOptions, seed uint64) (Result, []int64) {
-			p := &Trajectory{}
-			cfg := base
-			cfg.Probe = p
-			res, err := RunAgents(cfg, opts, rng.New(seed))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res, p.Counts
+	runWithTrace := func(opts AgentOptions, seed uint64) (Result, []int64) {
+		p := &Trajectory{}
+		cfg := base
+		cfg.Probe = p
+		res, err := RunAgents(cfg, opts, rng.New(seed))
+		if err != nil {
+			t.Fatal(err)
 		}
+		return res, p.Counts
+	}
 
-		serialRes, serialTraj := runWithTrace(AgentOptions{WithoutReplacement: withoutReplacement}, 31)
-		for _, shards := range []int{0, 1} {
-			res, traj := runWithTrace(AgentOptions{WithoutReplacement: withoutReplacement, Shards: shards}, 31)
-			if res != serialRes {
-				t.Errorf("woReplacement=%v Shards=%d: %+v differs from serial %+v",
-					withoutReplacement, shards, res, serialRes)
-			}
-			if len(traj) != len(serialTraj) {
-				t.Fatalf("trajectory lengths differ: %d vs %d", len(traj), len(serialTraj))
-			}
-			for i := range traj {
-				if traj[i] != serialTraj[i] {
-					t.Fatalf("woReplacement=%v Shards=%d: trajectories diverge at round %d",
-						withoutReplacement, shards, i+1)
-				}
+	serialRes, serialTraj := runWithTrace(AgentOptions{}, 31)
+	for _, shards := range []int{0, 1} {
+		res, traj := runWithTrace(AgentOptions{Shards: shards}, 31)
+		if res != serialRes {
+			t.Errorf("Shards=%d: %+v differs from serial %+v", shards, res, serialRes)
+		}
+		if len(traj) != len(serialTraj) {
+			t.Fatalf("trajectory lengths differ: %d vs %d", len(traj), len(serialTraj))
+		}
+		for i := range traj {
+			if traj[i] != serialTraj[i] {
+				t.Fatalf("Shards=%d: trajectories diverge at round %d", shards, i+1)
 			}
 		}
 	}
@@ -200,51 +196,5 @@ func TestInitialOpinionsFloyd(t *testing.T) {
 		if math.Abs(got-pSlot) > 5*se {
 			t.Errorf("slot %d holds a one with frequency %v, want %v ± %v", j, got, pSlot, 5*se)
 		}
-	}
-}
-
-// TestDistinctSamplerRegimes: all three strategies must return ℓ distinct
-// in-range indices with uniform marginals.
-func TestDistinctSamplerRegimes(t *testing.T) {
-	g := rng.New(33)
-	for _, tc := range []struct {
-		name   string
-		n, ell int
-	}{
-		{"linear-scan", 100, 3},
-		{"map-rejection", 100, 40},
-		{"partial-shuffle", 100, 80},
-		{"full-population", 20, 20},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			s := newDistinctSampler(tc.n, tc.ell)
-			const reps = 4000
-			freq := make([]int, tc.n)
-			for i := 0; i < reps; i++ {
-				out := s.sample(g)
-				if len(out) != tc.ell {
-					t.Fatalf("got %d samples, want %d", len(out), tc.ell)
-				}
-				seen := make(map[int]bool, tc.ell)
-				for _, v := range out {
-					if v < 0 || v >= tc.n {
-						t.Fatalf("sample %d out of range", v)
-					}
-					if seen[v] {
-						t.Fatalf("duplicate sample %d", v)
-					}
-					seen[v] = true
-					freq[v]++
-				}
-			}
-			p := float64(tc.ell) / float64(tc.n)
-			se := math.Sqrt(p * (1 - p) / reps)
-			for v, f := range freq {
-				got := float64(f) / reps
-				if math.Abs(got-p) > 6*se {
-					t.Errorf("index %d drawn with frequency %v, want %v ± %v", v, got, p, 6*se)
-				}
-			}
-		})
 	}
 }

@@ -289,7 +289,7 @@ func polish(p *vm.Program) *vm.Program {
 	// fixed length so vectors from different probes line up.
 	dim := cur.Ell + 2
 	coeffs := func() []float64 {
-		rule, err := cur.Materialize(vm.EvalLimits{})
+		rule, err := cur.Materialize()
 		if err != nil {
 			return nil
 		}
@@ -413,7 +413,7 @@ func rank(pop []Individual) {
 // evaluate scores one genome in place, charging Outcome's counters.
 func evaluate(ind *Individual, opts *Options, simRNG *rng.RNG, out *Outcome) {
 	out.Evaluations++
-	rule, err := ind.Program.Materialize(vm.EvalLimits{})
+	rule, err := ind.Program.Materialize()
 	if err != nil {
 		// Unreachable for table genomes, but a mutation design error must
 		// cull, not crash, the search.

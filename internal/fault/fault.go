@@ -266,14 +266,6 @@ func Validate(events []Event) error {
 	return nil
 }
 
-// Events returns a copy of the schedule's events in application order.
-func (s *Schedule) Events() []Event {
-	if s == nil {
-		return nil
-	}
-	return append([]Event(nil), s.events...)
-}
-
 // String renders the schedule as its event list, stable across runs — the
 // sim layer folds it into checkpoint fingerprints.
 func (s *Schedule) String() string {
@@ -296,22 +288,6 @@ func (s *Schedule) Horizon() int64 {
 		return 0
 	}
 	return s.horizon
-}
-
-// ActiveAt reports whether any event of the schedule affects round t —
-// a boundary event firing at t or a window covering it. Observability
-// layers use it to label rounds as perturbed; it is a pure query and
-// nil-safe like the Perturber methods.
-func (s *Schedule) ActiveAt(t int64) bool {
-	if s == nil {
-		return false
-	}
-	for _, e := range s.events {
-		if e.active(t) {
-			return true
-		}
-	}
-	return false
 }
 
 // BoundaryAt implements engine.Perturber.

@@ -64,31 +64,6 @@ func TestMustPanicsOnInvalid(t *testing.T) {
 	Must(ResetAt(0, 1, 1))
 }
 
-func TestActiveAt(t *testing.T) {
-	var nilSched *Schedule
-	if nilSched.ActiveAt(1) {
-		t.Error("nil schedule reported active")
-	}
-	s := Must(ResetAt(5, 1, 0), OmissionFor(8, 3, 0.5))
-	cases := []struct {
-		round int64
-		want  bool
-	}{
-		{1, false},  // before everything
-		{4, false},  // just before the reset
-		{5, true},   // the point reset fires here
-		{6, false},  // point events cover exactly one round
-		{8, true},   // omission window start
-		{10, true},  // last covered round (8 + 3 - 1)
-		{11, false}, // window over
-	}
-	for _, c := range cases {
-		if got := s.ActiveAt(c.round); got != c.want {
-			t.Errorf("ActiveAt(%d) = %v, want %v", c.round, got, c.want)
-		}
-	}
-}
-
 func TestEmptyAndHorizon(t *testing.T) {
 	var nilSched *Schedule
 	if !nilSched.Empty() || nilSched.Horizon() != 0 {
@@ -313,17 +288,5 @@ func TestStringForms(t *testing.T) {
 	}
 	if !strings.HasPrefix(Kind(99).String(), "Kind(") {
 		t.Error("unknown kind string")
-	}
-}
-
-func TestEventsCopies(t *testing.T) {
-	s := Must(ResetAt(5, 1, 0))
-	evs := s.Events()
-	evs[0].Round = 99
-	if s.events[0].Round != 5 {
-		t.Error("Events leaked internal state")
-	}
-	if (*Schedule)(nil).Events() != nil {
-		t.Error("nil schedule events")
 	}
 }

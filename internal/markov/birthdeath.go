@@ -45,12 +45,6 @@ func NewBirthDeath(up, down []float64) (*BirthDeath, error) {
 // Size returns the number of states, n+1.
 func (bd *BirthDeath) Size() int { return len(bd.up) }
 
-// Up returns the probability of moving from i to i+1.
-func (bd *BirthDeath) Up(i int) float64 { return bd.up[i] }
-
-// Down returns the probability of moving from i to i-1.
-func (bd *BirthDeath) Down(i int) float64 { return bd.down[i] }
-
 // ExpectedTimeUp returns the expected number of steps to first reach state
 // b starting from state a <= b, by the classical one-step recursion for
 // birth–death chains:

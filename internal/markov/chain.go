@@ -1,9 +1,9 @@
 // Package markov provides the finite Markov-chain machinery behind the
-// paper's analysis: dense chains with exact hitting-time and absorption
-// computations (used to validate the simulators on small populations),
-// closed-form birth–death chains (the sequential setting's structure, per
-// [14]), and the Doob decomposition Y = M + A with the martingale
-// diagnostics that drive Theorem 6.
+// paper's analysis: dense chains with exact hitting-time computations (used
+// to validate the simulators on small populations), closed-form
+// birth–death chains (the sequential setting's structure, per [14]), and
+// the Doob decomposition Y = M + A with the martingale diagnostics that
+// drive Theorem 6.
 package markov
 
 import (
@@ -148,57 +148,6 @@ func (c *Chain) ExpectedHittingTimes(targets map[int]bool) ([]float64, error) {
 	return h, nil
 }
 
-// AbsorptionProbabilities returns q[i] = probability of eventually hitting
-// a state in target before hitting any state in avoid, starting from i.
-// States in target get 1, states in avoid get 0.
-func (c *Chain) AbsorptionProbabilities(target, avoid map[int]bool) ([]float64, error) {
-	n := c.Size()
-	q := make([]float64, n)
-	sys := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		switch {
-		case target[i]:
-			q[i] = 1
-		case avoid[i]:
-			q[i] = 0
-		default:
-			sys = append(sys, i)
-		}
-	}
-	k := len(sys)
-	if k == 0 {
-		return q, nil
-	}
-	a := make([][]float64, k)
-	b := make([]float64, k)
-	for r, i := range sys {
-		a[r] = make([]float64, k)
-		for cc, j := range sys {
-			v := -c.p[i][j]
-			if i == j {
-				v += 1
-			}
-			a[r][cc] = v
-		}
-		// Accumulate in index order, not map order: float addition is not
-		// associative, so ranging the target set directly would make the
-		// solved probabilities differ in the last ulp between runs.
-		for j := 0; j < n; j++ {
-			if target[j] {
-				b[r] += c.p[i][j]
-			}
-		}
-	}
-	x, err := solveDense(a, b)
-	if err != nil {
-		return nil, err
-	}
-	for r, i := range sys {
-		q[i] = clamp01(x[r])
-	}
-	return q, nil
-}
-
 // canReach marks states from which the target set is reachable.
 func (c *Chain) canReach(targets map[int]bool) []bool {
 	n := c.Size()
@@ -270,14 +219,4 @@ func solveDense(a [][]float64, b []float64) ([]float64, error) {
 		x[r] = v / a[r][r]
 	}
 	return x, nil
-}
-
-func clamp01(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
 }

@@ -72,15 +72,3 @@ func (d *Doob) DominanceHolds(tol float64) bool {
 	}
 	return true
 }
-
-// MaxExcursion returns the largest |M_t - M_0| over the trajectory — the
-// quantity the Azuma–Hoeffding corridor of Claim 8 controls.
-func (d *Doob) MaxExcursion() float64 {
-	maxEx := 0.0
-	for k := range d.M {
-		if e := math.Abs(d.M[k] - d.M[0]); e > maxEx {
-			maxEx = e
-		}
-	}
-	return maxEx
-}

@@ -167,23 +167,6 @@ func (r minorityRule) AdoptDist(b int, counts []int) []float64 {
 	return d
 }
 
-// StayRule keeps the current opinion regardless of the sample — a
-// degenerate control that trivially satisfies the support constraint and
-// never converges (used in tests).
-func StayRule(q, ell int) Rule { return stayRule{q: q, ell: ell} }
-
-type stayRule struct{ q, ell int }
-
-func (r stayRule) Name() string    { return fmt.Sprintf("Stay(q=%d)", r.q) }
-func (r stayRule) Opinions() int   { return r.q }
-func (r stayRule) SampleSize() int { return r.ell }
-
-func (r stayRule) AdoptDist(b int, counts []int) []float64 {
-	d := make([]float64, r.q)
-	d[b] = 1
-	return d
-}
-
 // multinomialPMF returns the probability of the sample profile counts
 // when each of the ℓ draws lands in category j with probability p[j],
 // computed in log space for stability.

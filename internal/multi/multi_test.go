@@ -2,6 +2,7 @@ package multi
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -14,7 +15,7 @@ func TestValidateBuiltins(t *testing.T) {
 	for _, r := range []Rule{
 		Voter(2, 3), Voter(3, 4), Voter(5, 2),
 		Minority(2, 3), Minority(3, 5), Minority(4, 4),
-		StayRule(3, 2),
+		stayRule{q: 3, ell: 2},
 	} {
 		if err := Validate(r); err != nil {
 			t.Errorf("%s: %v", r.Name(), err)
@@ -26,6 +27,21 @@ func TestValidateRejectsUnseenAdoption(t *testing.T) {
 	if err := Validate(badRule{}); !errors.Is(err, ErrSupport) {
 		t.Errorf("error = %v, want ErrSupport", err)
 	}
+}
+
+// stayRule keeps the current opinion regardless of the sample — a
+// degenerate control that trivially satisfies the support constraint and
+// never converges.
+type stayRule struct{ q, ell int }
+
+func (r stayRule) Name() string    { return fmt.Sprintf("Stay(q=%d)", r.q) }
+func (r stayRule) Opinions() int   { return r.q }
+func (r stayRule) SampleSize() int { return r.ell }
+
+func (r stayRule) AdoptDist(b int, counts []int) []float64 {
+	d := make([]float64, r.q)
+	d[b] = 1
+	return d
 }
 
 // badRule always adopts opinion 2 even when unseen.
@@ -201,7 +217,7 @@ func TestThreeOpinionVoterConverges(t *testing.T) {
 func TestStayRuleNeverConverges(t *testing.T) {
 	res, err := RunParallel(Config{
 		N:         20,
-		Rule:      StayRule(3, 1),
+		Rule:      stayRule{q: 3, ell: 1},
 		Z:         0,
 		X0:        []int64{10, 5, 5},
 		MaxRounds: 50,
@@ -229,7 +245,7 @@ func TestConsensusAbsorbing(t *testing.T) {
 
 func TestPopulationConservedQuick(t *testing.T) {
 	g := rng.New(12)
-	rules := []Rule{Voter(3, 2), Minority(4, 3), StayRule(3, 1)}
+	rules := []Rule{Voter(3, 2), Minority(4, 3), stayRule{q: 3, ell: 1}}
 	for trial := 0; trial < 300; trial++ {
 		r := rules[trial%len(rules)]
 		q := r.Opinions()

@@ -2,9 +2,9 @@
 // machinery the paper's Section 4 analysis relies on: the bias function
 // F_n(p) of Eq. 3 is a polynomial of degree at most ℓ+1, and the lower-bound
 // proof inspects the number, location and sign pattern of its roots in
-// [0, 1]. This package provides arithmetic, Sturm-sequence root counting,
-// and certified root isolation by Sturm bisection (which, unlike sign-change
-// scanning, also finds even-multiplicity roots).
+// [0, 1]. This package provides arithmetic, Sturm sequences, and certified
+// root isolation by Sturm bisection (which, unlike sign-change scanning,
+// also finds even-multiplicity roots).
 package poly
 
 import (
@@ -79,17 +79,6 @@ func (p Poly) Add(q Poly) Poly {
 	copy(out, p)
 	for i, c := range q {
 		out[i] += c
-	}
-	return out.trim()
-}
-
-// Sub returns p - q.
-func (p Poly) Sub(q Poly) Poly {
-	n := max(len(p), len(q))
-	out := make(Poly, n)
-	copy(out, p)
-	for i, c := range q {
-		out[i] -= c
 	}
 	return out.trim()
 }

@@ -60,27 +60,6 @@ func signVariations(chain []Poly, x float64) int {
 	return variations
 }
 
-// CountRoots returns the number of distinct real roots of p in the
-// half-open interval (a, b], by Sturm's theorem. It panics if a >= b and
-// returns 0 for constant polynomials. The count is exact provided neither
-// endpoint is (numerically) a root of p; callers with roots at endpoints
-// should nudge the endpoints (see RootsIn).
-func (p Poly) CountRoots(a, b float64) int {
-	if a >= b {
-		panic("poly: CountRoots requires a < b")
-	}
-	p = p.trim()
-	if len(p) <= 1 {
-		return 0
-	}
-	chain := p.SturmChain()
-	n := signVariations(chain, a) - signVariations(chain, b)
-	if n < 0 {
-		return 0
-	}
-	return n
-}
-
 // RootsIn returns the distinct real roots of p in the closed interval
 // [a, b], each located to within tol, in increasing order. Roots are
 // isolated by recursive Sturm bisection, so even-multiplicity roots (where

@@ -80,9 +80,6 @@ func NewAdoptCache(r *Rule, n int64) *AdoptCache {
 	return c
 }
 
-// Rule returns the rule the cache evaluates.
-func (c *AdoptCache) Rule() *Rule { return c.rule }
-
 // N returns the population size the cache was built for.
 func (c *AdoptCache) N() int64 { return c.n }
 

@@ -27,8 +27,8 @@ func TestWrapperClassification(t *testing.T) {
 		{"Constant(0.375)", Constant(2, 0.375), ClassEnvironment},
 	}
 	for _, tc := range cases {
-		if got := tc.rule.Class(); got != tc.want {
-			t.Errorf("%s: Class() = %v, want %v", tc.name, got, tc.want)
+		if got := tc.rule.class; got != tc.want {
+			t.Errorf("%s: class = %v, want %v", tc.name, got, tc.want)
 		}
 		err := tc.rule.Validate()
 		if tc.want == ClassProtocol && err != nil {
@@ -57,17 +57,17 @@ func TestMixClassification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pure.Class() != ClassProtocol || pure.Validate() != nil {
+	if pure.class != ClassProtocol || pure.Validate() != nil {
 		t.Errorf("Mix(Voter, Minority): class %v, Validate %v; want protocol/nil",
-			pure.Class(), pure.Validate())
+			pure.class, pure.Validate())
 	}
 
 	leaky, err := Mix(voter, noisy, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if leaky.Class() != ClassEnvironment {
-		t.Errorf("Mix(Voter, noisy): class %v, want environment", leaky.Class())
+	if leaky.class != ClassEnvironment {
+		t.Errorf("Mix(Voter, noisy): class %v, want environment", leaky.class)
 	}
 	if err := leaky.Validate(); !errors.Is(err, ErrEnvironmentRule) {
 		t.Errorf("Mix(Voter, noisy): Validate() = %v, want ErrEnvironmentRule", err)
@@ -78,8 +78,8 @@ func TestMixClassification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if degenerate.Class() != ClassProtocol {
-		t.Errorf("Mix(Voter, noisy, w=1): class %v, want protocol", degenerate.Class())
+	if degenerate.class != ClassProtocol {
+		t.Errorf("Mix(Voter, noisy, w=1): class %v, want protocol", degenerate.class)
 	}
 }
 
@@ -91,8 +91,8 @@ func TestBuiltinsAreProtocolClass(t *testing.T) {
 		ThreeMajority(), TwoChoice(), BiasedVoter(3, 0.125), LazyVoter(3, 0.25),
 		Follower(3, 2),
 	} {
-		if r.Class() != ClassProtocol {
-			t.Errorf("%v: class %v, want protocol", r, r.Class())
+		if r.class != ClassProtocol {
+			t.Errorf("%v: class %v, want protocol", r, r.class)
 		}
 	}
 }

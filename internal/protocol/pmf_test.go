@@ -1,11 +1,64 @@
 package protocol
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"bitspread/internal/dist"
 )
+
+// sampleCountPMF fills dst[k] with the Binomial(ℓ, p) probability of
+// observing exactly k ones among ℓ uniform samples when the global fraction
+// of ones is p — the distribution of the observation an agent conditions
+// its update on. dst must have ℓ+1 entries; p is clamped to [0, 1].
+//
+// It is the reference TestSampleCountPMFConsistentWithAdoptProb checks
+// AdoptProb against, evaluated by the same mode-outward multiplicative
+// recurrence (O(ℓ) with three log-factorials, underflow-safe because terms
+// only shrink away from the mode).
+func sampleCountPMF(ell int, p float64, dst []float64) {
+	if len(dst) != ell+1 {
+		panic(fmt.Sprintf("protocol: sampleCountPMF dst has %d entries, want ℓ+1 = %d", len(dst), ell+1))
+	}
+	if p < 0 {
+		p = 0
+	} else if p > 1 {
+		p = 1
+	}
+	for k := range dst {
+		dst[k] = 0
+	}
+	switch {
+	case p == 0:
+		dst[0] = 1
+		return
+	case p == 1:
+		dst[ell] = 1
+		return
+	}
+
+	mode := int(float64(ell+1) * p)
+	if mode > ell {
+		mode = ell
+	}
+	logPmf := dist.LogChoose(int64(ell), int64(mode)) +
+		float64(mode)*math.Log(p) + float64(ell-mode)*math.Log1p(-p)
+	pmfMode := math.Exp(logPmf)
+	ratio := p / (1 - p)
+
+	dst[mode] = pmfMode
+	cur := pmfMode
+	for k := mode; k < ell && cur > 0; k++ {
+		cur *= float64(ell-k) / float64(k+1) * ratio
+		dst[k+1] = cur
+	}
+	cur = pmfMode
+	for k := mode; k > 0 && cur > 0; k-- {
+		cur *= float64(k) / float64(ell-k+1) / ratio
+		dst[k-1] = cur
+	}
+}
 
 // Reference pmf straight from the definition, in log space.
 func binomPMF(ell, k int, p float64) float64 {
@@ -30,7 +83,7 @@ func TestSampleCountPMFMatchesDefinition(t *testing.T) {
 	for _, ell := range []int{1, 3, 7, 50, 500} {
 		dst := make([]float64, ell+1)
 		for _, p := range []float64{0, 1e-9, 0.01, 0.3, 0.5, 0.75, 0.999, 1, -0.5, 1.5} {
-			SampleCountPMF(ell, p, dst)
+			sampleCountPMF(ell, p, dst)
 			clamped := math.Min(math.Max(p, 0), 1)
 			sum := 0.0
 			for k := 0; k <= ell; k++ {
@@ -56,7 +109,7 @@ func TestSampleCountPMFConsistentWithAdoptProb(t *testing.T) {
 		g0, g1 := r.Tables()
 		pmf := make([]float64, ell+1)
 		for _, p := range []float64{0, 0.1, 0.5, 0.9, 1} {
-			SampleCountPMF(ell, p, pmf)
+			sampleCountPMF(ell, p, pmf)
 			for b, tbl := range [][]float64{g0, g1} {
 				sum := 0.0
 				for k := 0; k <= ell; k++ {
@@ -76,5 +129,5 @@ func TestSampleCountPMFPanicsOnBadDst(t *testing.T) {
 			t.Fatal("no panic for wrong dst length")
 		}
 	}()
-	SampleCountPMF(3, 0.5, make([]float64, 3))
+	sampleCountPMF(3, 0.5, make([]float64, 3))
 }

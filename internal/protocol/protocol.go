@@ -186,10 +186,6 @@ func (r *Rule) CheckProp3() error {
 	return nil
 }
 
-// Class returns the rule's classification, fixed at construction:
-// ClassProtocol iff the tables satisfy Proposition 3.
-func (r *Rule) Class() Class { return r.class }
-
 // Validate gates protocol-only contexts (job submission, the VM
 // registry, search spaces): it returns nil for ClassProtocol rules and
 // an error wrapping both ErrEnvironmentRule and the underlying ErrProp3
@@ -263,97 +259,7 @@ func (r *Rule) AdoptProb(b int, p float64) float64 {
 	return sum
 }
 
-// SampleCountPMF fills dst[k] with the Binomial(ℓ, p) probability of
-// observing exactly k ones among ℓ uniform samples when the global fraction
-// of ones is p — the distribution of the observation an agent conditions
-// its update on. dst must have ℓ+1 entries; p is clamped to [0, 1].
-//
-// The pmf is evaluated by the same mode-outward multiplicative recurrence
-// as AdoptProb (O(ℓ) with three log-factorials, underflow-safe because terms
-// only shrink away from the mode).
-func SampleCountPMF(ell int, p float64, dst []float64) {
-	if len(dst) != ell+1 {
-		panic(fmt.Sprintf("protocol: SampleCountPMF dst has %d entries, want ℓ+1 = %d", len(dst), ell+1))
-	}
-	if p < 0 {
-		p = 0
-	} else if p > 1 {
-		p = 1
-	}
-	for k := range dst {
-		dst[k] = 0
-	}
-	switch {
-	//bitlint:floatexact p was just clamped; the degenerate pmf short-cuts apply only at the exact endpoints
-	case p == 0:
-		dst[0] = 1
-		return
-	//bitlint:floatexact p was just clamped; the degenerate pmf short-cuts apply only at the exact endpoints
-	case p == 1:
-		dst[ell] = 1
-		return
-	}
-
-	mode := int(float64(ell+1) * p)
-	if mode > ell {
-		mode = ell
-	}
-	logPmf := dist.LogChoose(int64(ell), int64(mode)) +
-		float64(mode)*math.Log(p) + float64(ell-mode)*math.Log1p(-p)
-	pmfMode := math.Exp(logPmf)
-	ratio := p / (1 - p)
-
-	dst[mode] = pmfMode
-	cur := pmfMode
-	for k := mode; k < ell && cur > 0; k++ {
-		cur *= float64(ell-k) / float64(k+1) * ratio
-		dst[k+1] = cur
-	}
-	cur = pmfMode
-	for k := mode; k > 0 && cur > 0; k-- {
-		cur *= float64(k) / float64(ell-k+1) / ratio
-		dst[k-1] = cur
-	}
-}
-
 // String implements fmt.Stringer.
 func (r *Rule) String() string {
 	return fmt.Sprintf("%s(ℓ=%d)", r.name, r.ell)
-}
-
-// AdoptProbWithoutReplacement returns the adopt-1 probability when the ℓ
-// samples are drawn as *distinct* agents from a population of n with x
-// ones (hypergeometric sampling), the ablation of the paper's
-// with-replacement model. As n grows with x/n fixed it converges to
-// AdoptProb — quantifying why the modeling choice is immaterial at scale.
-// It panics if ℓ > n or the counts are inconsistent.
-func (r *Rule) AdoptProbWithoutReplacement(b int, n, x int64) float64 {
-	ell := int64(r.ell)
-	if ell > n || x < 0 || x > n {
-		panic(fmt.Sprintf("protocol: invalid hypergeometric parameters n=%d x=%d ℓ=%d", n, x, ell))
-	}
-	tbl := r.g0
-	if b == 1 {
-		tbl = r.g1
-	}
-	sum := 0.0
-	for k := int64(0); k <= ell; k++ {
-		//bitlint:floatexact sparse skip; a bit-exact zero table entry contributes nothing to the sum
-		if tbl[k] == 0 {
-			continue
-		}
-		// Hypergeometric pmf: C(x,k)·C(n-x,ℓ-k)/C(n,ℓ), in log space.
-		logP := dist.LogChoose(x, k) + dist.LogChoose(n-x, ell-k) - dist.LogChoose(n, ell)
-		if math.IsInf(logP, -1) {
-			continue
-		}
-		sum += math.Exp(logP) * tbl[k]
-	}
-	if sum < 0 {
-		return 0
-	}
-	if sum > 1 {
-		return 1
-	}
-	return sum
 }

@@ -409,43 +409,3 @@ func TestRandomRuleValid(t *testing.T) {
 		t.Error("two random rules coincided")
 	}
 }
-
-func TestAdoptProbWithoutReplacement(t *testing.T) {
-	r := Minority(3)
-	// Degenerate exact case: n = ℓ = 3, x = 1: the sample is the whole
-	// population, k = 1 surely → g(1) = 1.
-	if got := r.AdoptProbWithoutReplacement(0, 3, 1); math.Abs(got-1) > 1e-12 {
-		t.Errorf("exhaustive sample = %v, want 1", got)
-	}
-	// Convergence to the with-replacement value as n grows at fixed p.
-	const p = 0.3
-	prevDiff := math.Inf(1)
-	for _, n := range []int64{10, 100, 1000, 10000} {
-		x := int64(p * float64(n))
-		with := r.AdoptProb(0, float64(x)/float64(n))
-		without := r.AdoptProbWithoutReplacement(0, n, x)
-		diff := math.Abs(with - without)
-		if diff > prevDiff+1e-12 {
-			t.Errorf("n=%d: difference %v did not shrink (prev %v)", n, diff, prevDiff)
-		}
-		prevDiff = diff
-	}
-	if prevDiff > 1e-3 {
-		t.Errorf("at n=10000 the sampling models still differ by %v", prevDiff)
-	}
-	// Boundary cases.
-	if got := Voter(2).AdoptProbWithoutReplacement(0, 50, 0); got != 0 {
-		t.Errorf("x=0 gives %v, want 0", got)
-	}
-	if got := Voter(2).AdoptProbWithoutReplacement(1, 50, 50); got != 1 {
-		t.Errorf("x=n gives %v, want 1", got)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("ℓ > n did not panic")
-			}
-		}()
-		Voter(5).AdoptProbWithoutReplacement(0, 3, 1)
-	}()
-}

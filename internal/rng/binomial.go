@@ -127,8 +127,9 @@ func (r *RNG) binomialBTRS(n int64, p float64) int64 {
 // Hypergeometric returns a sample of the number of marked items in a
 // uniform draw of k items without replacement from a population of n items
 // of which marked are marked. It is exact and runs in O(k) time via the
-// sequential conditional-Bernoulli construction; the engines use it for the
-// without-replacement sampling ablation.
+// sequential conditional-Bernoulli construction; fault.Schedule's
+// count-level perturbation uses it to draw how many of the agents a reset,
+// churn or stubborn event picks held a one.
 //
 // It panics if any argument is negative, or if marked > n or k > n.
 func (r *RNG) Hypergeometric(n, marked, k int64) int64 {

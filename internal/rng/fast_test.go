@@ -59,7 +59,12 @@ func TestBernoulliThresholdDegenerate(t *testing.T) {
 // TestBoundedMatchesIntn: Next must be a drop-in for Intn — same values,
 // same stream consumption — including bounds that exercise rejection.
 func TestBoundedMatchesIntn(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 7, 1000, 1 << 20, (1 << 62) + 12345} {
+	ns := []int{1, 2, 3, 7, 1000, 1 << 20}
+	// A bound just above 2⁶² fits only a 64-bit int.
+	if big := uint64(1<<62) + 12345; big <= math.MaxInt {
+		ns = append(ns, int(big))
+	}
+	for _, n := range ns {
 		b := NewBounded(n)
 		x, y := New(42), New(42)
 		for i := 0; i < 2000; i++ {

@@ -218,15 +218,6 @@ type job struct {
 	counts  [4]int // completed, failed, cancelled, timed-out
 }
 
-// setState transitions the job unless it is already terminal.
-func (j *job) setState(s jobState) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if !j.state.terminal() {
-		j.state = s
-	}
-}
-
 // snapshot returns the fields the status endpoint needs, consistently.
 func (j *job) snapshot() (state jobState, errMsg string, counts [4]int) {
 	j.mu.Lock()

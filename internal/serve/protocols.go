@@ -115,7 +115,7 @@ func buildProtoEntry(prog *vm.Program) (*protoEntry, error) {
 	if err := prog.Validate(); err != nil {
 		return nil, err
 	}
-	rule, err := prog.Materialize(vm.EvalLimits{})
+	rule, err := prog.Materialize()
 	if err != nil {
 		return nil, err
 	}

@@ -26,10 +26,12 @@ func testSpec(seed uint64) JobSpec {
 	return JobSpec{Name: "t", N: 64, Z: 1, Rule: "voter", Replicas: 2, Seed: seed, MaxRounds: 200}
 }
 
-// longSpec is a job that runs until cancelled or timed out within any
-// realistic test window.
+// longSpec is a job that runs until cancelled or timed out: Minority(3)
+// from the worst-case start is the paper's trap, so every replica runs to
+// its 50,000,000-round cap, about 22 s of count-engine rounds at n = 2¹³
+// on a 2-vCPU host.
 func longSpec(seed uint64) JobSpec {
-	return JobSpec{Name: "long", N: 1 << 13, Z: 1, Rule: "voter", Replicas: 4, Seed: seed, MaxRounds: 50_000_000}
+	return JobSpec{Name: "long", N: 1 << 13, Z: 1, Rule: "minority", Ell: 3, Replicas: 4, Seed: seed, MaxRounds: 50_000_000}
 }
 
 func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {

@@ -147,9 +147,8 @@ type Outcome struct {
 }
 
 // Counts tallies the replica states. completed + failed + cancelled +
-// timedOut + SkippedCount() always equals len(Results); outside
-// partitioned runs SkippedCount is zero and the historical four-way sum
-// holds.
+// timedOut + the number of Skipped replicas always equals len(Results);
+// outside partitioned runs none is Skipped and the four-way sum holds.
 func (o *Outcome) Counts() (completed, failed, cancelled, timedOut int) {
 	if o.States == nil {
 		return len(o.Results), 0, 0, 0
@@ -168,18 +167,6 @@ func (o *Outcome) Counts() (completed, failed, cancelled, timedOut int) {
 		}
 	}
 	return
-}
-
-// SkippedCount returns how many replicas belong to other partitions of a
-// multi-process sweep (always zero outside partition mode).
-func (o *Outcome) SkippedCount() int {
-	n := 0
-	for _, s := range o.States {
-		if s == Skipped {
-			n++
-		}
-	}
-	return n
 }
 
 // Run executes the task's replicas on at most workers goroutines

@@ -1,7 +1,7 @@
 // Package stats provides the estimators the benchmark harness reports:
 // summaries with quantiles, least-squares fits (notably log–log power-law
 // fits for scaling-exponent estimation, the finite-n proxy for the paper's
-// asymptotic statements), and simple histograms.
+// asymptotic statements).
 package stats
 
 import (
@@ -155,53 +155,6 @@ func FitPower(x, y []float64) (PowerFit, error) {
 		Coeff:    math.Exp(lin.Intercept),
 		R2:       lin.R2,
 	}, nil
-}
-
-// Histogram is a fixed-width binning of a sample.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-}
-
-// NewHistogram bins xs into the given number of equal-width bins spanning
-// [min, max]. Values at the upper edge land in the last bin.
-func NewHistogram(xs []float64, bins int) (Histogram, error) {
-	if bins < 1 {
-		return Histogram{}, fmt.Errorf("stats: bins %d < 1", bins)
-	}
-	if len(xs) == 0 {
-		return Histogram{Counts: make([]int, bins)}, nil
-	}
-	lo, hi := xs[0], xs[0]
-	for _, x := range xs {
-		lo = math.Min(lo, x)
-		hi = math.Max(hi, x)
-	}
-	h := Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-	width := (hi - lo) / float64(bins)
-	for _, x := range xs {
-		var b int
-		if width > 0 {
-			b = int((x - lo) / width)
-		}
-		if b >= bins {
-			b = bins - 1
-		}
-		h.Counts[b]++
-	}
-	return h, nil
-}
-
-// MeanInt64 returns the mean of an int64 sample (0 for empty input).
-func MeanInt64(xs []int64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += float64(x)
-	}
-	return sum / float64(len(xs))
 }
 
 // Float64s converts an int64 sample for the float-based estimators.

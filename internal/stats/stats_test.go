@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestSummarizeKnown(t *testing.T) {
@@ -135,61 +134,7 @@ func TestFitLinearRecoversNoisyLine(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range h.Counts {
-		if c != 2 {
-			t.Errorf("bin %d count = %d, want 2", i, c)
-		}
-	}
-	if h.Lo != 0 || h.Hi != 9 {
-		t.Errorf("range = [%v, %v]", h.Lo, h.Hi)
-	}
-	// All-equal values land in one bin.
-	h, err = NewHistogram([]float64{5, 5, 5}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Counts[0] != 3 {
-		t.Errorf("degenerate histogram = %v", h.Counts)
-	}
-	if _, err := NewHistogram(nil, 0); err == nil {
-		t.Error("0 bins accepted")
-	}
-}
-
-func TestHistogramCountsPreservedQuick(t *testing.T) {
-	f := func(raw []uint8, binsRaw uint8) bool {
-		bins := int(binsRaw)%10 + 1
-		xs := make([]float64, len(raw))
-		for i, r := range raw {
-			xs[i] = float64(r)
-		}
-		h, err := NewHistogram(xs, bins)
-		if err != nil {
-			return false
-		}
-		total := 0
-		for _, c := range h.Counts {
-			total += c
-		}
-		return total == len(xs)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMeanInt64AndFloat64s(t *testing.T) {
-	if got := MeanInt64([]int64{1, 2, 3}); got != 2 {
-		t.Errorf("MeanInt64 = %v", got)
-	}
-	if got := MeanInt64(nil); got != 0 {
-		t.Errorf("MeanInt64(nil) = %v", got)
-	}
+func TestFloat64s(t *testing.T) {
 	fs := Float64s([]int64{4, 5})
 	if len(fs) != 2 || fs[0] != 4 || fs[1] != 5 {
 		t.Errorf("Float64s = %v", fs)

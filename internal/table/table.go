@@ -57,9 +57,6 @@ func (t *Table) AddNote(format string, args ...any) {
 	t.notes = append(t.notes, fmt.Sprintf(format, args...))
 }
 
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // WriteASCII renders the table with aligned columns.
 func (t *Table) WriteASCII(w io.Writer) error {
 	widths := make([]int, len(t.headers))

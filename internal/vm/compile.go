@@ -53,7 +53,7 @@ func Compile(r *protocol.Rule) (*Program, error) {
 // the engines can run at native speed. The program must validate; any
 // evaluation error (gas, stack) aborts materialization, so a program
 // that materializes can never stall an engine round.
-func (p *Program) Materialize(lim EvalLimits) (*protocol.Rule, error) {
+func (p *Program) Materialize() (*protocol.Rule, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -61,7 +61,7 @@ func (p *Program) Materialize(lim EvalLimits) (*protocol.Rule, error) {
 	g1 := make([]float64, p.Ell+1)
 	for b, tbl := range [][]float64{g0, g1} {
 		for k := range tbl {
-			v, err := p.Eval(b, k, lim)
+			v, err := p.Eval(b, k)
 			if err != nil {
 				return nil, fmt.Errorf("vm: materialize g%d(%d): %w", b, k, err)
 			}

@@ -82,7 +82,7 @@ func roundTrip(t *testing.T, r *protocol.Rule) *protocol.Rule {
 	if err != nil {
 		t.Fatalf("Decode(Encode(%s)): %v", r, err)
 	}
-	back, err := decoded.Materialize(vm.EvalLimits{})
+	back, err := decoded.Materialize()
 	if err != nil {
 		t.Fatalf("Materialize(%s): %v", r, err)
 	}
@@ -159,7 +159,7 @@ func TestHandAssembledVoterMatchesBuiltin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := prog.Materialize(vm.EvalLimits{})
+	r, err := prog.Materialize()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func FuzzVMEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Decode(Encode): %v", err)
 		}
-		back, err := decoded.Materialize(vm.EvalLimits{})
+		back, err := decoded.Materialize()
 		if err != nil {
 			t.Fatalf("Materialize: %v", err)
 		}
@@ -83,8 +83,8 @@ func FuzzProgramTotality(f *testing.F) {
 		}
 		for b := 0; b <= 1; b++ {
 			for k := 0; k <= ell; k++ {
-				v1, err1 := p.Eval(b, k, vm.EvalLimits{})
-				v2, err2 := p.Eval(b, k, vm.EvalLimits{})
+				v1, err1 := p.Eval(b, k)
+				v2, err2 := p.Eval(b, k)
 				if v1 != v2 || !errors.Is(err2, unwrapSentinel(err1)) {
 					t.Fatalf("nondeterministic eval at (b=%d,k=%d): (%d,%v) vs (%d,%v)",
 						b, k, v1, err1, v2, err2)
@@ -94,7 +94,7 @@ func FuzzProgramTotality(f *testing.F) {
 				}
 			}
 		}
-		rule, err := p.Materialize(vm.EvalLimits{})
+		rule, err := p.Materialize()
 		if err != nil {
 			return // typed resource exhaustion, still a safe outcome
 		}

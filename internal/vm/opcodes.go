@@ -105,18 +105,6 @@ var ops = [256]opInfo{
 	OpJnz:     {"jnz", 2, 1, 0, 1},
 }
 
-// Opcodes lists every defined opcode in ascending byte order, for the
-// assembler, the mutation operators, and the docs generator.
-func Opcodes() []Op {
-	out := make([]Op, 0, 32)
-	for b := 0; b < 256; b++ {
-		if ops[b].name != "" {
-			out = append(out, Op(b))
-		}
-	}
-	return out
-}
-
 // opByName resolves an assembler mnemonic; ok is false for unknown names.
 func opByName(name string) (Op, bool) {
 	for b := 0; b < 256; b++ {

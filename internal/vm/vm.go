@@ -21,8 +21,8 @@ import (
 	"fmt"
 )
 
-// Hard resource limits (Program.Validate enforces the static ones,
-// EvalLimits the dynamic ones).
+// Hard resource limits (Program.Validate enforces the static ones, Eval
+// the dynamic gas and stack ones).
 const (
 	// MaxCodeBytes bounds the instruction stream.
 	MaxCodeBytes = 4096
@@ -35,10 +35,10 @@ const (
 	// MaxNameLen bounds the display name (serving metadata, excluded from
 	// the content address).
 	MaxNameLen = 128
-	// DefaultGas is the per-evaluation gas budget: generous for any
+	// DefaultGas is the fixed per-evaluation gas budget: generous for any
 	// honest decision rule, fatal for runaway loops.
 	DefaultGas = 4096
-	// DefaultMaxStack bounds the operand stack depth.
+	// DefaultMaxStack is the fixed bound on the operand stack depth.
 	DefaultMaxStack = 64
 )
 
@@ -128,39 +128,17 @@ func (p *Program) Validate() error {
 	return nil
 }
 
-// EvalLimits bounds one evaluation. The zero value means the defaults.
-type EvalLimits struct {
-	// Gas is the instruction budget (DefaultGas when <= 0).
-	Gas int64
-	// MaxStack is the operand stack bound (DefaultMaxStack when <= 0).
-	MaxStack int
-}
-
-func (l EvalLimits) gas() int64 {
-	if l.Gas <= 0 {
-		return DefaultGas
-	}
-	return l.Gas
-}
-
-func (l EvalLimits) stack() int {
-	if l.MaxStack <= 0 {
-		return DefaultMaxStack
-	}
-	return l.MaxStack
-}
-
 // Eval runs the program on one input cell (b, k) and returns the raw
 // fixed-point result (callers clamp to [0, One] for a probability; see
 // Materialize). The program must have passed Validate; Eval re-checks
 // nothing static. Evaluation is a pure function of (program, b, k) —
-// no clocks, no randomness, no floats.
-func (p *Program) Eval(b, k int, lim EvalLimits) (int64, error) {
+// no clocks, no randomness, no floats — and spends at most DefaultGas
+// gas with at most DefaultMaxStack operands.
+func (p *Program) Eval(b, k int) (int64, error) {
 	if b < 0 || b > 1 || k < 0 || k > p.Ell {
 		return 0, fmt.Errorf("%w (b=%d, k=%d, ℓ=%d)", ErrInput, b, k, p.Ell)
 	}
-	gas := lim.gas()
-	maxStack := lim.stack()
+	gas := int64(DefaultGas)
 	stack := make([]int64, 0, 16)
 
 	pop := func() (int64, bool) {
@@ -180,14 +158,14 @@ func (p *Program) Eval(b, k int, lim EvalLimits) (int64, error) {
 		info := ops[op]
 		gas -= info.gas
 		if gas < 0 {
-			return 0, fmt.Errorf("%w (limit %d)", ErrGas, lim.gas())
+			return 0, fmt.Errorf("%w (limit %d)", ErrGas, DefaultGas)
 		}
 		if len(stack) < info.pops {
 			return 0, fmt.Errorf("%w (%s at %d wants %d operands, stack has %d)",
 				ErrStackUnder, op, pc, info.pops, len(stack))
 		}
-		if len(stack)-info.pops+info.pushes > maxStack {
-			return 0, fmt.Errorf("%w (%s at %d, limit %d)", ErrStackOver, op, pc, maxStack)
+		if len(stack)-info.pops+info.pushes > DefaultMaxStack {
+			return 0, fmt.Errorf("%w (%s at %d, limit %d)", ErrStackOver, op, pc, DefaultMaxStack)
 		}
 		next := pc + 1 + info.operand
 

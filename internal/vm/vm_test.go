@@ -12,7 +12,7 @@ func evalOK(t *testing.T, p *Program, b, k int) int64 {
 	if err := p.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	v, err := p.Eval(b, k, EvalLimits{})
+	v, err := p.Eval(b, k)
 	if err != nil {
 		t.Fatalf("Eval(b=%d,k=%d): %v", b, k, err)
 	}
@@ -170,13 +170,9 @@ func TestEvalGasExhaustionIsTypedNotHang(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	_, err := p.Eval(0, 0, EvalLimits{})
+	_, err := p.Eval(0, 0)
 	if !errors.Is(err, ErrGas) {
 		t.Fatalf("self-loop error = %v, want ErrGas", err)
-	}
-	_, err = p.Eval(0, 0, EvalLimits{Gas: 7})
-	if !errors.Is(err, ErrGas) {
-		t.Fatalf("tiny budget error = %v, want ErrGas", err)
 	}
 	// A bounded loop under the same budget still completes.
 	bounded := asm(t, `ell 1
@@ -196,7 +192,7 @@ halt`)
 
 func TestEvalStackLimits(t *testing.T) {
 	p := asm(t, "ell 1\nloop:\npush1\njmp loop")
-	_, err := p.Eval(0, 0, EvalLimits{Gas: 1 << 20})
+	_, err := p.Eval(0, 0)
 	if !errors.Is(err, ErrStackOver) {
 		t.Fatalf("push loop error = %v, want ErrStackOver", err)
 	}
@@ -204,16 +200,16 @@ func TestEvalStackLimits(t *testing.T) {
 	if err := under.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	_, err = under.Eval(0, 0, EvalLimits{})
+	_, err = under.Eval(0, 0)
 	if !errors.Is(err, ErrStackUnder) {
 		t.Fatalf("empty-stack add error = %v, want ErrStackUnder", err)
 	}
 	empty := &Program{Ell: 1, Code: []byte{byte(OpHalt)}}
-	_, err = empty.Eval(0, 0, EvalLimits{})
+	_, err = empty.Eval(0, 0)
 	if !errors.Is(err, ErrNoResult) {
 		t.Fatalf("halt-with-empty-stack error = %v, want ErrNoResult", err)
 	}
-	_, err = empty.Eval(2, 0, EvalLimits{})
+	_, err = empty.Eval(2, 0)
 	if !errors.Is(err, ErrInput) {
 		t.Fatalf("bad opinion error = %v, want ErrInput", err)
 	}
