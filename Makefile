@@ -73,9 +73,13 @@ serve-race:
 # torn-tail recovery, byte-identical merges), the bitsweep
 # -partition/-join CLI path, and the coordinator/pull-worker protocol in
 # internal/serve and cmd/bitspreadd — including the real-subprocess
-# SIGKILL + re-lease byte-identity proof.
+# SIGKILL + re-lease byte-identity proof. The second line repeats the
+# held-wait tests twenty times: a first completion closes and replaces
+# the coordinator's board-changed channel under its lock while held lease
+# requests select on it, and a drain or Close ends them.
 fabric-race:
 	$(GO) test -race ./internal/fabric/ ./internal/serve/
+	$(GO) test -race -count=20 -run 'TestPullWorkerWaitEndsWithSweep|TestHeldLease' ./internal/serve/
 	$(GO) test -race -run 'TestJournal|TestMerge|TestRunContextPartition' ./internal/sim/
 	$(GO) test -race -run 'TestRunFabric|TestRunJoin|TestRunPartition' ./cmd/bitsweep/
 	$(GO) test -race -run 'TestFabricWorker|TestBadFlags' ./cmd/bitspreadd/

@@ -456,8 +456,8 @@ func TestFabricWorkerSIGKILLReleaseByteIdentity(t *testing.T) {
 	}
 	_ = w1.wait() // non-zero exit expected: it was murdered
 
-	// Let the dead worker's lease expire so the survivor triggers a
-	// re-issue (not just a steal).
+	// Let the dead worker's lease expire so the survivor is granted the
+	// re-issue at once instead of waiting out the TTL.
 	time.Sleep(ttl + ttl/2)
 
 	// Worker 2, fresh shard directory: it must pick up the orphaned

@@ -11,13 +11,12 @@ import (
 //
 // The board deliberately trusts determinism instead of workers:
 //
-//   - an expired lease is simply re-issued (generation bumped) — the dead
+//   - a partition has at most one live lease; an idle worker that finds
+//     every partition leased is told to Wait until the earliest expiry;
+//   - an expired lease is simply re-issued (generation bump) — the dead
 //     worker's partial journal, if any, merges in harmlessly;
-//   - when no partition is pending or expired but some are still leased,
-//     an idle worker gets a speculative duplicate lease on a straggler
-//     (work stealing); whichever copy completes first wins, the loser's
-//     bytes are verified identical and dropped;
-//   - Complete is idempotent, so the thief and the victim can both report.
+//   - Complete is idempotent, so a superseded holder that resurfaces with
+//     the finished shard can still report it.
 //
 // Board does no locking and never reads the wall clock: callers own both.
 // Every method that depends on time takes an explicit now — internal/serve
@@ -28,7 +27,6 @@ type Board struct {
 	ttl   time.Duration
 
 	reissues int
-	steals   int
 }
 
 type partState int
@@ -45,13 +43,8 @@ type partition struct {
 	// gen counts lease issues for this partition; it salts lease IDs so a
 	// zombie holding a superseded lease cannot renew or complete it.
 	gen int
-	// holders are the workers holding a live gen lease (victim + thieves).
-	holders []string
-	// expiry is when the current gen's leases lapse (extended by Renew).
+	// expiry is when the current gen's lease lapses (extended by Renew).
 	expiry time.Time
-	// stolen marks that the current gen already has a speculative
-	// duplicate, bounding steals to one live copy per straggler.
-	stolen bool
 }
 
 // Lease is one granted unit of work.
@@ -60,10 +53,10 @@ type Lease struct {
 	ID string
 	// Shard is the partition to run.
 	Shard Shard
-	// Expiry is when the lease lapses unless renewed.
+	// Expiry is when the lease lapses unless renewed. With Wait it is
+	// the earliest expiry among the live leases: the first instant the
+	// board can grant work again without a completion.
 	Expiry time.Time
-	// Stolen marks a speculative duplicate of a straggler's lease.
-	Stolen bool
 }
 
 // AcquireStatus is the board's answer to an idle worker.
@@ -72,7 +65,7 @@ type AcquireStatus int
 const (
 	// Granted: the returned Lease holds work to run.
 	Granted AcquireStatus = iota
-	// Wait: everything is leased and stealing is exhausted; retry later.
+	// Wait: every partition not done holds a live lease; retry later.
 	Wait
 	// Drained: every partition is done; the worker can exit.
 	Drained
@@ -97,7 +90,6 @@ type BoardStats struct {
 	Leased   int `json:"leased"`
 	Done     int `json:"done"`
 	Reissues int `json:"reissues"`
-	Steals   int `json:"steals"`
 }
 
 // NewBoard creates a board over count partitions with the given lease TTL.
@@ -136,12 +128,14 @@ func (b *Board) parseLease(id string) (int, bool) {
 	return part, true
 }
 
-// Acquire hands the worker its next unit of work. Priority order: a
-// pending partition, then an expired lease (re-issue, generation bump),
-// then a speculative steal of the longest-expiring straggler, else
-// Wait/Drained.
+// Acquire hands the worker its next unit of work: a pending partition,
+// else an expired lease re-issued under a bumped generation. A partition
+// whose lease is live is never granted twice; when every partition not
+// done is leased, Acquire answers Wait with the earliest live expiry in
+// Lease.Expiry, and Drained once all are done. The board records no
+// holder, so worker only names the caller.
 func (b *Board) Acquire(worker string, now time.Time) (AcquireStatus, Lease) {
-	// Pass 1: pending or expired work — a fresh generation either way.
+	wait, next := false, time.Time{}
 	for i := range b.parts {
 		p := &b.parts[i]
 		switch {
@@ -149,49 +143,22 @@ func (b *Board) Acquire(worker string, now time.Time) (AcquireStatus, Lease) {
 			p.state = stateLeased
 		case p.state == stateLeased && !now.Before(p.expiry):
 			b.reissues++
+		case p.state == stateLeased:
+			if !wait || p.expiry.Before(next) {
+				wait, next = true, p.expiry
+			}
+			continue
 		default:
 			continue
 		}
 		p.gen++
-		p.holders = append(p.holders[:0], worker)
 		p.expiry = now.Add(b.ttl)
-		p.stolen = false
 		return Granted, Lease{ID: leaseID(i, p.gen), Shard: Shard{Index: i, Count: len(b.parts)}, Expiry: p.expiry}
 	}
-	// Pass 2: steal — duplicate a live straggler lease for the idle
-	// worker. Same generation: both copies may complete, merge dedups.
-	steal := -1
-	for i := range b.parts {
-		p := &b.parts[i]
-		if p.state != stateLeased || p.stolen || holds(p.holders, worker) {
-			continue
-		}
-		if steal < 0 || p.expiry.Before(b.parts[steal].expiry) {
-			steal = i
-		}
-	}
-	if steal >= 0 {
-		p := &b.parts[steal]
-		p.stolen = true
-		p.holders = append(p.holders, worker)
-		b.steals++
-		return Granted, Lease{ID: leaseID(steal, p.gen), Shard: Shard{Index: steal, Count: len(b.parts)}, Expiry: p.expiry, Stolen: true}
-	}
-	for i := range b.parts {
-		if b.parts[i].state != stateDone {
-			return Wait, Lease{}
-		}
+	if wait {
+		return Wait, Lease{Expiry: next}
 	}
 	return Drained, Lease{}
-}
-
-func holds(holders []string, worker string) bool {
-	for _, h := range holders {
-		if h == worker {
-			return true
-		}
-	}
-	return false
 }
 
 // Renew extends a live lease's expiry. It returns false when the lease ID
@@ -209,8 +176,8 @@ func (b *Board) Renew(id string, now time.Time) bool {
 }
 
 // Complete marks a lease's partition done. The first completion of a
-// partition wins; later ones (a stolen duplicate, a re-issued lease's
-// original holder resurfacing) return alreadyDone=true so the caller can
+// partition wins; later ones (a re-issued lease's original holder
+// resurfacing, a repeated upload) return alreadyDone=true so the caller can
 // verify the duplicate bytes instead of storing them. A lease ID from a
 // superseded generation still completes its partition: the work is
 // deterministic, so a stale worker's finished shard is as good as the
@@ -231,7 +198,6 @@ func (b *Board) Complete(id string) (part int, alreadyDone bool, err error) {
 		return part, true, nil
 	}
 	p.state = stateDone
-	p.holders = nil
 	return part, false, nil
 }
 
@@ -242,7 +208,6 @@ func (b *Board) MarkDone(part int) error {
 		return fmt.Errorf("fabric: partition %d outside [0,%d)", part, len(b.parts))
 	}
 	b.parts[part].state = stateDone
-	b.parts[part].holders = nil
 	return nil
 }
 
@@ -258,7 +223,7 @@ func (b *Board) Drained() bool {
 
 // Stats summarizes the board.
 func (b *Board) Stats() BoardStats {
-	s := BoardStats{Reissues: b.reissues, Steals: b.steals}
+	s := BoardStats{Reissues: b.reissues}
 	for i := range b.parts {
 		switch b.parts[i].state {
 		case statePending:

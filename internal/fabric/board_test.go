@@ -20,14 +20,14 @@ func TestNewBoardValidation(t *testing.T) {
 	}
 }
 
-// Happy path: two workers drain two partitions, no reissues, no steals.
+// Happy path: two workers drain two partitions, no reissues.
 func TestBoardLifecycle(t *testing.T) {
 	b, err := NewBoard(2, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st, l1 := b.Acquire("w1", at(0))
-	if st != Granted || l1.Shard != (Shard{0, 2}) || l1.Stolen {
+	if st != Granted || l1.Shard != (Shard{0, 2}) {
 		t.Fatalf("first acquire: %v %+v", st, l1)
 	}
 	st, l2 := b.Acquire("w2", at(0))
@@ -50,7 +50,7 @@ func TestBoardLifecycle(t *testing.T) {
 		t.Fatal("Drained() false after all completions")
 	}
 	s := b.Stats()
-	if s.Done != 2 || s.Reissues != 0 || s.Steals != 0 {
+	if s.Done != 2 || s.Reissues != 0 {
 		t.Fatalf("stats %+v", s)
 	}
 }
@@ -85,43 +85,50 @@ func TestBoardExpiryReissue(t *testing.T) {
 	}
 }
 
-// An idle worker steals a live straggler lease: same generation, marked
-// Stolen, at most one steal per generation, never from itself.
+// The board never steals: no worker, the holder included, is granted a
+// copy of a live lease. Each is told to Wait until the holder's expiry,
+// the holder's completion is the only one, and the board then drains.
 func TestBoardSteal(t *testing.T) {
 	b, _ := NewBoard(1, 10*time.Second)
 	_, orig := b.Acquire("w1", at(0))
-	if st, _ := b.Acquire("w1", at(1)); st != Wait {
-		t.Fatal("worker stole its own lease")
+	for _, w := range []string{"w1", "w2", "w3"} {
+		st, wait := b.Acquire(w, at(1))
+		if st != Wait || wait.ID != "" || !wait.Expiry.Equal(orig.Expiry) {
+			t.Fatalf("%s acquired while the lease is live: %v %+v, want Wait until %v", w, st, wait, orig.Expiry)
+		}
 	}
-	st, stolen := b.Acquire("w2", at(1))
-	if st != Granted || !stolen.Stolen || stolen.ID != orig.ID {
-		t.Fatalf("steal: %v %+v (orig %q)", st, stolen, orig.ID)
+	if _, dup, err := b.Complete(orig.ID); err != nil || dup {
+		t.Fatalf("holder completion: dup=%v err=%v", dup, err)
 	}
-	if st, _ := b.Acquire("w3", at(2)); st != Wait {
-		t.Fatal("second steal of one generation granted")
+	if st, _ := b.Acquire("w2", at(2)); st != Drained {
+		t.Fatalf("acquire after the only completion: %v, want Drained", st)
 	}
-	// Thief finishes first; victim's later completion is a duplicate.
-	if _, dup, err := b.Complete(stolen.ID); err != nil || dup {
-		t.Fatalf("thief completion: dup=%v err=%v", dup, err)
-	}
-	if _, dup, err := b.Complete(orig.ID); err != nil || !dup {
-		t.Fatalf("victim completion: dup=%v err=%v", dup, err)
-	}
-	if s := b.Stats(); s.Steals != 1 || s.Done != 1 || s.Reissues != 0 {
+	if s := b.Stats(); s.Done != 1 || s.Leased != 0 || s.Reissues != 0 {
 		t.Fatalf("stats %+v", s)
 	}
 }
 
-// Stealing prefers the straggler closest to expiry.
+// The oldest lease is the one an idle worker waits for: Wait carries the
+// earliest live expiry, and once it passes that partition is re-issued.
 func TestBoardStealPicksOldest(t *testing.T) {
 	b, _ := NewBoard(2, 10*time.Second)
 	_, l0 := b.Acquire("w1", at(0))
 	if _, l1 := b.Acquire("w2", at(3)); l1.Shard.Index != 1 {
 		t.Fatalf("setup: %+v", l1)
 	}
-	st, stolen := b.Acquire("w3", at(4))
-	if st != Granted || !stolen.Stolen || stolen.Shard.Index != 0 {
-		t.Fatalf("steal picked %+v, want partition 0 (expires first, %v)", stolen, l0.Expiry)
+	st, wait := b.Acquire("w3", at(4))
+	if st != Wait || wait.ID != "" || !wait.Expiry.Equal(l0.Expiry) {
+		t.Fatalf("acquire while both leases live: %v %+v, want Wait until %v", st, wait, l0.Expiry)
+	}
+	st, release := b.Acquire("w3", wait.Expiry)
+	if st != Granted || release.Shard.Index != 0 || release.ID == l0.ID {
+		t.Fatalf("acquire at the earliest expiry: %v %+v, want partition 0 re-issued", st, release)
+	}
+	if st, wait := b.Acquire("w3", at(11)); st != Wait || !wait.Expiry.Equal(at(13)) {
+		t.Fatalf("acquire after the re-issue: %v %+v, want Wait until %v", st, wait, at(13))
+	}
+	if s := b.Stats(); s.Reissues != 1 || s.Leased != 2 {
+		t.Fatalf("stats %+v", s)
 	}
 }
 

@@ -11,8 +11,9 @@
 // the replicas it computes, and the journal records them under content
 // keys (sim.TaskKey). That makes coordination trivial — workers never
 // exchange state, a dead worker's partition can be re-issued to any
-// survivor, and speculative work stealing just produces duplicate lines
-// the merge deduplicates, because duplicates are guaranteed identical.
+// survivor, and a re-issued partition that its old holder also finishes
+// just produces duplicate lines the merge deduplicates, because
+// duplicates are guaranteed identical.
 //
 // Two transports ship on top:
 //
@@ -21,7 +22,8 @@
 //     -journal merged.jsonl` to merge and render;
 //   - an HTTP coordinator: internal/serve exposes /v1/lease backed by
 //     fabric.Board, and `bitspreadd -pull` workers lease partitions,
-//     run RunShard, and upload the shard bytes.
+//     run RunShard, and upload the shard bytes; a worker that finds every
+//     partition leased is held until one completes or its lease expires.
 package fabric
 
 import (

@@ -51,9 +51,6 @@ type Protocol interface {
 	// Step consumes the round's observation (k ones among ℓ samples) and
 	// returns the successor state and opinion.
 	Step(st State, opinion uint8, k int, g *rng.RNG) (State, uint8)
-	// StateBits returns the number of memory bits the protocol uses,
-	// for reporting (the paper's lower bound is the 0-bit row).
-	StateBits() int
 	// StabilityWindow returns how many consecutive consensus rounds prove
 	// stability for this protocol: with memory, touching n·z does not by
 	// itself certify convergence (pending state can still flip agents),
@@ -78,9 +75,6 @@ func (a *Adapter) SampleSize() int { return a.rule.SampleSize() }
 
 // InitState implements Protocol; memory-less agents have no state.
 func (a *Adapter) InitState(bool, *rng.RNG) State { return 0 }
-
-// StateBits implements Protocol.
-func (a *Adapter) StateBits() int { return 0 }
 
 // StabilityWindow implements Protocol: a memory-less rule satisfying
 // Proposition 3 is absorbed the moment it reaches the consensus.

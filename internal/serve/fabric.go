@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -66,6 +67,10 @@ type fabricState struct {
 	fsys   durable.FS
 	now    func() time.Time
 	logf   func(string, ...any)
+
+	// changed is closed, and replaced, when a partition first completes:
+	// it wakes the lease requests held on a wait answer.
+	changed chan struct{}
 }
 
 // newFabricState builds the coordinator and replays persisted shards.
@@ -90,6 +95,8 @@ func newFabricState(opts FabricOptions, dataDir string, fsys durable.FS, now fun
 		fsys:   fsys,
 		now:    now,
 		logf:   logf,
+
+		changed: make(chan struct{}),
 	}
 	if dataDir != "" {
 		fs.dir = filepath.Join(dataDir, "fabric")
@@ -126,10 +133,11 @@ var errShardNotDurable = errors.New("shard not persisted")
 // before the board marks the partition done, so one that fails either
 // step leaves the partition leased, to be re-issued when its lease
 // expires; a partition has bytes exactly when the board has marked it
-// done. A duplicate completion (a stolen lease's second copy, a
-// re-leased worker resurfacing) is verified merge-consistent with the
-// stored bytes — shard files are not byte-ordered deterministically under
-// parallel sim workers, but their entry sets are — and then dropped.
+// done, and only then are the held lease requests woken. A duplicate
+// completion (a re-leased partition's old holder resurfacing, a retried
+// upload) is verified merge-consistent with the stored bytes — shard
+// files are not byte-ordered deterministically under parallel sim
+// workers, but their entry sets are — and then dropped.
 func (f *fabricState) complete(leaseID string, data []byte) (partIdx int, duplicate bool, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -157,6 +165,8 @@ func (f *fabricState) complete(leaseID string, data []byte) (partIdx int, duplic
 		}
 		return part, true, nil
 	}
+	close(f.changed)
+	f.changed = make(chan struct{})
 	return part, false, nil
 }
 
@@ -185,14 +195,13 @@ type LeaseRequest struct {
 
 // LeaseResponse answers lease acquisition and renewal.
 type LeaseResponse struct {
-	// Status is "lease", "wait" (every live partition is leased; ask
-	// again after a backoff) or "done".
+	// Status is "lease", "wait" (every partition not done was still
+	// leased when the hold reached its cap; ask again) or "done".
 	Status string `json:"status"`
 	// LeaseID, Partition, Partitions and Spec are set when Status=="lease".
 	LeaseID    string            `json:"lease_id,omitempty"`
 	Partition  int               `json:"partition,omitempty"`
 	Partitions int               `json:"partitions,omitempty"`
-	Stolen     bool              `json:"stolen,omitempty"`
 	TTLMillis  int64             `json:"ttl_ms,omitempty"`
 	Spec       *fabric.SweepSpec `json:"spec,omitempty"`
 }
@@ -215,12 +224,11 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	f := s.fabric
-	f.mu.Lock()
-	status, lease := f.board.Acquire(req.Worker, f.now())
-	if status == fabric.Granted {
-		f.leases[lease.ID] = lease.Shard.Index
+	status, lease, err := s.awaitLease(r.Context(), req.Worker)
+	if err != nil {
+		writeError(w, http.StatusServiceUnavailable, "lease request ended while waiting: %v", err)
+		return
 	}
-	f.mu.Unlock()
 	switch status {
 	case fabric.Granted:
 		spec := f.spec
@@ -229,7 +237,6 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 			LeaseID:    lease.ID,
 			Partition:  lease.Shard.Index,
 			Partitions: lease.Shard.Count,
-			Stolen:     lease.Stolen,
 			TTLMillis:  f.board.TTL().Milliseconds(),
 			Spec:       &spec,
 		})
@@ -237,6 +244,49 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, LeaseResponse{Status: "wait"})
 	default:
 		writeJSON(w, http.StatusOK, LeaseResponse{Status: "done"})
+	}
+}
+
+// awaitLease runs Acquire for worker and, while it answers Wait, waits
+// without f.mu until a first completion closes f.changed or the earliest
+// live lease expires, then runs Acquire again. The hold is capped at
+// TTL/3, the holders' renew interval, after which the Wait stands. The
+// request's end, a drain or Close ends the hold with an error, so a held
+// request never delays shutdown.
+func (s *Server) awaitLease(ctx context.Context, worker string) (fabric.AcquireStatus, fabric.Lease, error) {
+	f := s.fabric
+	capped := time.NewTimer(f.board.TTL() / 3)
+	defer capped.Stop()
+	held := true
+	for {
+		// changed is read under the lock that answered, so no completion
+		// falls between the answer and the wait.
+		f.mu.Lock()
+		status, lease := f.board.Acquire(worker, f.now())
+		if status == fabric.Granted {
+			f.leases[lease.ID] = lease.Shard.Index
+		}
+		changed := f.changed
+		f.mu.Unlock()
+		if status != fabric.Wait || !held {
+			return status, lease, nil
+		}
+		expired := time.NewTimer(lease.Expiry.Sub(f.now()))
+		var err error
+		select {
+		case <-changed:
+		case <-expired.C:
+		case <-capped.C:
+			held = false
+		case <-ctx.Done():
+			err = ctx.Err()
+		case <-s.drainStarted:
+			err = errors.New("server is draining")
+		}
+		expired.Stop()
+		if err != nil {
+			return 0, fabric.Lease{}, err
+		}
 	}
 }
 

@@ -418,16 +418,14 @@ func (l *leaseWatch) RoundTrip(req *http.Request) (*http.Response, error) {
 	return resp, nil
 }
 
-// A worker told to wait while every live partition is leased and stolen
-// paces itself with its own backoff, so it leaves soon after the sweep
-// drains instead of sleeping out a fraction of the lease TTL.
+// A worker that finds the sweep's only partition leased is held, not told
+// to wait, and the holder's complete answers that held request "done".
 func TestPullWorkerWaitEndsWithSweep(t *testing.T) {
 	fopts := &FabricOptions{Exps: []string{"T2"}, Seed: 7, Quick: true, Partitions: 1}
 	_, ts := newTestServer(t, Options{Fabric: fopts})
 	_, a := postLease(t, ts, "a")
-	_, b := postLease(t, ts, "b")
-	if a.Status != "lease" || b.Status != "lease" || !b.Stolen {
-		t.Fatalf("a %+v, b %+v: want a lease and its steal", a, b)
+	if a.Status != "lease" {
+		t.Fatalf("a: %+v, want a lease", a)
 	}
 	shard := runShardBytes(t, fopts.spec(), fabric.Shard{Index: 0, Count: 1})
 
@@ -443,16 +441,116 @@ func TestPullWorkerWaitEndsWithSweep(t *testing.T) {
 	}()
 	select {
 	case st := <-watch.status:
-		if st != "wait" {
-			t.Fatalf("c's first lease answer: %q, want wait", st)
-		}
+		t.Fatalf("c's lease request answered %q while a holds the only partition", st)
 	case err := <-done:
-		t.Fatalf("c returned %v before its first lease answer", err)
+		t.Fatalf("c returned %v while a holds the only partition", err)
+	case <-time.After(100 * time.Millisecond):
 	}
 	if code, _, raw := postComplete(t, ts, a.LeaseID, shard); code != http.StatusOK {
 		t.Fatalf("complete a: %d %s", code, raw)
 	}
+	completed := time.Now()
 	if err := <-done; err != nil {
 		t.Fatalf("c after the sweep drained: %v, want nil", err)
+	}
+	if took := time.Since(completed); took > time.Second {
+		t.Fatalf("c returned %v after the sweep drained", took)
+	}
+	// c returned nil, so it was answered "done" and the watch holds its
+	// first answer.
+	if st := <-watch.status; st != "done" {
+		t.Fatalf("c's held lease request answered %q, want done", st)
+	}
+}
+
+// A "wait" answer was already held by the coordinator, so the worker asks
+// again at once; its backoff is kept for errors.
+func TestPullWorkerAsksAgainAfterWait(t *testing.T) {
+	var asked atomic.Int32
+	coord := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		status := "wait"
+		if asked.Add(1) > 3 {
+			status = "done"
+		}
+		writeJSON(w, http.StatusOK, LeaseResponse{Status: status})
+	}))
+	defer coord.Close()
+	start := time.Now()
+	if err := RunPullWorker(context.Background(), PullWorkerOptions{URL: coord.URL, Name: "c", ShardDir: t.TempDir()}); err != nil {
+		t.Fatal(err)
+	}
+	// Three backoffs would sleep at least 100 + 200 + 400 ms.
+	if took := time.Since(start); took > 500*time.Millisecond || asked.Load() != 4 {
+		t.Fatalf("worker returned after %v and %d lease requests, want 4 requests without backoff", took, asked.Load())
+	}
+}
+
+// A held wait ends at the earlier of two instants: TTL/3 after it
+// arrived, when the wait answer stands, or the holder's lease expiry,
+// when the waiting worker is granted the re-issue.
+func TestHeldLeaseEndsAtCapOrExpiry(t *testing.T) {
+	const ttl = 600 * time.Millisecond
+	fopts := &FabricOptions{Exps: []string{"T2"}, Seed: 7, Quick: true, Partitions: 1, LeaseTTL: ttl}
+	_, ts := newTestServer(t, Options{Fabric: fopts})
+	_, a := postLease(t, ts, "a")
+	leased := time.Now()
+	if a.Status != "lease" {
+		t.Fatalf("a: %+v, want a lease", a)
+	}
+	start := time.Now()
+	_, c := postLease(t, ts, "c")
+	if took := time.Since(start); c.Status != "wait" || took < ttl/3 {
+		t.Fatalf("c while a's lease is live: %+v after %v, want wait after the %v cap", c, took, ttl/3)
+	}
+	// a's lease expires at most ttl after leased; arriving ttl/12 before
+	// that, c is woken by the expiry well ahead of its own cap.
+	time.Sleep(time.Until(leased.Add(ttl - ttl/12)))
+	start = time.Now()
+	_, c = postLease(t, ts, "c")
+	if took := time.Since(start); c.Status != "lease" || c.Partition != 0 || c.LeaseID == a.LeaseID || took >= ttl/3 {
+		t.Fatalf("c as a's lease lapses: %+v after %v, want partition 0 re-issued before the %v cap", c, took, ttl/3)
+	}
+}
+
+// BeginDrain and Close each end a held lease request at once with 503,
+// so a waiting worker never delays a shutdown.
+func TestHeldLeaseEndsOnDrain(t *testing.T) {
+	for _, stop := range []string{"BeginDrain", "Close"} {
+		t.Run(stop, func(t *testing.T) {
+			fopts := &FabricOptions{Exps: []string{"T2"}, Seed: 7, Quick: true, Partitions: 1}
+			s, ts := newTestServer(t, Options{Fabric: fopts})
+			if _, a := postLease(t, ts, "a"); a.Status != "lease" {
+				t.Fatalf("a: %+v, want a lease", a)
+			}
+			body := mustJSON(t, LeaseRequest{Worker: "c"})
+			code := make(chan int, 1)
+			go func() {
+				resp, err := http.Post(ts.URL+"/v1/lease", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					code <- 0
+					return
+				}
+				resp.Body.Close()
+				code <- resp.StatusCode
+			}()
+			select {
+			case got := <-code:
+				t.Fatalf("c's lease request answered %d while a holds the only partition", got)
+			case <-time.After(100 * time.Millisecond):
+			}
+			stopped := time.Now()
+			if stop == "Close" {
+				s.Close()
+			} else {
+				s.BeginDrain()
+			}
+			if got := <-code; got != http.StatusServiceUnavailable {
+				t.Fatalf("held lease request after %s: %d, want 503", stop, got)
+			}
+			if took := time.Since(stopped); took > time.Second {
+				t.Fatalf("held lease request ended %v after %s", took, stop)
+			}
+		})
 	}
 }

@@ -181,6 +181,9 @@ type Server struct {
 	doneOrder []string
 	draining  bool
 	closed    bool
+	// drainStarted is closed by the first BeginDrain; a lease request
+	// held on a wait answer ends when it closes.
+	drainStarted chan struct{}
 }
 
 // New builds the server, replays durable state from opts.DataDir —
@@ -201,6 +204,8 @@ func newServer(opts Options, fsys durable.FS) (*Server, error) {
 		runObs: obs.NewRunObserver(nil, opts.Registry),
 		adm:    newAdmission(opts.TenantRate, opts.TenantBurst, opts.now),
 		jobs:   map[string]*job{},
+
+		drainStarted: make(chan struct{}),
 	}
 
 	// The protocol registry loads before the job log replays: a recovered
@@ -350,12 +355,15 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// BeginDrain flips the server into draining mode: readyz turns 503 and
-// new submissions are rejected, while status, result and event endpoints
-// keep serving.
+// BeginDrain flips the server into draining mode: readyz turns 503,
+// new submissions are rejected and held lease requests end with 503,
+// while status, result and event endpoints keep serving.
 func (s *Server) BeginDrain() {
 	s.mu.Lock()
-	s.draining = true
+	if !s.draining {
+		s.draining = true
+		close(s.drainStarted)
+	}
 	s.mu.Unlock()
 }
 

@@ -24,8 +24,8 @@ import (
 type PullWorkerOptions struct {
 	// URL is the coordinator base URL, e.g. "http://host:8080".
 	URL string
-	// Name identifies this worker on the lease board. Required: lease
-	// re-issue and steal accounting are per-holder.
+	// Name identifies this worker in lease requests and logs, and seeds
+	// its retry jitter. Required.
 	Name string
 	// ShardDir holds this worker's shard journals
 	// (shard-<partition>.jsonl). Shards resume: a worker restarted
@@ -61,10 +61,12 @@ func (o *PullWorkerOptions) withDefaults() error {
 // sweep drains: lease → run the shard locally (checkpointing to
 // ShardDir, heartbeating the lease) → upload the shard bytes → repeat.
 // It returns nil once the coordinator answers "done", and ctx.Err()
-// if cancelled. Transient coordinator errors (unreachable, 5xx) and
-// "wait" answers are retried on one jittered backoff, reset by each
-// granted lease; losing a lease mid-shard (renew answers 410 Gone)
-// abandons that partition and asks for the next one.
+// if cancelled. The coordinator holds a lease request while every
+// partition is leased, so a "wait" answer is asked again at once.
+// Transient coordinator errors (unreachable, 5xx, a draining
+// coordinator) are retried on a jittered backoff, reset by each granted
+// lease; losing a lease mid-shard (renew answers 410 Gone) abandons that
+// partition and asks for the next one.
 func RunPullWorker(ctx context.Context, opts PullWorkerOptions) error {
 	if err := opts.withDefaults(); err != nil {
 		return err
@@ -90,11 +92,7 @@ func RunPullWorker(ctx context.Context, opts PullWorkerOptions) error {
 			opts.Logf("worker %s: sweep drained", opts.Name)
 			return nil
 		case "wait":
-			// Every live partition is leased and stolen; a straggler may
-			// finish any moment, so poll on the growing backoff.
-			if serr := w.sleep(ctx, w.backoff.Next()); serr != nil {
-				return serr
-			}
+			// The coordinator already held this answer for up to TTL/3.
 		case "lease":
 			w.backoff.Reset()
 			if err := w.runLease(ctx, lr); err != nil {
@@ -129,7 +127,7 @@ func (w *pullWorker) runLease(ctx context.Context, lr LeaseResponse) error {
 		return fmt.Errorf("lease %s carries no sweep spec", lr.LeaseID)
 	}
 	path := filepath.Join(w.opts.ShardDir, fmt.Sprintf("shard-%d.jsonl", lr.Partition))
-	w.opts.Logf("worker %s: leased partition %s (lease %s, stolen=%v)", w.opts.Name, shard, lr.LeaseID, lr.Stolen)
+	w.opts.Logf("worker %s: leased partition %s (lease %s)", w.opts.Name, shard, lr.LeaseID)
 
 	shardCtx, cancel := context.WithCancel(ctx)
 	defer cancel()

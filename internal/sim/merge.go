@@ -28,8 +28,8 @@ type MergeStats struct {
 	// Tasks is the number of distinct task keys.
 	Tasks int
 	// Deduped counts duplicate (task, replica) lines whose result bytes
-	// were identical — overlapping partitions, speculative steals, or a
-	// re-leased shard completed twice.
+	// were identical — overlapping partitions, or a re-leased shard
+	// completed by both holders.
 	Deduped int
 	// Torn counts shards whose final line was truncated mid-write (the
 	// signature of a killed worker) and dropped.
@@ -72,9 +72,10 @@ type taskOrder struct {
 //   - lines are ordered by (task ordinal, replica index) — the order the
 //     single-process run emits them in;
 //   - duplicate (task, replica) lines with identical result bytes are
-//     deduplicated (overlapping partitions and speculative steals are
-//     legal), while differing bytes are a hard error — determinism means
-//     a divergent duplicate is corruption, never a judgment call;
+//     deduplicated (overlapping partitions and a re-leased shard that
+//     both holders completed are legal), while differing bytes are a
+//     hard error — determinism means a divergent duplicate is
+//     corruption, never a judgment call;
 //   - a torn final line in a shard (a worker killed mid-write) is dropped
 //     and counted, by the same rule (durable.Scan) the resume loader
 //     uses;
