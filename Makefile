@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test verify fmt-check bench-check vet-386 vet-race race-packed obs-race serve-race fabric-race vm-race lint lint-fixtures lint-audit ci bench bench-compare fuzz-fault fuzz-vm bench-smoke
+.PHONY: build test verify fmt-check bench-check vet vet-386 race lint lint-fixtures lint-audit ci bench bench-compare fuzz-fault fuzz-vm bench-smoke
 
 build:
 	$(GO) build ./...
@@ -25,64 +25,39 @@ fmt-check:
 bench-check:
 	cd benchmark && $(GO) vet . && $(GO) test .
 
-# 32-bit build check: vet every package, tests included, for GOARCH=386
-# so that nothing assumes a 64-bit int. Runs natively on an amd64 host.
+# Static analysis of every package, tests included, for the host and for
+# GOARCH=386, so that nothing assumes a 64-bit int (runs natively on an
+# amd64 host).
+vet:
+	$(GO) vet ./...
+
 vet-386:
 	GOARCH=386 $(GO) vet ./...
 
-# Static analysis + race detection on the packages that spawn goroutines
-# or are shared across them (the sharded bitset engine, the Monte-Carlo
-# runner, the fault schedules shared by replicas, and the AdoptCache
-# guard).
-vet-race:
-	$(GO) vet ./...
-	$(GO) test -race ./internal/sim/ ./internal/engine/ ./internal/fault/ ./internal/protocol/
-
-# Focused race smoke on the sharded bitset engine: a packed round fans
-# out one goroutine per shard over a shared pair of bitsets (one writer
-# per word by construction), and this runs exactly the tests that
-# exercise those fan-outs under -race. vet-race already covers the whole
-# engine package; this filter keeps a fast signal for the word-ownership
-# invariant itself, and for the Probe contract that no shard goroutine
-# calls the run's probe (TestProbeSingleGoroutine).
-race-packed:
-	$(GO) test -race -run 'TestPackedSharded|TestPackedDeterministic|TestChunkedCountsConsistent|TestShardedDeterministic|TestRunAgentsReplicas|TestSeedDeterminismUnderFaults/sharded-packed|TestProbeSingleGoroutine' ./internal/engine/
-
-# Observability layer under the race detector: the shared metrics
-# registry, the span writer, and the probe/observer wiring through the
-# Monte-Carlo runner (obs_integration_test exercises sim.Run with a
-# probe attached across worker goroutines under an active fault
-# schedule). The second line repeats the fold tests ten times: a private
-# Metrics folded while its writers run, bitspreadd's per-worker job
-# metrics folded into /metrics at job end and mid-job, the event hub's
-# queue handoff and once-only drop booking, and a stream that is
-# subscribed by the time its client holds the headers.
-obs-race:
-	$(GO) test -race ./internal/obs/ ./internal/trace/ ./internal/sim/
-	$(GO) test -race -count=10 -run 'TestMetricsFold|TestEngineMetricsFoldExactly|TestMetricsScrapeSeesRunningJob|TestHub|TestEventStream' ./internal/obs/ ./internal/serve/
-
-# Simulation service under the race detector: the bitspreadd serving
-# layer (admission control, worker pool, stream hubs, drain/shutdown)
-# plus the subprocess SIGKILL/SIGTERM end-to-end proofs in
-# cmd/bitspreadd.
-serve-race:
-	$(GO) test -race ./internal/serve/ ./cmd/bitspreadd/
-
-# Distributed sweep fabric under the race detector: the lease board and
-# shard runner, the journal partition/merge layer (exclusive locks,
-# torn-tail recovery, byte-identical merges), the bitsweep
-# -partition/-join CLI path, and the coordinator/pull-worker protocol in
-# internal/serve and cmd/bitspreadd — including the real-subprocess
-# SIGKILL + re-lease byte-identity proof. The second line repeats the
-# held-wait tests twenty times: a first completion closes and replaces
-# the coordinator's board-changed channel under its lock while held lease
+# The race detector over every package that spawns goroutines or is
+# shared across them, each raced once: the sharded bitset engine and its
+# Probe contract (TestProbeSingleGoroutine), the Monte-Carlo runner's
+# worker pool, the fault schedules and AdoptCache shared by replicas,
+# the observability layer, the bitspreadd service with its subprocess
+# SIGKILL/SIGTERM proofs, the sweep fabric with its bitsweep
+# -partition/-join path, and the VM registry and evolutionary search.
+# cmd/bitspreadd runs on its own line, after the rest: its subprocess
+# drain and kill tests hold a job to fixed budgets (a 120 s drain under
+# -race), which other packages' tests running beside it can exceed on a
+# 2-vCPU host.
+# The third line repeats the fold tests ten times: a private Metrics
+# folded while its writers run, bitspreadd's per-worker job metrics
+# folded into /metrics at job end and mid-job, the event hub's queue
+# handoff and once-only drop booking, and a stream that is subscribed by
+# the time its client holds the headers. The fourth repeats the held-wait
+# tests twenty times: a first completion closes and replaces the
+# coordinator's board-changed channel under its lock while held lease
 # requests select on it, and a drain or Close ends them.
-fabric-race:
-	$(GO) test -race ./internal/fabric/ ./internal/serve/
+race:
+	$(GO) test -race ./internal/engine/ ./internal/sim/ ./internal/fault/ ./internal/protocol/ ./internal/obs/ ./internal/trace/ ./internal/serve/ ./internal/fabric/ ./internal/vm/ ./internal/evolve/ ./cmd/bitsweep/ ./cmd/bitevolve/
+	$(GO) test -race ./cmd/bitspreadd/
+	$(GO) test -race -count=10 -run 'TestMetricsFold|TestEngineMetricsFoldExactly|TestMetricsScrapeSeesRunningJob|TestHub|TestEventStream' ./internal/obs/ ./internal/serve/
 	$(GO) test -race -count=20 -run 'TestPullWorkerWaitEndsWithSweep|TestHeldLease' ./internal/serve/
-	$(GO) test -race -run 'TestJournal|TestMerge|TestRunContextPartition' ./internal/sim/
-	$(GO) test -race -run 'TestRunFabric|TestRunJoin|TestRunPartition' ./cmd/bitsweep/
-	$(GO) test -race -run 'TestFabricWorker|TestBadFlags' ./cmd/bitspreadd/
 
 # Repo-specific static contracts (DESIGN.md §11, §15): bitlint
 # machine-checks the determinism, probability-domain, validate-before-work,
@@ -106,13 +81,6 @@ lint-fixtures:
 lint-audit:
 	$(GO) run ./cmd/bitlint -suppression-audit ./...
 
-# Protocol VM and evolutionary search under the race detector: the
-# registry in internal/serve shares compiled programs across request
-# goroutines, and evolve's evaluator fans simulation batches out over
-# sim workers — both must hold under -race alongside the VM itself.
-vm-race:
-	$(GO) test -race ./internal/vm/ ./internal/evolve/ ./cmd/bitevolve/
-
 # Fuzz smoke: every schedule the validator accepts must uphold the
 # Perturber contracts (counts in range, source slot untouched).
 fuzz-fault:
@@ -133,7 +101,7 @@ fuzz-vm:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkRunAgents|BenchmarkStepCount|BenchmarkSequentialStep|BenchmarkEngineAblation|BenchmarkFabricWorkers' -benchtime 1x . ./internal/serve/
 
-ci: verify fmt-check bench-check vet-386 vet-race race-packed obs-race serve-race fabric-race vm-race lint lint-fixtures fuzz-fault fuzz-vm bench-smoke
+ci: verify fmt-check bench-check vet vet-386 race lint lint-fixtures fuzz-fault fuzz-vm bench-smoke
 
 # Full experiment benchmarks (quick sizes; BITSPREAD_FULL=1 for the sizes
 # reported in EXPERIMENTS.md).

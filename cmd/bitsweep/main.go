@@ -116,16 +116,17 @@ func run(ctx context.Context, args []string, w io.Writer) (err error) {
 		return nil
 	}
 
+	var exps []string
+	if *expSpec != "all" {
+		exps = strings.Split(*expSpec, ",")
+	}
+	spec := fabric.SweepSpec{Exps: exps, Seed: *seed, Quick: *quick, SimWorkers: *workers}
+
 	if *partition != "" {
 		shard, err := fabric.ParseShard(*partition)
 		if err != nil {
 			return err
 		}
-		var exps []string
-		if *expSpec != "all" {
-			exps = strings.Split(*expSpec, ",")
-		}
-		spec := fabric.SweepSpec{Exps: exps, Seed: *seed, Quick: *quick, SimWorkers: *workers}
 		logf := func(format string, args ...any) { fmt.Fprintf(w, format+"\n", args...) }
 		stats, err := fabric.RunShard(ctx, spec, shard, *journal, *resume, logf)
 		if err != nil {
@@ -151,18 +152,9 @@ func run(ctx context.Context, args []string, w io.Writer) (err error) {
 		*resume = true
 	}
 
-	var selected []experiments.Experiment
-	if *expSpec == "all" {
-		selected = experiments.All()
-	} else {
-		for _, id := range strings.Split(*expSpec, ",") {
-			e, ok := experiments.ByID(strings.TrimSpace(id))
-			if !ok {
-				return fmt.Errorf("unknown experiment %q (known: %s)",
-					id, strings.Join(experiments.IDs(), ", "))
-			}
-			selected = append(selected, e)
-		}
+	selected, err := spec.Experiments()
+	if err != nil {
+		return err
 	}
 
 	var ckpt *sim.Journal

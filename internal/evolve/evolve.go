@@ -585,19 +585,19 @@ func Measure(r *protocol.Rule, n, maxRounds int64, seeds []uint64) (float64, err
 	}
 	worst := 0.0
 	for z := 0; z <= 1; z++ {
+		cfg := engine.Config{
+			N:         n,
+			Rule:      r,
+			Z:         z,
+			X0:        engine.WorstCaseInit(n, z),
+			MaxRounds: maxRounds,
+		}
+		results, err := engine.RunParallelReplicas(cfg, seeds)
+		if err != nil {
+			return 0, err
+		}
 		mean := 0.0
-		for _, seed := range seeds {
-			cfg := engine.Config{
-				N:         n,
-				Rule:      r,
-				Z:         z,
-				X0:        engine.WorstCaseInit(n, z),
-				MaxRounds: maxRounds,
-			}
-			res, err := engine.RunParallel(cfg, rng.New(seed))
-			if err != nil {
-				return 0, err
-			}
+		for _, res := range results {
 			rounds := res.Rounds
 			if !res.Converged {
 				rounds = 2 * maxRounds

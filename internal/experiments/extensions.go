@@ -7,7 +7,6 @@ import (
 	"bitspread/internal/engine"
 	"bitspread/internal/protocol"
 	"bitspread/internal/rng"
-	"bitspread/internal/sim"
 	"bitspread/internal/table"
 )
 
@@ -41,7 +40,7 @@ func x1Threshold() Experiment {
 			rateAtSqrt := 0.0
 			for _, ell := range ells {
 				cfg := worstCaseTask(protocol.Minority(ell), n, 1, budget)
-				m, err := measure(opts, "x1", cfg, sim.Parallel, replicas, uint64(ell)*101)
+				m, err := measure(opts, "x1", cfg, replicas, uint64(ell)*101)
 				if err != nil {
 					return nil, err
 				}
@@ -105,7 +104,7 @@ func x2MajorityFails() Experiment {
 				}
 				for _, rl := range []*protocol.Rule{protocol.Majority(ell), protocol.Minority(ell)} {
 					cfg := engine.Config{N: n, Rule: rl, Z: 1, X0: x0, MaxRounds: budget}
-					m, err := measure(opts, "x2", cfg, sim.Parallel, replicas, uint64(x0)+hash(rl.Name()))
+					m, err := measure(opts, "x2", cfg, replicas, uint64(x0)+hash(rl.Name()))
 					if err != nil {
 						return nil, err
 					}

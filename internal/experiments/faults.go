@@ -7,7 +7,6 @@ import (
 	"bitspread/internal/engine"
 	"bitspread/internal/fault"
 	"bitspread/internal/protocol"
-	"bitspread/internal/sim"
 	"bitspread/internal/table"
 )
 
@@ -80,7 +79,7 @@ func x12FaultRecovery() Experiment {
 						}
 						salt++
 						m, err := measure(opts, fmt.Sprintf("x12-%s-%s-%d", r.Name(), sc.name, n),
-							cfg, sim.Parallel, reps, salt)
+							cfg, reps, salt)
 						if err != nil {
 							return nil, err
 						}

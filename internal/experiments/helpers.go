@@ -49,17 +49,18 @@ type measured struct {
 	p99Tau  float64
 }
 
-// measure runs replicas of the given configuration and aggregates. It
-// honours opts.Ctx (cancellation surfaces as the context error) and
-// checkpoints finished replicas into opts.Journal when one is set.
-func measure(opts Options, name string, cfg engine.Config, mode sim.Mode, replicas int, salt uint64) (measured, error) {
+// measure runs replicas of the given configuration on the count engine
+// and aggregates. It honours opts.Ctx (cancellation surfaces as the
+// context error) and checkpoints finished replicas into opts.Journal when
+// one is set.
+func measure(opts Options, name string, cfg engine.Config, replicas int, salt uint64) (measured, error) {
 	if opts.Probe != nil {
 		cfg.Probe = opts.Probe
 	}
 	out, err := sim.RunContext(opts.ctx(), sim.Task{
 		Name:     name,
 		Config:   cfg,
-		Mode:     mode,
+		Mode:     sim.Parallel,
 		Replicas: replicas,
 		Seed:     subSeed(opts, salt),
 		Observer: opts.Observer,

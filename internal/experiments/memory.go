@@ -8,7 +8,6 @@ import (
 	"bitspread/internal/memory"
 	"bitspread/internal/protocol"
 	"bitspread/internal/rng"
-	"bitspread/internal/sim"
 	"bitspread/internal/stats"
 	"bitspread/internal/table"
 )
@@ -46,7 +45,7 @@ func x4MemoryAblation() Experiment {
 				// Row 1: memory-less control from the Theorem 12 start.
 				ctrlCfg, c := engine.AdversarialConfig(protocol.Minority(ell), n, budget)
 				ctrlCfg.X0 = int64((c.A1 + c.A3) / 2 * float64(n))
-				m, err := measure(opts, "x4-ctrl", ctrlCfg, sim.Parallel, replicas, uint64(n))
+				m, err := measure(opts, "x4-ctrl", ctrlCfg, replicas, uint64(n))
 				if err != nil {
 					return nil, err
 				}

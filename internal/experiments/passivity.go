@@ -7,7 +7,6 @@ import (
 	"bitspread/internal/gossip"
 	"bitspread/internal/protocol"
 	"bitspread/internal/rng"
-	"bitspread/internal/sim"
 	"bitspread/internal/stats"
 	"bitspread/internal/table"
 )
@@ -51,8 +50,7 @@ func x8PricePassivity() Experiment {
 				maxLogRatio = math.Max(maxLogRatio, logRatio)
 
 				m, err := measure(opts, "x8-voter",
-					worstCaseTask(protocol.Voter(1), n, 1, 0),
-					sim.Parallel, replicas, uint64(n)*29)
+					worstCaseTask(protocol.Voter(1), n, 1, 0), replicas, uint64(n)*29)
 				if err != nil {
 					return nil, err
 				}

@@ -10,7 +10,6 @@ import (
 	"bitspread/internal/markov"
 	"bitspread/internal/protocol"
 	"bitspread/internal/rng"
-	"bitspread/internal/sim"
 	"bitspread/internal/stats"
 	"bitspread/internal/table"
 )
@@ -69,7 +68,7 @@ func table1LowerBound() Experiment {
 							cfg = cfg2
 						}
 					}
-					m, err := measure(opts, rl.name, cfg, sim.Parallel, replicas, uint64(n)+hash(rl.name))
+					m, err := measure(opts, rl.name, cfg, replicas, uint64(n)+hash(rl.name))
 					if err != nil {
 						return nil, err
 					}
@@ -90,7 +89,7 @@ func table1LowerBound() Experiment {
 			var xs, ys []float64
 			for _, n := range ns {
 				cfg := adversarialTask(protocol.Voter(1), n, 0)
-				m, err := measure(opts, "voter-exponent", cfg, sim.Parallel, replicas, uint64(n)*13)
+				m, err := measure(opts, "voter-exponent", cfg, replicas, uint64(n)*13)
 				if err != nil {
 					return nil, err
 				}
@@ -136,7 +135,7 @@ func table2VoterUpper() Experiment {
 			minRate := 1.0
 			for _, n := range ns {
 				cfg := worstCaseTask(protocol.Voter(1), n, 1, 0)
-				m, err := measure(opts, "voter-upper", cfg, sim.Parallel, replicas, uint64(n))
+				m, err := measure(opts, "voter-upper", cfg, replicas, uint64(n))
 				if err != nil {
 					return nil, err
 				}
@@ -187,14 +186,12 @@ func table3MinorityBigSample() Experiment {
 				ell := protocol.SqrtNLogN(1).Of(n)
 				logn := math.Log(float64(n))
 				mMin, err := measure(opts, "minority-big",
-					worstCaseTask(protocol.Minority(ell), n, 1, int64(400*logn*logn)),
-					sim.Parallel, replicas, uint64(n)*3)
+					worstCaseTask(protocol.Minority(ell), n, 1, int64(400*logn*logn)), replicas, uint64(n)*3)
 				if err != nil {
 					return nil, err
 				}
 				mVot, err := measure(opts, "voter-ref",
-					worstCaseTask(protocol.Voter(1), n, 1, 0),
-					sim.Parallel, replicas, uint64(n)*5)
+					worstCaseTask(protocol.Voter(1), n, 1, 0), replicas, uint64(n)*5)
 				if err != nil {
 					return nil, err
 				}

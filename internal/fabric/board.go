@@ -111,21 +111,30 @@ func (b *Board) TTL() time.Duration { return b.ttl }
 
 func leaseID(part, gen int) string { return fmt.Sprintf("p%d.g%d", part, gen) }
 
+// PartitionOf resolves a lease ID the board issued, of any generation, to
+// its partition; malformed and never-issued IDs are errors. It changes
+// nothing, so a coordinator can validate and store an upload before
+// Complete marks the partition done.
+func (b *Board) PartitionOf(id string) (int, error) {
+	var part, gen int
+	if n, err := fmt.Sscanf(id, "p%d.g%d", &part, &gen); n != 2 || err != nil {
+		return 0, fmt.Errorf("fabric: malformed lease id %q", id)
+	}
+	if part < 0 || part >= len(b.parts) {
+		return 0, fmt.Errorf("fabric: lease id %q names partition %d of %d", id, part, len(b.parts))
+	}
+	if gen < 1 || gen > b.parts[part].gen {
+		return 0, fmt.Errorf("fabric: lease id %q was never issued", id)
+	}
+	return part, nil
+}
+
 // parseLease resolves a lease ID against the board's current state: the
 // partition index if the ID names the live generation, or false for
 // malformed, unknown, and superseded IDs alike.
 func (b *Board) parseLease(id string) (int, bool) {
-	var part, gen int
-	if n, err := fmt.Sscanf(id, "p%d.g%d", &part, &gen); n != 2 || err != nil {
-		return 0, false
-	}
-	if part < 0 || part >= len(b.parts) {
-		return 0, false
-	}
-	if b.parts[part].gen != gen {
-		return 0, false
-	}
-	return part, true
+	part, err := b.PartitionOf(id)
+	return part, err == nil && id == leaseID(part, b.parts[part].gen)
 }
 
 // Acquire hands the worker its next unit of work: a pending partition,
@@ -183,15 +192,9 @@ func (b *Board) Renew(id string, now time.Time) bool {
 // deterministic, so a stale worker's finished shard is as good as the
 // live one's.
 func (b *Board) Complete(id string) (part int, alreadyDone bool, err error) {
-	var gen int
-	if n, serr := fmt.Sscanf(id, "p%d.g%d", &part, &gen); n != 2 || serr != nil {
-		return 0, false, fmt.Errorf("fabric: malformed lease id %q", id)
-	}
-	if part < 0 || part >= len(b.parts) {
-		return 0, false, fmt.Errorf("fabric: lease id %q names partition %d of %d", id, part, len(b.parts))
-	}
-	if gen < 1 || gen > b.parts[part].gen {
-		return 0, false, fmt.Errorf("fabric: lease id %q was never issued", id)
+	part, err = b.PartitionOf(id)
+	if err != nil {
+		return 0, false, err
 	}
 	p := &b.parts[part]
 	if p.state == stateDone {

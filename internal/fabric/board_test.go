@@ -149,6 +149,35 @@ func TestBoardCompleteErrors(t *testing.T) {
 	}
 }
 
+// PartitionOf resolves every generation issued so far, marks nothing
+// done, and rejects what Complete rejects.
+func TestBoardPartitionOf(t *testing.T) {
+	b, _ := NewBoard(2, time.Second)
+	b.Acquire("w1", at(0))
+	_, dead := b.Acquire("w1", at(0))
+	_, release := b.Acquire("w2", at(2))
+	if dead.Shard.Index != 1 || release.Shard.Index != 0 {
+		t.Fatalf("leases %+v %+v", dead, release)
+	}
+	_, release = b.Acquire("w2", at(2))
+	if release.Shard.Index != 1 || release.ID == dead.ID {
+		t.Fatalf("re-issue %+v of %+v", release, dead)
+	}
+	for _, id := range []string{dead.ID, release.ID} {
+		if part, err := b.PartitionOf(id); err != nil || part != 1 {
+			t.Fatalf("PartitionOf(%s) = %d, %v", id, part, err)
+		}
+	}
+	if s := b.Stats(); s.Done != 0 {
+		t.Fatalf("PartitionOf marked a partition done: %+v", s)
+	}
+	for _, id := range []string{"garbage", "p9.g1", "p1.g3"} {
+		if _, err := b.PartitionOf(id); err == nil {
+			t.Errorf("PartitionOf(%q) accepted", id)
+		}
+	}
+}
+
 func TestBoardMarkDone(t *testing.T) {
 	b, _ := NewBoard(2, time.Second)
 	if err := b.MarkDone(1); err != nil {

@@ -61,9 +61,8 @@ type fabricState struct {
 	mu     sync.Mutex
 	spec   fabric.SweepSpec
 	board  *fabric.Board
-	shards [][]byte       // uploaded shard journals, indexed by partition; nil = not done
-	leases map[string]int // every lease granted since start → its partition
-	dir    string         // persistence root, "" = memory only
+	shards [][]byte // uploaded shard journals, indexed by partition; nil = not done
+	dir    string   // persistence root, "" = memory only
 	fsys   durable.FS
 	now    func() time.Time
 	logf   func(string, ...any)
@@ -91,7 +90,6 @@ func newFabricState(opts FabricOptions, dataDir string, fsys durable.FS, now fun
 		spec:   opts.spec(),
 		board:  board,
 		shards: make([][]byte, opts.Partitions),
-		leases: map[string]int{},
 		fsys:   fsys,
 		now:    now,
 		logf:   logf,
@@ -141,7 +139,11 @@ var errShardNotDurable = errors.New("shard not persisted")
 func (f *fabricState) complete(leaseID string, data []byte) (partIdx int, duplicate bool, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if part, ok := f.leases[leaseID]; ok && f.shards[part] == nil {
+	part, err := f.board.PartitionOf(leaseID)
+	if err != nil {
+		return 0, false, err
+	}
+	if f.shards[part] == nil {
 		if _, merr := sim.MergeJournals(io.Discard, []sim.MergeSource{{Name: "upload", Data: data}}); merr != nil {
 			return part, false, fmt.Errorf("shard %d upload is not a parseable journal: %w", part, merr)
 		}
@@ -152,11 +154,8 @@ func (f *fabricState) complete(leaseID string, data []byte) (partIdx int, duplic
 		}
 		f.shards[part] = data
 	}
-	part, already, err := f.board.Complete(leaseID)
-	if err != nil {
-		return 0, false, err
-	}
-	if already {
+	// Complete cannot fail: PartitionOf accepted the ID under this lock.
+	if _, already, _ := f.board.Complete(leaseID); already {
 		if _, merr := sim.MergeJournals(io.Discard, []sim.MergeSource{
 			{Name: "stored", Data: f.shards[part]},
 			{Name: "duplicate", Data: data},
@@ -263,9 +262,6 @@ func (s *Server) awaitLease(ctx context.Context, worker string) (fabric.AcquireS
 		// falls between the answer and the wait.
 		f.mu.Lock()
 		status, lease := f.board.Acquire(worker, f.now())
-		if status == fabric.Granted {
-			f.leases[lease.ID] = lease.Shard.Index
-		}
 		changed := f.changed
 		f.mu.Unlock()
 		if status != fabric.Wait || !held {

@@ -289,6 +289,45 @@ func TestFabricLeaseExpiryAndDuplicate(t *testing.T) {
 	}
 }
 
+// A superseded holder that uploads before the re-issued one completes the
+// partition with its bytes, stored and persisted; the later upload of the
+// live lease is then a verified duplicate.
+func TestFabricSupersededUploadFirst(t *testing.T) {
+	clk := newFakeClock()
+	dir := t.TempDir()
+	fopts := &FabricOptions{Exps: []string{"T2"}, Seed: 7, Quick: true, Partitions: 1, LeaseTTL: 10 * time.Second}
+	_, ts := newTestServer(t, Options{DataDir: dir, Fabric: fopts, now: clk.now})
+
+	_, dead := postLease(t, ts, "w1")
+	clk.advance(11 * time.Second)
+	_, release := postLease(t, ts, "w2")
+	if dead.Status != "lease" || release.Status != "lease" || release.LeaseID == dead.LeaseID {
+		t.Fatalf("leases %+v then %+v, want a re-issue", dead, release)
+	}
+	shard := runShardBytes(t, fopts.spec(), fabric.Shard{Index: 0, Count: 1})
+	if code, cr, raw := postComplete(t, ts, dead.LeaseID, shard); code != http.StatusOK || cr.Duplicate {
+		t.Fatalf("superseded holder's first upload: %d %+v %s", code, cr, raw)
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, "fabric", "shard-0.jsonl")); err != nil || !bytes.Equal(got, shard) {
+		t.Fatalf("stored shard: %v (%d of %d bytes)", err, len(got), len(shard))
+	}
+	resp, err := http.Get(ts.URL + "/v1/fabric/journal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("merged journal after the first upload: %d", resp.StatusCode)
+	}
+	if code, cr, raw := postComplete(t, ts, release.LeaseID, shard); code != http.StatusOK || !cr.Duplicate {
+		t.Fatalf("live holder's later upload: %d %+v %s, want a verified duplicate", code, cr, raw)
+	}
+	conflict := bytes.Replace(shard, []byte(`"Rounds":`), []byte(`"Rounds":9`), 1)
+	if code, _, _ := postComplete(t, ts, release.LeaseID, conflict); code != http.StatusConflict {
+		t.Fatalf("conflicting later upload: %d, want 409", code)
+	}
+}
+
 // A restarted coordinator pre-completes partitions whose shard bytes it
 // already persisted, and still merges to the reference.
 func TestFabricCoordinatorRestartKeepsShards(t *testing.T) {
@@ -482,6 +521,61 @@ func TestPullWorkerAsksAgainAfterWait(t *testing.T) {
 	// Three backoffs would sleep at least 100 + 200 + 400 ms.
 	if took := time.Since(start); took > 500*time.Millisecond || asked.Load() != 4 {
 		t.Fatalf("worker returned after %v and %d lease requests, want 4 requests without backoff", took, asked.Load())
+	}
+}
+
+// leaseTimes is an HTTP transport that records when each request was
+// sent and when it failed, and counts the ones answered.
+type leaseTimes struct {
+	mu           sync.Mutex
+	sent, failed []time.Time
+	answered     int
+}
+
+func (l *leaseTimes) RoundTrip(req *http.Request) (*http.Response, error) {
+	l.mu.Lock()
+	l.sent = append(l.sent, time.Now())
+	l.mu.Unlock()
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err != nil {
+		l.failed = append(l.failed, time.Now())
+	} else {
+		l.answered++
+	}
+	return resp, err
+}
+
+// A lease request held past the worker's client timeout is sent again at
+// once, as after a "wait" answer, not after an error's backoff.
+func TestPullWorkerAsksAgainAfterClientTimeout(t *testing.T) {
+	// TTL 3 s caps a hold at 1 s, twice the client's 500 ms timeout.
+	fopts := &FabricOptions{Exps: []string{"T2"}, Seed: 7, Quick: true, Partitions: 1, LeaseTTL: 3 * time.Second}
+	_, ts := newTestServer(t, Options{Fabric: fopts})
+	if _, a := postLease(t, ts, "a"); a.Status != "lease" {
+		t.Fatalf("a: %+v, want a lease", a)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 1700*time.Millisecond)
+	defer cancel()
+	lt := &leaseTimes{}
+	err := RunPullWorker(ctx, PullWorkerOptions{
+		URL: ts.URL, Name: "c", ShardDir: t.TempDir(),
+		Client: &http.Client{Transport: lt, Timeout: 500 * time.Millisecond},
+	})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("worker returned %v, want its context's deadline", err)
+	}
+	lt.mu.Lock()
+	defer lt.mu.Unlock()
+	if lt.answered != 0 || len(lt.failed) != len(lt.sent) || len(lt.sent) < 3 {
+		t.Fatalf("%d lease requests, %d answered, %d failed; want at least 3, all timed out while a holds the only partition",
+			len(lt.sent), lt.answered, len(lt.failed))
+	}
+	for k := 1; k < len(lt.sent); k++ {
+		if gap := lt.sent[k].Sub(lt.failed[k-1]); gap > 50*time.Millisecond {
+			t.Errorf("lease request %d sent %v after request %d timed out, want at once", k, gap, k-1)
+		}
 	}
 }
 

@@ -62,7 +62,8 @@ func (o *PullWorkerOptions) withDefaults() error {
 // ShardDir, heartbeating the lease) → upload the shard bytes → repeat.
 // It returns nil once the coordinator answers "done", and ctx.Err()
 // if cancelled. The coordinator holds a lease request while every
-// partition is leased, so a "wait" answer is asked again at once.
+// partition is leased, so a "wait" answer, or a lease request that
+// outlasts the client's timeout, is asked again at once.
 // Transient coordinator errors (unreachable, 5xx, a draining
 // coordinator) are retried on a jittered backoff, reset by each granted
 // lease; losing a lease mid-shard (renew answers 410 Gone) abandons that
@@ -80,6 +81,12 @@ func RunPullWorker(ctx context.Context, opts PullWorkerOptions) error {
 			return err
 		}
 		lr, err := w.lease(ctx)
+		var timeout interface{ Timeout() bool }
+		if err != nil && ctx.Err() == nil && errors.As(err, &timeout) && timeout.Timeout() {
+			// The coordinator held the request past this client's
+			// timeout: as after a "wait" answer, ask again at once.
+			continue
+		}
 		if err != nil {
 			opts.Logf("worker %s: lease: %v (retrying)", opts.Name, err)
 			if serr := w.sleep(ctx, w.backoff.Next()); serr != nil {

@@ -67,6 +67,85 @@ func TestPanickingReplicaIsRecorded(t *testing.T) {
 	}
 }
 
+// evenPanicPerturber panics at its trigger round in the replicas whose
+// one-count there is even, and applies its schedule in the others.
+type evenPanicPerturber struct{ *panicPerturber }
+
+func (p evenPanicPerturber) PerturbCount(t, n int64, src int, x int64, g *rng.RNG) int64 {
+	if t == p.round && x%2 != 0 {
+		return p.Schedule.PerturbCount(t, n, src, x, g)
+	}
+	return p.panicPerturber.PerturbCount(t, n, src, x, g)
+}
+
+func (p evenPanicPerturber) PerturbAgents(t int64, ops []uint8, g *rng.RNG) {
+	x := 0
+	for _, o := range ops {
+		x += int(o)
+	}
+	if t == p.round && x%2 != 0 {
+		p.Schedule.PerturbAgents(t, ops, g)
+		return
+	}
+	p.panicPerturber.PerturbAgents(t, ops, g)
+}
+
+// TestBatchPanicLosesOnlyItsReplica: a replica that panics inside a
+// lockstep batch is Failed, and every other replica of the batch is Done
+// with exactly its solo run's Result.
+func TestBatchPanicLosesOnlyItsReplica(t *testing.T) {
+	solo := map[Mode]func(engine.Config, *rng.RNG) (engine.Result, error){
+		Parallel: engine.RunParallel,
+		AgentLevel: func(cfg engine.Config, g *rng.RNG) (engine.Result, error) {
+			return engine.RunAgents(cfg, engine.AgentOptions{}, g)
+		},
+	}
+	for _, mode := range []Mode{Parallel, AgentLevel} {
+		task := voterTask(16, 5)
+		task.Mode = mode
+		task.Config.Faults = evenPanicPerturber{newPanicPerturber(2)}
+		out, err := RunContext(context.Background(), task, 2, nil)
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		master := rng.New(task.Seed)
+		var done, failed int
+		for i := 0; i < task.Replicas; i++ {
+			want, panicked := runSolo(solo[mode], task.Config, master.Uint64())
+			state := Done
+			if out.States != nil {
+				state = out.States[i]
+			}
+			switch {
+			case panicked && state == Failed:
+				failed++
+			case !panicked && state == Done && out.Results[i] == want:
+				done++
+			default:
+				t.Errorf("%v replica %d: state %v result %+v; solo run panicked=%v result %+v",
+					mode, i, state, out.Results[i], panicked, want)
+			}
+		}
+		if done == 0 || failed == 0 {
+			t.Errorf("%v: %d done and %d failed replicas, want some of each", mode, done, failed)
+		}
+		if len(out.Failures) != failed {
+			t.Errorf("%v: %d failures recorded for %d failed replicas", mode, len(out.Failures), failed)
+		}
+	}
+}
+
+// runSolo runs one replica alone and reports whether it panicked.
+func runSolo(run func(engine.Config, *rng.RNG) (engine.Result, error), cfg engine.Config, seed uint64) (res engine.Result, panicked bool) {
+	defer func() {
+		if recover() != nil {
+			res, panicked = engine.Result{}, true
+		}
+	}()
+	res, _ = run(cfg, rng.New(seed))
+	return res, false
+}
+
 func TestCancelledContextReturnsPartialOutcome(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

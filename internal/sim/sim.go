@@ -1,8 +1,10 @@
 // Package sim is the Monte-Carlo experiment runner: it fans a configured
-// bit-dissemination instance out over seeded replicas on a bounded worker
-// pool and aggregates convergence statistics. Replica seeds are derived
-// deterministically from the task seed before any goroutine starts, so
-// results are reproducible regardless of scheduling.
+// bit-dissemination instance out over seeded replicas, runs them as
+// lockstep batches that a bounded worker pool pulls from one queue, and
+// aggregates convergence statistics. Replica seeds are derived
+// deterministically from the task seed before any goroutine starts, and a
+// batch reproduces each of its replicas' solo runs exactly, so results are
+// reproducible regardless of scheduling.
 //
 // The runner is hardened for long unattended sweeps: RunContext threads a
 // context.Context through every engine as a round-boundary halt check, a
@@ -177,7 +179,10 @@ func Run(t Task, workers int) (Outcome, error) {
 }
 
 // RunContext executes the task's replicas on at most workers goroutines,
-// honouring ctx and checkpointing into journal (both optional).
+// honouring ctx and checkpointing into journal (both optional). The
+// workers pull in-order lockstep batches of replicas from one channel and
+// run each through the mode's engine batch call: RunParallelReplicas,
+// RunAgentsReplicas, or RunSequential one seed at a time.
 //
 // Cancellation is polled by every engine at round boundaries, so workers
 // stop within one round of ctx ending; the partial Outcome classifies the
@@ -196,7 +201,7 @@ func RunContext(ctx context.Context, t Task, workers int, journal *Journal) (Out
 	if t.Replicas < 1 {
 		return Outcome{}, fmt.Errorf("sim: task %q has %d replicas", t.Name, t.Replicas)
 	}
-	run, err := runner(t.Mode)
+	batch, err := batchRunner(t.Mode)
 	if err != nil {
 		return Outcome{}, fmt.Errorf("sim: task %q: %w", t.Name, err)
 	}
@@ -273,39 +278,51 @@ func RunContext(ctx context.Context, t Task, workers int, journal *Journal) (Out
 		}
 	}
 
-	if len(pending) > 0 {
-		switch t.Mode {
-		case Parallel:
-			runBatched(cfg, st, pending, seeds, workers, len(pending), engine.RunParallelReplicas, run)
-		case AgentLevel:
-			runBatched(cfg, st, pending, seeds, workers, agentBatchWidth(cfg), func(cfg engine.Config, seeds []uint64) ([]engine.Result, error) {
-				return engine.RunAgentsReplicas(cfg, engine.AgentOptions{}, seeds)
-			}, run)
-		default:
-			var wg sync.WaitGroup
-			next := make(chan int)
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := range next {
-						if st.obsv != nil {
-							st.obsv.ReplicaStart(st.name, i)
-						}
-						res, err := runRecovered(run, cfg, rng.New(seeds[i]))
-						st.classify(i, res, err)
-					}
-				}()
-			}
-			for _, i := range pending {
-				next <- i
-			}
-			close(next)
-			wg.Wait()
-		}
+	// A Parallel batch has no size limit (it shares one AdoptCache and
+	// costs a few words per replica), an AgentLevel one is capped by
+	// agentBatchWidth, and a Sequential one holds one replica. The queue
+	// is filled before any worker starts, so no batch waits on a handoff
+	// from this goroutine, and a worker that finishes early takes the
+	// next batch.
+	width := max(len(pending), 1)
+	switch t.Mode {
+	case AgentLevel:
+		width = agentBatchWidth(cfg)
+	case Sequential:
+		width = 1
 	}
+	subs := batches(pending, workers, width)
+	next := make(chan []int, len(subs))
+	for _, sub := range subs {
+		next <- sub
+	}
+	close(next)
+	var wg sync.WaitGroup
+	for w := 0; w < min(workers, len(subs)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for sub := range next {
+				//bitlint:taintdet the worker count only sizes the lockstep batches; a batch reproduces each replica's solo run, so no recorded Result depends on it (TestRunDeterministicAcrossWorkerCounts)
+				st.runBatch(batch, cfg, sub, seeds)
+			}
+		}()
+	}
+	wg.Wait()
 
 	return st.outcome(t)
+}
+
+// batches cuts pending into in-order lockstep batches of even size, at
+// least one per worker, so every worker has work, and each at most width
+// replicas.
+func batches(pending []int, workers, width int) [][]int {
+	nb := max(min(workers, len(pending)), (len(pending)+width-1)/width)
+	subs := make([][]int, nb)
+	for k := range subs {
+		subs[k] = pending[k*len(pending)/nb : (k+1)*len(pending)/nb]
+	}
+	return subs
 }
 
 // taskState is the shared mutable state of one RunContext call. Workers
@@ -390,79 +407,42 @@ func (st *taskState) outcome(t Task) (Outcome, error) {
 	return out, nil
 }
 
-// runRecovered invokes one engine run, converting a panic into an error so
-// a corrupted replica cannot take down the whole sweep.
-func runRecovered(run func(engine.Config, *rng.RNG) (engine.Result, error), cfg engine.Config, g *rng.RNG) (res engine.Result, err error) {
+// runBatch runs the replicas sub as one lockstep batch and files each
+// result. A panic poisons a batch's shared state, so a batch that fails
+// reruns each replica as a one-seed batch — bit-identical to its solo
+// run by the engines' batch contracts — and only a replica that fails
+// on its own is lost.
+func (st *taskState) runBatch(batch batchFunc, cfg engine.Config, sub []int, seeds []uint64) {
+	subSeeds := make([]uint64, len(sub))
+	for k, i := range sub {
+		subSeeds[k] = seeds[i]
+		if st.obsv != nil {
+			// The batch advances in lockstep, so its replicas all start
+			// when it does.
+			st.obsv.ReplicaStart(st.name, i)
+		}
+	}
+	rs, err := batchRecovered(batch, cfg, subSeeds)
+	for k, i := range sub {
+		res, rerr := rs[k], err
+		if err != nil && len(sub) > 1 {
+			one, oerr := batchRecovered(batch, cfg, seeds[i:i+1])
+			res, rerr = one[0], oerr
+		}
+		st.classify(i, res, rerr)
+	}
+}
+
+// batchRecovered invokes one batch run, converting a panic into an error
+// so a corrupted replica cannot take down the whole sweep. A failed batch
+// reports zero Results, one per seed.
+func batchRecovered(batch batchFunc, cfg engine.Config, seeds []uint64) (rs []engine.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			res = engine.Result{}
 			err = fmt.Errorf("replica panicked: %v", r)
 		}
-	}()
-	return run(cfg, g)
-}
-
-// runBatched fans Parallel- and AgentLevel-mode replicas out as contiguous
-// chunks of the pending list, one per worker, and runs each chunk as
-// lockstep batches of at most width replicas through batch
-// (engine.RunParallelReplicas or engine.RunAgentsReplicas), so a batch's
-// replicas share one memo of Eq. 4 evaluations. Per-replica seeds are the
-// ones the unbatched path would use and batch reproduces solo runs
-// exactly, so outcomes are identical to running each replica on its own —
-// just cheaper by the memo's hit rate.
-//
-// A panic inside a batch poisons its shared state, so the batch falls back
-// to bit-identical per-replica solo runs, each individually recovered;
-// only the replica that actually panics is lost.
-func runBatched(cfg engine.Config, st *taskState, pending []int, seeds []uint64, workers, width int,
-	batch func(engine.Config, []uint64) ([]engine.Result, error),
-	solo func(engine.Config, *rng.RNG) (engine.Result, error)) {
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * len(pending) / workers
-		hi := (w + 1) * len(pending) / workers
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(chunk []int) {
-			defer wg.Done()
-			for len(chunk) > 0 {
-				sub := chunk[:min(width, len(chunk))]
-				chunk = chunk[len(sub):]
-				subSeeds := make([]uint64, len(sub))
-				for k, i := range sub {
-					subSeeds[k] = seeds[i]
-					if st.obsv != nil {
-						// The batch advances in lockstep, so its replicas
-						// all start when it does.
-						st.obsv.ReplicaStart(st.name, i)
-					}
-				}
-				rs, err := batchRecovered(batch, cfg, subSeeds)
-				if err == nil {
-					for k, i := range sub {
-						st.classify(i, rs[k], nil)
-					}
-					continue
-				}
-				// Batch failed as a unit; isolate the fault per replica.
-				for _, i := range sub {
-					res, rerr := runRecovered(solo, cfg, rng.New(seeds[i]))
-					st.classify(i, res, rerr)
-				}
-			}
-		}(pending[lo:hi])
-	}
-	wg.Wait()
-}
-
-// batchRecovered invokes one batch run, converting a panic into an error.
-func batchRecovered(batch func(engine.Config, []uint64) ([]engine.Result, error), cfg engine.Config, seeds []uint64) (rs []engine.Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			rs = nil
-			err = fmt.Errorf("batch panicked: %v", r)
+		if err != nil {
+			rs = make([]engine.Result, len(seeds))
 		}
 	}()
 	return batch(cfg, seeds)
@@ -488,16 +468,25 @@ func agentBatchWidth(cfg engine.Config) int {
 	return int(max(min(agentBatchBudget/max(n/4, 1), agentBatchWork/n/cfg.RoundCap()), 1))
 }
 
-// runner maps a mode to its engine entry point.
-func runner(m Mode) (func(engine.Config, *rng.RNG) (engine.Result, error), error) {
+// batchFunc runs one lockstep replica per seed; replica k's Result is
+// bit-identical to a solo run seeded with seeds[k].
+type batchFunc func(engine.Config, []uint64) ([]engine.Result, error)
+
+// batchRunner maps a mode to its engine's batch entry point. The
+// sequential engine has no lockstep batch, so RunContext hands it one
+// seed at a time.
+func batchRunner(m Mode) (batchFunc, error) {
 	switch m {
 	case Parallel:
-		return engine.RunParallel, nil
+		return engine.RunParallelReplicas, nil
 	case Sequential:
-		return engine.RunSequential, nil
+		return func(cfg engine.Config, seeds []uint64) ([]engine.Result, error) {
+			res, err := engine.RunSequential(cfg, rng.New(seeds[0]))
+			return []engine.Result{res}, err
+		}, nil
 	case AgentLevel:
-		return func(cfg engine.Config, g *rng.RNG) (engine.Result, error) {
-			return engine.RunAgents(cfg, engine.AgentOptions{}, g)
+		return func(cfg engine.Config, seeds []uint64) ([]engine.Result, error) {
+			return engine.RunAgentsReplicas(cfg, engine.AgentOptions{}, seeds)
 		}, nil
 	default:
 		return nil, fmt.Errorf("unknown mode %d", int(m))

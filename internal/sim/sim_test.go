@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -50,23 +51,28 @@ func TestRunAggregates(t *testing.T) {
 }
 
 func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
-	a, err := Run(voterTask(20, 7), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(voterTask(20, 7), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a.Results, b.Results) {
-		t.Error("results depend on worker count")
-	}
-	c, err := Run(voterTask(20, 8), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reflect.DeepEqual(a.Results, c.Results) {
-		t.Error("different seeds produced identical results")
+	for _, mode := range []Mode{Parallel, Sequential, AgentLevel} {
+		task := voterTask(20, 7)
+		task.Mode = mode
+		a, err := Run(task, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Run(task, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a.Results, b.Results) {
+			t.Errorf("%v: results depend on worker count", mode)
+		}
+		task.Seed = 8
+		c, err := Run(task, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reflect.DeepEqual(a.Results, c.Results) {
+			t.Errorf("%v: different seeds produced identical results", mode)
+		}
 	}
 }
 
@@ -134,6 +140,31 @@ func TestAgentBatchWidthBoundsWork(t *testing.T) {
 		w := agentBatchWidth(engine.Config{N: c.n, MaxRounds: c.rounds})
 		if w < c.lo || w > c.hi {
 			t.Errorf("n=%d rounds=%d: width %d, want [%d, %d]", c.n, c.rounds, w, c.lo, c.hi)
+		}
+	}
+}
+
+// TestBatchesSplitEvenly: every worker gets a batch, no batch exceeds its
+// width, and a Parallel task (no width limit) is cut into the contiguous
+// per-worker chunks RunParallelReplicas has always been handed.
+func TestBatchesSplitEvenly(t *testing.T) {
+	for _, c := range []struct {
+		pending, workers, width int
+		want                    string
+	}{
+		{10, 4, 10, "[[0 1] [2 3 4] [5 6] [7 8 9]]"}, // Parallel
+		{3, 8, 3, "[[0] [1] [2]]"},                   // more workers than replicas
+		{4, 2, 64, "[[0 1] [2 3]]"},                  // the benchmark's agents workload
+		{5, 2, 2, "[[0] [1 2] [3 4]]"},               // AgentLevel capped by width
+		{3, 2, 1, "[[0] [1] [2]]"},                   // Sequential
+		{0, 2, 1, "[]"},
+	} {
+		pending := make([]int, c.pending)
+		for i := range pending {
+			pending[i] = i
+		}
+		if got := fmt.Sprint(batches(pending, c.workers, c.width)); got != c.want {
+			t.Errorf("batches(%d pending, %d workers, width %d) = %s, want %s", c.pending, c.workers, c.width, got, c.want)
 		}
 	}
 }
