@@ -166,10 +166,11 @@ func (p *Pass) ReportOrSuppress(pos token.Pos, directiveName, format string, arg
 // deterministicPkgs are the package-path suffixes whose code must be a
 // pure function of (seed, Config, Shards): the engines, the protocol
 // algebra, the fault schedules, the Monte-Carlo runner, the RNG itself,
-// the numeric layers (bias constants, Markov chains) whose outputs
-// experiments compare across runs, and the sweep fabric, whose shard
-// assignment and merge must replay byte-identically (lease clocks are
-// threaded in as explicit time.Time arguments, never read ambiently).
+// the numeric layers (distributions, polynomials, bias constants, Markov
+// chains) whose outputs experiments compare across runs, and the sweep
+// fabric, whose shard assignment and merge must replay byte-identically
+// (lease clocks are threaded in as explicit time.Time arguments, never
+// read ambiently).
 //
 // Membership audit (bitlint v2): fabric IS listed — its Assign/merge
 // path is part of the byte-identity proof and board.go already threads
@@ -196,6 +197,11 @@ var deterministicPkgs = []string{
 	// and the evolutionary search replays byte-identically from its seed.
 	"internal/vm",
 	"internal/evolve",
+	// dist and poly feed the rest: dist.LogChoose builds AdoptProb (Eq. 4)
+	// and the chains' rows, and poly's root finding fixes the adversarial
+	// X₀ of Theorem 12.
+	"internal/dist",
+	"internal/poly",
 }
 
 // IsDeterministicPkg reports whether the import path belongs to the

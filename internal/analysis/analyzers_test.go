@@ -93,6 +93,8 @@ func TestIsDeterministicPkg(t *testing.T) {
 		{"fix.example/internal/sim", true},
 		{"internal/markov", true},
 		{"bitspread/internal/fabric", true},
+		{"bitspread/internal/dist", true},
+		{"bitspread/internal/poly", true},
 		{"bitspread/internal/experiments", false},
 		{"bitspread/internal/serve", false},
 		{"bitspread/cmd/bitsim", false},

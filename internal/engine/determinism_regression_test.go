@@ -9,7 +9,8 @@ package engine_test
 // RunConflict and the graph and memory engines get the same check without
 // faults. A failure here means nondeterminism crept into an engine body —
 // ambient randomness, map iteration, or a data race on the shared
-// schedule — and pins down which engine before any χ² suite would notice.
+// schedule — and pins down which engine before the exact-law suite would
+// notice.
 
 import (
 	"errors"

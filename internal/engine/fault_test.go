@@ -198,6 +198,40 @@ func TestOmissionFreezesDynamics(t *testing.T) {
 	}
 }
 
+// TestEngineEquivalenceActivations: every parallel variant of the exact-law
+// suite counts Result.Activations the same way, which that suite does not
+// look at. An agent counts when it draws its samples, so two rounds at
+// omission q = ½ book about 2·(n-1)·½ = n-1 activations per run.
+func TestEngineEquivalenceActivations(t *testing.T) {
+	const n, reps = 256, 300
+	cfg := engine.Config{
+		N: n, Rule: protocol.Minority(3), Z: 1, X0: n / 2,
+		MaxRounds: 2, Faults: fault.Must(fault.OmissionFor(1, 2, 0.5)),
+	}
+	seeds := make([]uint64, reps)
+	g := rng.New(99)
+	for i := range seeds {
+		seeds[i] = g.Uint64()
+	}
+	want := float64(n - 1)
+	for _, v := range lawVariants() {
+		if v.family != bodyFamily && v.family != shardedFamily {
+			continue
+		}
+		res, err := v.run(cfg, seeds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum int64
+		for _, r := range res {
+			sum += r.Activations
+		}
+		if m := float64(sum) / reps; m < 0.85*want || m > 1.15*want {
+			t.Errorf("%s: mean activations %.1f, want ≈ %.1f", v.name, m, want)
+		}
+	}
+}
+
 // TestSourceCrashBlocksConsensus: while the source is down it holds the
 // wrong opinion, so the correct consensus is unreachable during the
 // window; the stubborn-wrong variant pins non-source agents instead.

@@ -21,10 +21,9 @@ import (
 // Realizations for a given seed differ from the unpacked body's —
 // spending less randomness per agent is the point — so runs are
 // reproducible per engine (same seed, Config, Shards ⇒ same Result) but
-// not across the packed/unpacked pair; the χ² suites
-// (equivalence_chi_test.go, onestep_chi_test.go) pin the distributional
-// agreement, with each other and with the exact one-step law, under every
-// fault family. AgentOptions.Unpacked forces the literal body.
+// not across the packed/unpacked pair; the exact-law suite
+// (exact_law_test.go) checks whole runs of both against the exact chain
+// under every fault family. AgentOptions.Unpacked forces the literal body.
 
 // lineWords is the cache-line granularity of shard ownership: 8 words of
 // 64 opinions each, so one shard's round flips never dirty a cache line

@@ -6,8 +6,8 @@ package engine_test
 // agent's next opinion from its Eq. 4 adoption law, 64 agents at a time,
 // instead of sampling indices), so the contract tested
 // here is determinism, absorption/semantic agreement, and fault-handling
-// behavior; the distributional agreement packed ↔ unpacked ↔ count-level
-// is pinned by the χ² suite in equivalence_chi_test.go.
+// behavior; the law of whole runs of each is checked against the exact
+// chain by exact_law_test.go.
 // The suite lives in the external test package so it can exercise real
 // fault schedules (internal/fault implements engine.Perturber).
 

@@ -112,12 +112,13 @@ func (b *Board) TTL() time.Duration { return b.ttl }
 func leaseID(part, gen int) string { return fmt.Sprintf("p%d.g%d", part, gen) }
 
 // PartitionOf resolves a lease ID the board issued, of any generation, to
-// its partition; malformed and never-issued IDs are errors. It changes
-// nothing, so a coordinator can validate and store an upload before
-// Complete marks the partition done.
+// its partition; malformed and never-issued IDs are errors. Only the exact
+// form the board issues resolves: Sscanf alone would accept trailing
+// bytes. It changes nothing, so a coordinator can validate and store an
+// upload before Complete marks the partition done.
 func (b *Board) PartitionOf(id string) (int, error) {
 	var part, gen int
-	if n, err := fmt.Sscanf(id, "p%d.g%d", &part, &gen); n != 2 || err != nil {
+	if n, err := fmt.Sscanf(id, "p%d.g%d", &part, &gen); n != 2 || err != nil || id != leaseID(part, gen) {
 		return 0, fmt.Errorf("fabric: malformed lease id %q", id)
 	}
 	if part < 0 || part >= len(b.parts) {

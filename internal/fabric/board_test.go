@@ -132,6 +132,28 @@ func TestBoardStealPicksOldest(t *testing.T) {
 	}
 }
 
+// A lease ID with bytes after the issued form names no lease: on a
+// one-partition board, completing it must neither succeed nor drain the
+// board, while the issued ID still completes.
+func TestBoardRejectsTrailingJunk(t *testing.T) {
+	b, _ := NewBoard(1, time.Second)
+	_, l := b.Acquire("w1", at(0))
+	for _, id := range []string{l.ID + "junk", l.ID + " ", "p00.g1", "p0.g01"} {
+		if _, err := b.PartitionOf(id); err == nil {
+			t.Errorf("PartitionOf(%q) accepted", id)
+		}
+		if _, _, err := b.Complete(id); err == nil {
+			t.Errorf("Complete(%q) accepted", id)
+		}
+	}
+	if b.Drained() {
+		t.Fatal("a junk lease id drained the board")
+	}
+	if _, _, err := b.Complete(l.ID); err != nil || !b.Drained() {
+		t.Fatalf("Complete(%q): %v, drained %v", l.ID, err, b.Drained())
+	}
+}
+
 func TestBoardCompleteErrors(t *testing.T) {
 	b, _ := NewBoard(2, time.Second)
 	if _, _, err := b.Complete("garbage"); err == nil {

@@ -289,6 +289,30 @@ func TestFabricLeaseExpiryAndDuplicate(t *testing.T) {
 	}
 }
 
+// A lease ID with bytes after the issued form names no lease: completing
+// it answers 400 and leaves the partition leased.
+func TestFabricCompleteRejectsJunkLeaseID(t *testing.T) {
+	fopts := &FabricOptions{Exps: []string{"T2"}, Seed: 7, Quick: true, Partitions: 1}
+	_, ts := newTestServer(t, Options{Fabric: fopts})
+	if _, l := postLease(t, ts, "w1"); l.Status != "lease" || l.LeaseID != "p0.g1" {
+		t.Fatalf("lease: %+v", l)
+	}
+	shard := runShardBytes(t, fopts.spec(), fabric.Shard{Index: 0, Count: 1})
+	if code, _, raw := postComplete(t, ts, "p0.g1junk", shard); code != http.StatusBadRequest {
+		t.Fatalf("junk lease id: %d %s, want 400", code, raw)
+	}
+	var st FabricStatus
+	resp, err := http.Get(ts.URL + "/v1/fabric/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if st.Drained || st.Board.Leased != 1 || st.Board.Done != 0 {
+		t.Fatalf("status after a junk complete: %+v, want the partition still leased", st)
+	}
+}
+
 // A superseded holder that uploads before the re-issued one completes the
 // partition with its bytes, stored and persisted; the later upload of the
 // live lease is then a verified duplicate.

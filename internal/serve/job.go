@@ -96,6 +96,11 @@ func parseMode(mode string) (sim.Mode, error) {
 // materialized rule; the Server supplies its protocol registry here.
 type ruleResolver func(ref string) (*protocol.Rule, error)
 
+// maxJobReplicas bounds a job's fan-out at admission: sim.RunContext
+// keeps about 80 bytes per replica (seed, Result, state, error and pending
+// index) before any engine runs, so 2²⁰ replicas cost it about 80 MiB.
+const maxJobReplicas = 1 << 20
+
 // buildTask compiles a normalized spec into a validated sim.Task. The
 // resolver handles "vm:<id>" rule references (nil: such references are
 // rejected). All errors here are client errors (HTTP 400): nothing has
@@ -105,8 +110,11 @@ func (sp *JobSpec) buildTask(resolve ruleResolver) (sim.Task, error) {
 	if err != nil {
 		return sim.Task{}, err
 	}
-	if sp.Replicas < 1 {
-		return sim.Task{}, fmt.Errorf("serve: replicas must be >= 1, got %d", sp.Replicas)
+	if sp.Replicas < 1 || sp.Replicas > maxJobReplicas {
+		return sim.Task{}, fmt.Errorf("serve: replicas must be in [1, %d], got %d", maxJobReplicas, sp.Replicas)
+	}
+	if mode == sim.AgentLevel && sp.N > sim.MaxAgentN {
+		return sim.Task{}, fmt.Errorf("serve: agents mode needs n/4 bytes of opinions per replica; n must be <= %d, got %d", sim.MaxAgentN, sp.N)
 	}
 	var rule *protocol.Rule
 	if strings.HasPrefix(sp.Rule, vmRulePrefix) {

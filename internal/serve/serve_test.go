@@ -192,6 +192,8 @@ func TestSubmitValidation(t *testing.T) {
 		`{"n":64,"z":1,"rule":"voter","seed":1,"bogus_field":3}`,
 		`{"n":64,"z":7,"rule":"voter","seed":1}`,
 		`{"n":64,"z":1,"rule":"voter","seed":1,"timeout":"soon"}`,
+		`{"n":1099511627776,"z":1,"rule":"voter","seed":1,"mode":"agents"}`,
+		`{"n":64,"z":1,"rule":"voter","seed":1,"replicas":1073741824}`,
 	}
 	for _, body := range bad {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
@@ -207,7 +209,8 @@ func TestSubmitValidation(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("spec %s: code %d, want 400", body, resp.StatusCode)
 		}
-		if strings.Contains(body, `"mode"`) && !strings.Contains(msg.String(), "(want parallel, sequential, agents)") {
+		unknownMode := strings.Contains(body, `"mode"`) && !strings.Contains(body, `"mode":"agents"`)
+		if unknownMode && !strings.Contains(msg.String(), "(want parallel, sequential, agents)") {
 			t.Errorf("spec %s: error %s does not list the modes", body, msg.String())
 		}
 	}
@@ -696,37 +699,12 @@ func TestReplayDropsJobOfRemovedMode(t *testing.T) {
 	oldTask.Mode = 4 // the aggregated mode's number, so the ID it was accepted under
 	oldID := jobID(oldTask, old.Replicas)
 
-	dir := t.TempDir()
-	lg, _, err := openJobLog(filepath.Join(dir, "jobs.jsonl"), nil)
-	if err != nil {
-		t.Fatalf("job log: %v", err)
+	ts, logged := replayServer(t,
+		jobLogEntry{Ev: "submit", ID: oldID, Spec: &old},
+		jobLogEntry{Ev: "submit", ID: id, Spec: &spec})
+	if want := "serve: replay " + oldID + ": unbuildable spec dropped"; !strings.Contains(logged, want) {
+		t.Errorf("log %q lacks %q", logged, want)
 	}
-	for _, e := range []jobLogEntry{
-		{Ev: "submit", ID: oldID, Spec: &old},
-		{Ev: "submit", ID: id, Spec: &spec},
-	} {
-		if err := lg.append(e); err != nil {
-			t.Fatalf("append: %v", err)
-		}
-	}
-	if err := lg.close(); err != nil {
-		t.Fatalf("close job log: %v", err)
-	}
-
-	var mu sync.Mutex
-	var logged strings.Builder
-	logf := func(format string, args ...any) {
-		mu.Lock()
-		defer mu.Unlock()
-		fmt.Fprintf(&logged, format+"\n", args...)
-	}
-	_, ts := newTestServer(t, Options{DataDir: dir, Workers: 1, Logf: logf})
-	mu.Lock()
-	want := "serve: replay " + oldID + ": unbuildable spec dropped"
-	if !strings.Contains(logged.String(), want) {
-		t.Errorf("log %q lacks %q", logged.String(), want)
-	}
-	mu.Unlock()
 	if code, _ := getStatus(t, ts, oldID); code != http.StatusNotFound {
 		t.Errorf("dropped job: status code %d, want 404", code)
 	}
@@ -745,6 +723,72 @@ func TestReplayDropsJobOfRemovedMode(t *testing.T) {
 	if control := getResult(t, ts2, id); !bytes.Equal(replayed, control) {
 		t.Fatalf("replayed result differs from uninterrupted run:\nreplayed: %s\ncontrol:  %s", replayed, control)
 	}
+}
+
+// TestReplayDropsOversizedJob: an intent log may hold specs accepted
+// before the admission bounds existed. Replay drops them as unbuildable
+// instead of allocating for them on every restart.
+func TestReplayDropsOversizedJob(t *testing.T) {
+	spec := testSpec(12)
+	spec.normalize()
+	task, err := spec.buildTask(nil)
+	if err != nil {
+		t.Fatalf("buildTask: %v", err)
+	}
+	id := jobID(task, spec.Replicas)
+	wide := spec
+	wide.Replicas = 1 << 30
+	huge := spec
+	huge.Mode, huge.N = "agents", 1<<40
+	hugeTask := task
+	hugeTask.Mode, hugeTask.Config.N = sim.AgentLevel, huge.N
+	dropped := []string{jobID(task, wide.Replicas), jobID(hugeTask, huge.Replicas)}
+
+	ts, logged := replayServer(t,
+		jobLogEntry{Ev: "submit", ID: dropped[0], Spec: &wide},
+		jobLogEntry{Ev: "submit", ID: dropped[1], Spec: &huge},
+		jobLogEntry{Ev: "submit", ID: id, Spec: &spec})
+	for _, d := range dropped {
+		if want := "serve: replay " + d + ": unbuildable spec dropped"; !strings.Contains(logged, want) {
+			t.Errorf("log %q lacks %q", logged, want)
+		}
+		if code, _ := getStatus(t, ts, d); code != http.StatusNotFound {
+			t.Errorf("dropped job %s: status code %d, want 404", d, code)
+		}
+	}
+	if st := waitTerminal(t, ts, id); st.State != "done" {
+		t.Fatalf("replayed job ended %q (error %q), want done", st.State, st.Error)
+	}
+}
+
+// replayServer writes entries to a fresh data dir's intent log and starts
+// a daemon on it, returning the daemon and what it logged while replaying.
+func replayServer(t *testing.T, entries ...jobLogEntry) (*httptest.Server, string) {
+	t.Helper()
+	dir := t.TempDir()
+	lg, _, err := openJobLog(filepath.Join(dir, "jobs.jsonl"), nil)
+	if err != nil {
+		t.Fatalf("job log: %v", err)
+	}
+	for _, e := range entries {
+		if err := lg.append(e); err != nil {
+			t.Fatalf("append: %v", err)
+		}
+	}
+	if err := lg.close(); err != nil {
+		t.Fatalf("close job log: %v", err)
+	}
+	var mu sync.Mutex
+	var logged strings.Builder
+	logf := func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		fmt.Fprintf(&logged, format+"\n", args...)
+	}
+	_, ts := newTestServer(t, Options{DataDir: dir, Workers: 1, Logf: logf})
+	mu.Lock()
+	defer mu.Unlock()
+	return ts, logged.String()
 }
 
 func TestReplayReRunsDoneJobWithMissingCacheFile(t *testing.T) {

@@ -7,8 +7,9 @@
 //
 //   - Admission control, never unbounded memory: per-tenant token-bucket
 //     quotas (429 + Retry-After) and queue-depth limits (503 +
-//     Retry-After) shed overload at the door; event streams drop to slow
-//     consumers instead of buffering without bound.
+//     Retry-After) shed overload at the door; a job's replicas and an
+//     agents job's population are bounded at admission (400); event
+//     streams drop to slow consumers instead of buffering without bound.
 //   - Crash safety: every accepted job is fsynced to a JSONL intent log
 //     before the client sees 202, every finished replica is checkpointed
 //     through sim.Journal, and completed results are published atomically

@@ -339,6 +339,31 @@ func TestResultCacheAtomicPutGet(t *testing.T) {
 	}
 }
 
+// TestBuildTaskBounds: admission bounds what a job may allocate before
+// any engine runs. An agents replica's two n/8-byte bitsets must fit sim's
+// agent batch budget (256 MiB, so n ≤ 2³⁰), and a job fans out to at most
+// 2²⁰ replicas. buildTask allocates nothing either way.
+func TestBuildTaskBounds(t *testing.T) {
+	for _, c := range []struct {
+		spec JobSpec
+		ok   bool
+	}{
+		{JobSpec{Rule: "voter", Mode: "agents", N: 1 << 30}, true},
+		{JobSpec{Rule: "voter", Mode: "agents", N: 1<<30 + 1}, false},
+		{JobSpec{Rule: "voter", Mode: "agents", N: 1 << 40}, false},
+		{JobSpec{Rule: "voter", N: 1 << 40}, true}, // a count-engine replica holds one count
+		{JobSpec{Rule: "voter", N: 64, Replicas: 1 << 20}, true},
+		{JobSpec{Rule: "voter", N: 64, Replicas: 1<<20 + 1}, false},
+		{JobSpec{Rule: "voter", N: 64, Replicas: 1 << 30}, false},
+	} {
+		sp := c.spec
+		sp.normalize()
+		if _, err := sp.buildTask(nil); (err == nil) != c.ok {
+			t.Errorf("%+v: buildTask error %v, want ok %v", c.spec, err, c.ok)
+		}
+	}
+}
+
 func TestJobIDContentAddressing(t *testing.T) {
 	spec := testSpec(1)
 	spec.normalize()

@@ -454,6 +454,10 @@ func batchRecovered(batch batchFunc, cfg engine.Config, seeds []uint64) (rs []en
 // n = 10⁶ comfortably while keeping huge-n batches narrow enough to fit.
 const agentBatchBudget = 256 << 20
 
+// MaxAgentN is the largest population whose AgentLevel replica fits
+// agentBatchBudget alone: its two opinion bitsets take n/8 bytes each.
+const MaxAgentN = 4 * agentBatchBudget
+
 // agentBatchWork caps a lockstep agent-level batch at n × round cap ×
 // width agent-rounds: a batch checkpoints only when its last replica
 // retires. 2²⁸ is about a quarter second of one core at the bitset
