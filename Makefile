@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test verify fmt-check bench-check vet vet-386 race lint lint-fixtures lint-audit ci bench bench-compare fuzz-fault fuzz-vm bench-smoke
+.PHONY: build test verify fmt-check bench-check vet vet-386 race lint lint-fixtures lint-audit ci bench bench-compare fuzz-fault fuzz-vm bench-smoke reproduce
 
 build:
 	$(GO) build ./...
@@ -40,7 +40,8 @@ vet-386:
 # worker pool, the fault schedules and AdoptCache shared by replicas,
 # the observability layer, the bitspreadd service with its subprocess
 # SIGKILL/SIGTERM proofs, the sweep fabric with its bitsweep
-# -partition/-join path, and the VM registry and evolutionary search.
+# -partition/-join path, the experiments whose replicas run concurrently
+# on sim's scheduler, and the VM registry and evolutionary search.
 # cmd/bitspreadd runs on its own line, after the rest: its subprocess
 # drain and kill tests hold a job to fixed budgets (a 120 s drain under
 # -race), which other packages' tests running beside it can exceed on a
@@ -54,7 +55,7 @@ vet-386:
 # coordinator's board-changed channel under its lock while held lease
 # requests select on it, and a drain or Close ends them.
 race:
-	$(GO) test -race ./internal/engine/ ./internal/sim/ ./internal/fault/ ./internal/protocol/ ./internal/obs/ ./internal/trace/ ./internal/serve/ ./internal/fabric/ ./internal/vm/ ./internal/evolve/ ./cmd/bitsweep/ ./cmd/bitevolve/
+	$(GO) test -race ./internal/engine/ ./internal/sim/ ./internal/fault/ ./internal/protocol/ ./internal/obs/ ./internal/trace/ ./internal/serve/ ./internal/fabric/ ./internal/experiments/ ./internal/vm/ ./internal/evolve/ ./cmd/bitsweep/ ./cmd/bitevolve/
 	$(GO) test -race ./cmd/bitspreadd/
 	$(GO) test -race -count=10 -run 'TestMetricsFold|TestEngineMetricsFoldExactly|TestMetricsScrapeSeesRunningJob|TestHub|TestEventStream' ./internal/obs/ ./internal/serve/
 	$(GO) test -race -count=20 -run 'TestPullWorkerWaitEndsWithSweep|TestHeldLease' ./internal/serve/
@@ -102,6 +103,17 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkRunAgents|BenchmarkStepCount|BenchmarkSequentialStep|BenchmarkEngineAblation|BenchmarkFabricWorkers' -benchtime 1x . ./internal/serve/
 
 ci: verify fmt-check bench-check vet vet-386 race lint lint-fixtures fuzz-fault fuzz-vm bench-smoke
+
+# Full-size reproduction check: run the whole sweep at the transcript's
+# seed and diff its stdout (tables and verdicts only; timings go to
+# stderr) with results_full.txt. A change that moves a number regenerates
+# the file, and its diff is what review reads. Takes minutes; not part of
+# `ci`.
+reproduce:
+	mkdir -p .reproduce
+	$(GO) build -o .reproduce/bitsweep ./cmd/bitsweep
+	.reproduce/bitsweep -exp all -seed 2024 > .reproduce/results_full.txt
+	diff -u results_full.txt .reproduce/results_full.txt
 
 # Full experiment benchmarks (quick sizes; BITSPREAD_FULL=1 for the sizes
 # reported in EXPERIMENTS.md).

@@ -73,6 +73,8 @@ func BenchmarkX8PricePassivity(b *testing.B)        { benchExperiment(b, "X8") }
 func BenchmarkX9Topology(b *testing.B)              { benchExperiment(b, "X9") }
 func BenchmarkX10Universality(b *testing.B)         { benchExperiment(b, "X10") }
 func BenchmarkX11PopulationProtocols(b *testing.B)  { benchExperiment(b, "X11") }
+func BenchmarkX12FaultRecovery(b *testing.B)        { benchExperiment(b, "X12") }
+func BenchmarkX13EvolveSearch(b *testing.B)         { benchExperiment(b, "X13") }
 
 // Micro-benchmarks and ablations.
 

@@ -1,12 +1,14 @@
 // Command bitsweep runs the reproduction harness: every experiment in the
 // paper-vs-measured index (DESIGN.md §4, EXPERIMENTS.md) or a selected
-// subset, printing each experiment's table and verdict.
+// subset, printing each experiment's table and verdict to stdout and its
+// wall time to stderr (`make reproduce` diffs the full sweep's stdout
+// with results_full.txt).
 //
 // Long sweeps are interruptible and resumable: SIGINT/SIGTERM (and
-// -timeout) cancel the in-flight simulations at the next round boundary,
-// and with -journal every finished replica is checkpointed to a JSONL
-// file, so re-running with -resume picks up exactly where the sweep
-// stopped and lands on the same final tables.
+// -timeout) cancel the sweep's replicas, and with -journal every finished
+// replica is checkpointed to a JSONL file, so re-running with -resume
+// picks up exactly where the sweep stopped and lands on the same final
+// tables.
 //
 // Examples:
 //
@@ -51,13 +53,16 @@ import (
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
+	if err := run(ctx, os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "bitsweep:", err)
 		os.Exit(1)
 	}
 }
 
-func run(ctx context.Context, args []string, w io.Writer) (err error) {
+// run executes one bitsweep invocation. Tables, verdicts and banners go to
+// w, which therefore depends only on the seed, the experiment selection
+// and -quick; each experiment's wall time goes to the progress writer.
+func run(ctx context.Context, args []string, w, progress io.Writer) (err error) {
 	fs := flag.NewFlagSet("bitsweep", flag.ContinueOnError)
 	var prof obs.Profile
 	prof.Register(fs)
@@ -221,9 +226,9 @@ func run(ctx context.Context, args []string, w io.Writer) (err error) {
 		fmt.Fprintf(w, "== %s — %s ==\n", e.ID, e.Title)
 		fmt.Fprintf(w, "claim: %s\n\n", e.Claim)
 		fmt.Fprintln(w, res.Table.String())
-		fmt.Fprintf(w, "verdict: %s\n", res.Verdict)
+		fmt.Fprintf(w, "verdict: %s\n\n", res.Verdict)
 		//bitlint:wallclock progress reporting only; experiment results never read it
-		fmt.Fprintf(w, "(%.1fs)\n\n", time.Since(start).Seconds())
+		fmt.Fprintf(progress, "%s (%.1fs)\n", e.ID, time.Since(start).Seconds())
 	}
 	return nil
 }

@@ -4,15 +4,19 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
+
+	"bitspread/internal/experiments"
 )
 
 func TestRunList(t *testing.T) {
 	var out strings.Builder
-	if err := run(context.Background(), []string{"-list"}, &out); err != nil {
+	if err := run(context.Background(), []string{"-list"}, &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	got := out.String()
@@ -25,7 +29,7 @@ func TestRunList(t *testing.T) {
 
 func TestRunSingleExperiment(t *testing.T) {
 	var out strings.Builder
-	if err := run(context.Background(), []string{"-exp", "T7", "-quick"}, &out); err != nil {
+	if err := run(context.Background(), []string{"-exp", "T7", "-quick"}, &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	got := out.String()
@@ -36,7 +40,7 @@ func TestRunSingleExperiment(t *testing.T) {
 
 func TestRunCommaSeparated(t *testing.T) {
 	var out strings.Builder
-	if err := run(context.Background(), []string{"-exp", "T6, T7", "-quick"}, &out); err != nil {
+	if err := run(context.Background(), []string{"-exp", "T6, T7", "-quick"}, &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	got := out.String()
@@ -47,7 +51,7 @@ func TestRunCommaSeparated(t *testing.T) {
 
 func TestRunCSV(t *testing.T) {
 	var out strings.Builder
-	if err := run(context.Background(), []string{"-exp", "T6", "-quick", "-csv"}, &out); err != nil {
+	if err := run(context.Background(), []string{"-exp", "T6", "-quick", "-csv"}, &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	got := out.String()
@@ -63,7 +67,7 @@ func TestRunCSV(t *testing.T) {
 // the error must name the valid IDs so the user can correct the call.
 func TestRunUnknownExperiment(t *testing.T) {
 	var out strings.Builder
-	err := run(context.Background(), []string{"-exp", "Z9"}, &out)
+	err := run(context.Background(), []string{"-exp", "Z9"}, &out, io.Discard)
 	if err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
@@ -80,7 +84,7 @@ func TestRunUnknownExperiment(t *testing.T) {
 
 func TestRunMarkdown(t *testing.T) {
 	var out strings.Builder
-	if err := run(context.Background(), []string{"-exp", "T7", "-quick", "-md"}, &out); err != nil {
+	if err := run(context.Background(), []string{"-exp", "T7", "-quick", "-md"}, &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	got := out.String()
@@ -98,7 +102,7 @@ func TestRunMarkdown(t *testing.T) {
 
 func TestRunResumeNeedsJournal(t *testing.T) {
 	var out strings.Builder
-	if err := run(context.Background(), []string{"-exp", "T7", "-resume"}, &out); err == nil {
+	if err := run(context.Background(), []string{"-exp", "T7", "-resume"}, &out, io.Discard); err == nil {
 		t.Error("-resume without -journal accepted")
 	}
 }
@@ -111,7 +115,7 @@ func TestRunCancelledSweepSuggestsResume(t *testing.T) {
 	cancel()
 	path := filepath.Join(t.TempDir(), "sweep.jsonl")
 	var out strings.Builder
-	err := run(ctx, []string{"-exp", "T2", "-quick", "-journal", path}, &out)
+	err := run(ctx, []string{"-exp", "T2", "-quick", "-journal", path}, &out, io.Discard)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -128,17 +132,17 @@ func TestRunResumeReproducesSweep(t *testing.T) {
 		return append([]string{"-exp", "T2", "-quick"}, extra...)
 	}
 	var want strings.Builder
-	if err := run(context.Background(), args(), &want); err != nil {
+	if err := run(context.Background(), args(), &want, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 
 	// Full run with a journal: same table, checkpoint on disk.
 	path := filepath.Join(t.TempDir(), "sweep.jsonl")
 	var journalled strings.Builder
-	if err := run(context.Background(), args("-journal", path), &journalled); err != nil {
+	if err := run(context.Background(), args("-journal", path), &journalled, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if stripTimings(journalled.String()) != stripTimings(want.String()) {
+	if journalled.String() != want.String() {
 		t.Error("journalled run differs from plain run")
 	}
 
@@ -157,7 +161,7 @@ func TestRunResumeReproducesSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	var resumed strings.Builder
-	if err := run(context.Background(), args("-journal", path, "-resume"), &resumed); err != nil {
+	if err := run(context.Background(), args("-journal", path, "-resume"), &resumed, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	got := resumed.String()
@@ -165,22 +169,9 @@ func TestRunResumeReproducesSweep(t *testing.T) {
 		t.Errorf("resume banner missing:\n%s", got)
 	}
 	got = got[strings.Index(got, "== T2"):] // drop the banner before comparing
-	if stripTimings(got) != stripTimings(want.String()) {
+	if got != want.String() {
 		t.Errorf("resumed sweep differs from uninterrupted run:\n--- want\n%s\n--- got\n%s", want.String(), got)
 	}
-}
-
-// stripTimings removes the wall-clock trailer lines, the only
-// run-dependent part of the output.
-func stripTimings(s string) string {
-	var keep []string
-	for _, line := range strings.Split(s, "\n") {
-		if strings.HasPrefix(line, "(") && strings.HasSuffix(line, "s)") {
-			continue
-		}
-		keep = append(keep, line)
-	}
-	return strings.Join(keep, "\n")
 }
 
 // Flag validation for the fabric transports, table-driven: every bad
@@ -202,7 +193,7 @@ func TestRunFabricFlagValidation(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			var out strings.Builder
-			err := run(context.Background(), c.args, &out)
+			err := run(context.Background(), c.args, &out, io.Discard)
 			if err == nil {
 				t.Fatalf("args %v accepted", c.args)
 			}
@@ -220,24 +211,32 @@ func TestRunJoinGlobMatchesNothing(t *testing.T) {
 	err := run(context.Background(), []string{
 		"-join", filepath.Join(dir, "shard*.jsonl"),
 		"-journal", filepath.Join(dir, "merged.jsonl"),
-	}, &out)
+	}, &out, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "matched no shard files") {
 		t.Fatalf("empty glob: %v", err)
 	}
 }
 
-// The tentpole acceptance scenario at the CLI: partitions 0/2 and 1/2 run
-// as separate invocations, -join merges them, and both the merged journal
-// bytes and the rendered tables are identical to a single-process
-// -workers 1 run.
+// The fabric acceptance scenario at the CLI: a quick sweep of every
+// experiment but X13 (whose three searches dominate it) runs as partitions
+// 0/2 and 1/2 in separate invocations, each computing a proper, non-empty
+// share of X4's and X11's replicas; -join merges them and renders without
+// computing a unit replica; and both the merged journal bytes and the
+// rendered tables are identical to a single-process -workers 1 run.
 func TestRunPartitionJoinByteIdentity(t *testing.T) {
 	dir := t.TempDir()
-	base := []string{"-exp", "T2,F1", "-quick", "-seed", "7"}
+	var ids []string
+	for _, e := range experiments.All() {
+		if e.ID != "X13" {
+			ids = append(ids, e.ID)
+		}
+	}
+	base := []string{"-exp", strings.Join(ids, ","), "-quick", "-seed", "7"}
 
 	// Single-process reference: one worker, one journal.
 	ref := filepath.Join(dir, "ref.jsonl")
 	var want strings.Builder
-	if err := run(context.Background(), append(base, "-workers", "1", "-journal", ref), &want); err != nil {
+	if err := run(context.Background(), append(base, "-workers", "1", "-journal", ref), &want, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	refBytes, err := os.ReadFile(ref)
@@ -249,23 +248,36 @@ func TestRunPartitionJoinByteIdentity(t *testing.T) {
 	}
 
 	// Two independent shard processes (parallel sim workers inside each).
+	lines := func(data []byte, prefix string) int {
+		return strings.Count(string(data), `{"task":"`+prefix)
+	}
 	for i := 0; i < 2; i++ {
 		var out strings.Builder
-		shardArgs := append(base, "-partition", fmt.Sprintf("%d/2", i),
-			"-journal", filepath.Join(dir, fmt.Sprintf("shard%d.jsonl", i)))
-		if err := run(context.Background(), shardArgs, &out); err != nil {
+		path := filepath.Join(dir, fmt.Sprintf("shard%d.jsonl", i))
+		shardArgs := append(base, "-partition", fmt.Sprintf("%d/2", i), "-journal", path)
+		if err := run(context.Background(), shardArgs, &out, io.Discard); err != nil {
 			t.Fatalf("shard %d: %v", i, err)
 		}
 		if !strings.Contains(out.String(), "replicas checkpointed") {
 			t.Fatalf("shard %d banner missing:\n%s", i, out.String())
 		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, unit := range []string{"X4/", "X11/"} {
+			if got, all := lines(data, unit), lines(refBytes, unit); got == 0 || got >= all {
+				t.Errorf("shard %d computed %d of the %d %s replicas, want a proper non-empty share", i, got, all, unit)
+			}
+		}
 	}
 
-	// Join via glob and render.
+	// Join via glob and render, with spans to see what it computes.
 	merged := filepath.Join(dir, "merged.jsonl")
+	spans := filepath.Join(dir, "join-spans.jsonl")
 	var joined strings.Builder
-	joinArgs := append(base, "-join", filepath.Join(dir, "shard*.jsonl"), "-journal", merged)
-	if err := run(context.Background(), joinArgs, &joined); err != nil {
+	joinArgs := append(base, "-join", filepath.Join(dir, "shard*.jsonl"), "-journal", merged, "-spans", spans)
+	if err := run(context.Background(), joinArgs, &joined, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	mergedBytes, err := os.ReadFile(merged)
@@ -275,14 +287,31 @@ func TestRunPartitionJoinByteIdentity(t *testing.T) {
 	if string(mergedBytes) != string(refBytes) {
 		t.Error("merged journal is not byte-identical to the single-process reference")
 	}
+	spanBytes, err := os.ReadFile(spans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Units are named after their experiment; F1 alone runs unjournaled.
+	unitStart := regexp.MustCompile(`"ev":"replica_start","task":"[TFX][0-9]+[/"]`)
+	f1 := 0
+	for _, m := range unitStart.FindAllString(string(spanBytes), -1) {
+		if !strings.HasSuffix(m, `"F1"`) {
+			t.Errorf("-join computed a unit replica: %s", m)
+			break
+		}
+		f1++
+	}
+	if f1 == 0 {
+		t.Error("no F1 replica_start span: the span check matches nothing")
+	}
 
 	got := joined.String()
 	if !strings.Contains(got, "joined") {
 		t.Errorf("join banner missing:\n%s", got)
 	}
-	got = got[strings.Index(got, "== T2"):]
-	wantTables := want.String()[strings.Index(want.String(), "== T2"):]
-	if stripTimings(got) != stripTimings(wantTables) {
+	got = got[strings.Index(got, "== T1"):]
+	wantTables := want.String()[strings.Index(want.String(), "== T1"):]
+	if got != wantTables {
 		t.Errorf("joined tables differ from single-process run:\n--- want\n%s\n--- got\n%s", wantTables, got)
 	}
 }
@@ -295,14 +324,14 @@ func TestRunJoinOverlappingShards(t *testing.T) {
 	for i, p := range []string{"0/2", "0/1"} {
 		var out strings.Builder
 		args := append(base, "-partition", p, "-journal", filepath.Join(dir, fmt.Sprintf("shard%d.jsonl", i)))
-		if err := run(context.Background(), args, &out); err != nil {
+		if err := run(context.Background(), args, &out, io.Discard); err != nil {
 			t.Fatalf("shard %s: %v", p, err)
 		}
 	}
 	merged := filepath.Join(dir, "merged.jsonl")
 	var joined strings.Builder
 	args := append(base, "-join", filepath.Join(dir, "shard0.jsonl")+","+filepath.Join(dir, "shard1.jsonl"), "-journal", merged)
-	if err := run(context.Background(), args, &joined); err != nil {
+	if err := run(context.Background(), args, &joined, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(joined.String(), "duplicates deduped") {
@@ -312,7 +341,7 @@ func TestRunJoinOverlappingShards(t *testing.T) {
 	// Reference for byte comparison.
 	ref := filepath.Join(dir, "ref.jsonl")
 	var want strings.Builder
-	if err := run(context.Background(), append(base, "-workers", "1", "-journal", ref), &want); err != nil {
+	if err := run(context.Background(), append(base, "-workers", "1", "-journal", ref), &want, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	refBytes, _ := os.ReadFile(ref)

@@ -1,10 +1,8 @@
 package engine
 
 import (
-	"math"
 	"testing"
 
-	"bitspread/internal/dist"
 	"bitspread/internal/protocol"
 	"bitspread/internal/rng"
 )
@@ -104,73 +102,5 @@ func TestRunParallelReplicasEdgeCases(t *testing.T) {
 
 	if res, err := RunParallelReplicas(done, nil); err != nil || len(res) != 0 {
 		t.Errorf("empty seed list: res=%v err=%v", res, err)
-	}
-}
-
-// TestStepCountBatchChiSquare cross-validates the batched step against the
-// exact one-round distribution: X' = z + Bin(m₁, P₁) + Bin(m₀, P₀),
-// whose pmf is computed by direct convolution. A Pearson test on many
-// batched samples must not reject.
-func TestStepCountBatchChiSquare(t *testing.T) {
-	const (
-		n    = 40
-		x0   = 15
-		z    = 1
-		reps = 20000
-	)
-	r := protocol.Minority(3)
-	p := float64(x0) / n
-	p1, p0 := r.AdoptProb(1, p), r.AdoptProb(0, p)
-	m1, m0 := int64(x0-z), int64(n-x0-(1-z))
-
-	binPmf := func(m int64, q float64) []float64 {
-		pmf := make([]float64, m+1)
-		for k := int64(0); k <= m; k++ {
-			logP := dist.LogChoose(m, k)
-			if q > 0 {
-				logP += float64(k) * math.Log(q)
-			} else if k > 0 {
-				continue
-			}
-			if q < 1 {
-				logP += float64(m-k) * math.Log1p(-q)
-			} else if k < m {
-				continue
-			}
-			pmf[k] = math.Exp(logP)
-		}
-		return pmf
-	}
-	pmf1, pmf0 := binPmf(m1, p1), binPmf(m0, p0)
-	expected := make([]float64, n+1)
-	for a := range pmf1 {
-		for b := range pmf0 {
-			expected[z+a+b] += pmf1[a] * pmf0[b] * reps
-		}
-	}
-
-	cache := protocol.NewAdoptCache(r, n)
-	xs := make([]int64, reps)
-	gs := make([]*rng.RNG, reps)
-	master := rng.New(777)
-	for i := range xs {
-		xs[i] = x0
-		gs[i] = rng.New(master.Uint64())
-	}
-	StepCountBatch(cache, z, xs, gs)
-
-	observed := make([]int64, n+1)
-	for _, x := range xs {
-		if x < 0 || x > n {
-			t.Fatalf("count %d out of range", x)
-		}
-		observed[x]++
-	}
-	stat, dof, err := dist.ChiSquareStat(observed, expected, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pval := dist.ChiSquareTail(stat, dof); pval < 1e-3 {
-		t.Errorf("chi-square rejects the batched step: stat=%v dof=%d p=%v", stat, dof, pval)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"bitspread/internal/protocol"
 	"bitspread/internal/rng"
@@ -209,71 +210,6 @@ func TestRecordCallback(t *testing.T) {
 	}
 }
 
-// TestCountVsAgentOneStep validates the count engine against the literal
-// agent engine: starting from the same configuration, the one-round
-// distributions must agree (checked through mean and variance, with the
-// exact mean known analytically).
-func TestCountVsAgentOneStep(t *testing.T) {
-	const (
-		n    = 200
-		x0   = 60
-		z    = 1
-		reps = 4000
-	)
-	rules := []*protocol.Rule{protocol.Voter(3), protocol.Minority(3), protocol.TwoChoice()}
-	for _, r := range rules {
-		r := r
-		t.Run(r.Name(), func(t *testing.T) {
-			p := float64(x0) / n
-			p1, p0 := r.AdoptProb(1, p), r.AdoptProb(0, p)
-			m1, m0 := float64(x0-z), float64(n-x0-(1-z))
-			wantMean := float64(z) + m1*p1 + m0*p0
-			wantVar := m1*p1*(1-p1) + m0*p0*(1-p0)
-
-			measure := func(run func(Config, *rng.RNG) (Result, error), seed uint64) (mean, variance float64) {
-				g := rng.New(seed)
-				sum, sumSq := 0.0, 0.0
-				for i := 0; i < reps; i++ {
-					res, err := run(Config{N: n, Rule: r, Z: z, X0: x0, MaxRounds: 1}, g.Split())
-					if err != nil {
-						t.Fatal(err)
-					}
-					v := float64(res.FinalCount)
-					sum += v
-					sumSq += v * v
-				}
-				mean = sum / reps
-				variance = sumSq/reps - mean*mean
-				return mean, variance
-			}
-
-			agentRun := func(cfg Config, g *rng.RNG) (Result, error) {
-				return RunAgents(cfg, AgentOptions{}, g)
-			}
-			cm, cv := measure(RunParallel, 1000)
-			am, av := measure(agentRun, 2000)
-
-			se := math.Sqrt(wantVar / reps)
-			for _, m := range []struct {
-				name string
-				mean float64
-			}{{"count", cm}, {"agent", am}} {
-				if math.Abs(m.mean-wantMean) > 5*se {
-					t.Errorf("%s engine mean = %v, want %v ± %v", m.name, m.mean, wantMean, 5*se)
-				}
-			}
-			for _, v := range []struct {
-				name     string
-				variance float64
-			}{{"count", cv}, {"agent", av}} {
-				if wantVar > 0 && math.Abs(v.variance-wantVar)/wantVar > 0.25 {
-					t.Errorf("%s engine variance = %v, want %v (±25%%)", v.name, v.variance, wantVar)
-				}
-			}
-		})
-	}
-}
-
 func TestRunAgentsConverges(t *testing.T) {
 	cfg := Config{N: 64, Rule: protocol.Voter(2), Z: 0, X0: 63}
 	res, err := RunAgents(cfg, AgentOptions{}, rng.New(11))
@@ -299,6 +235,26 @@ func TestRunSequentialVoterConverges(t *testing.T) {
 	}
 	if res.Activations < res.Rounds-1 {
 		t.Errorf("activations %d inconsistent with %d rounds", res.Activations, res.Rounds)
+	}
+}
+
+// A sequential round at n = 2²⁴ is seconds of activations, so Halt is
+// polled within the round: one that fires at 50 ms ends the run within
+// 100 ms, before the first round completes.
+func TestRunSequentialHaltsWithinRound(t *testing.T) {
+	const n = 1 << 24
+	start := time.Now()
+	cfg := Config{N: n, Rule: protocol.Voter(1), Z: 1, X0: n / 2,
+		Halt: func() bool { return time.Since(start) > 50*time.Millisecond }}
+	res, err := RunSequential(cfg, rng.New(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 100*time.Millisecond {
+		t.Errorf("RunSequential returned %v after start; Halt fired at 50ms", d)
+	}
+	if !res.Interrupted || res.Converged || res.Rounds != 0 {
+		t.Errorf("halted run: %+v, want Interrupted in round 1 with no round booked", res)
 	}
 }
 

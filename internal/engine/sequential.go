@@ -85,6 +85,13 @@ func (b *sequentialBody) round(d *driver) {
 	pin1, pin0 := d.pinned()
 	var sampled int64
 	for a := int64(0); a < n; a++ {
+		// A round is n activations, seconds at n = 2²⁴, so Halt is also
+		// polled every 4096 of them. A halt mid-round leaves the last
+		// whole round booked and ends the run.
+		if a&4095 == 4095 && d.cfg.Halt != nil && d.cfg.Halt() {
+			d.results[0].Interrupted = true
+			return
+		}
 		var did bool
 		x, did = sequentialStep(d.cfg.Rule, b.g, n, x, pin1, pin0, d.omit)
 		if did {

@@ -109,40 +109,6 @@ func TestShardedClampAndConvergence(t *testing.T) {
 	}
 }
 
-// TestShardedOneStepMean: the sharded engine's one-round mean must match
-// the analytic Eq. 4 expectation — the same cross-check the serial agent
-// engine passes against the count engine.
-func TestShardedOneStepMean(t *testing.T) {
-	const (
-		n    = 200
-		x0   = 60
-		z    = 1
-		reps = 3000
-	)
-	r := protocol.Minority(3)
-	p := float64(x0) / n
-	p1, p0 := r.AdoptProb(1, p), r.AdoptProb(0, p)
-	m1, m0 := float64(x0-z), float64(n-x0-(1-z))
-	wantMean := float64(z) + m1*p1 + m0*p0
-	wantVar := m1*p1*(1-p1) + m0*p0*(1-p0)
-
-	g := rng.New(2024)
-	sum := 0.0
-	for i := 0; i < reps; i++ {
-		res, err := RunAgents(Config{N: n, Rule: r, Z: z, X0: x0, MaxRounds: 1},
-			AgentOptions{Shards: 4}, g.Split())
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum += float64(res.FinalCount)
-	}
-	mean := sum / reps
-	se := math.Sqrt(wantVar / reps)
-	if math.Abs(mean-wantMean) > 5*se {
-		t.Errorf("sharded one-step mean = %v, want %v ± %v", mean, wantMean, 5*se)
-	}
-}
-
 // TestInitialOpinionsFloyd: the Floyd-sampled initial layout must place
 // exactly X0 ones with the source holding z, cover the edge cases without
 // consuming randomness, and spread the ones uniformly.

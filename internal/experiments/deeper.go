@@ -95,22 +95,22 @@ func x7ConflictingSources() Experiment {
 			cases := []struct{ s1, s0 int64 }{
 				{1, 1}, {3, 1}, {1, 3}, {8, 2}, {5, 5},
 			}
-			for i, c := range cases {
-				if err := opts.ctx().Err(); err != nil {
-					return nil, err
-				}
-				res, err := engine.RunConflict(engine.ConflictConfig{
+			runs, err := replicate(opts, "X7", opts.Seed, len(cases), fmt.Sprintf("n=%d rounds=%d", n, rounds), func(i int, _ *rng.RNG) (engine.ConflictResult, error) {
+				return engine.RunConflict(engine.ConflictConfig{
 					N:        n,
 					Rule:     protocol.Voter(1),
-					Sources1: c.s1,
-					Sources0: c.s0,
+					Sources1: cases[i].s1,
+					Sources0: cases[i].s0,
 					X0:       n / 2,
 					Rounds:   rounds,
 					Probe:    opts.Probe,
 				}, rng.New(subSeed(opts, uint64(i)+300)))
-				if err != nil {
-					return nil, err
-				}
+			})
+			if err != nil {
+				return nil, err
+			}
+			for i, c := range cases {
+				res := runs[i]
 				want := float64(c.s1) / float64(c.s1+c.s0)
 				errAbs := math.Abs(res.MeanFraction - want)
 				worstErr = math.Max(worstErr, errAbs)

@@ -6,6 +6,7 @@ import (
 
 	"bitspread/internal/evolve"
 	"bitspread/internal/protocol"
+	"bitspread/internal/rng"
 	"bitspread/internal/table"
 )
 
@@ -45,41 +46,45 @@ func x13EvolveSearch() Experiment {
 				"ℓ", "evolved rule", "case", "drift", "evolved rounds", "Voter rounds", "ratio", "pruned/evals")
 			metrics := map[string]float64{}
 			maxRatio, zeroDrift := 0.0, 0
-			for _, ell := range []int{1, 2, 3} {
-				if err := opts.ctx().Err(); err != nil {
-					return nil, err
-				}
+			// One replica per ℓ ∈ {1, 2, 3}: its search, and the winner's
+			// and the Voter's measured times.
+			type search struct {
+				Rule, Case            string
+				Drift, Evolved, Voter float64
+				Pruned, Evaluations   int
+			}
+			found, err := replicate(opts, "X13", opts.Seed, 3, fmt.Sprintf("pop=%d gens=%d simN=%d n=%d", searchOpts.Population, searchOpts.Generations, searchOpts.SimN, measureN), func(i int, _ *rng.RNG) (s search, err error) {
 				so := searchOpts
-				so.Ell = ell
-				so.Seed = subSeed(opts, 1300+uint64(ell))
+				so.Ell, so.Seed = i+1, subSeed(opts, 1300+uint64(i+1))
 				out, err := evolve.Search(so)
 				if err != nil {
-					return nil, err
+					return s, err
 				}
 				best := out.Best
-				evolvedRounds, err := evolve.Measure(best.Rule, measureN, 0, measureSeeds)
-				if err != nil {
-					return nil, err
+				g0, g1 := best.Rule.Tables()
+				s = search{Rule: fmt.Sprintf("g0=%v g1=%v", fmtTable(g0), fmtTable(g1)), Case: best.Case.String(),
+					Drift: best.Drift, Pruned: out.Pruned, Evaluations: out.Evaluations}
+				if s.Evolved, err = evolve.Measure(best.Rule, measureN, 0, measureSeeds); err == nil {
+					s.Voter, err = evolve.Measure(protocol.Voter(i+1), measureN, 0, measureSeeds)
 				}
-				voterRounds, err := evolve.Measure(protocol.Voter(ell), measureN, 0, measureSeeds)
-				if err != nil {
-					return nil, err
-				}
-				ratio := evolvedRounds / voterRounds
+				return s, err
+			})
+			if err != nil {
+				return nil, err
+			}
+			for i, s := range found {
+				ell := i + 1
+				ratio := s.Evolved / s.Voter
 				maxRatio = math.Max(maxRatio, ratio)
 				//bitlint:floatexact exact zero marks the F≡0 manifold (evolve's polish lands there exactly); this counts membership, not closeness
-				if best.Drift == 0 {
+				if s.Drift == 0 {
 					zeroDrift++
 				}
-				g0, g1 := best.Rule.Tables()
-				tb.AddRowf(ell,
-					fmt.Sprintf("g0=%v g1=%v", fmtTable(g0), fmtTable(g1)),
-					best.Case.String(), fmtF(best.Drift),
-					fmtF(evolvedRounds), fmtF(voterRounds), fmtF(ratio),
-					fmt.Sprintf("%d/%d", out.Pruned, out.Evaluations))
+				tb.AddRowf(ell, s.Rule, s.Case, fmtF(s.Drift), fmtF(s.Evolved), fmtF(s.Voter), fmtF(ratio),
+					fmt.Sprintf("%d/%d", s.Pruned, s.Evaluations))
 				metrics[fmt.Sprintf("ratio_ell%d", ell)] = ratio
-				metrics[fmt.Sprintf("drift_ell%d", ell)] = best.Drift
-				metrics[fmt.Sprintf("pruned_frac_ell%d", ell)] = float64(out.Pruned) / float64(out.Evaluations)
+				metrics[fmt.Sprintf("drift_ell%d", ell)] = s.Drift
+				metrics[fmt.Sprintf("pruned_frac_ell%d", ell)] = float64(s.Pruned) / float64(s.Evaluations)
 			}
 			tb.AddNote("genomes are vm bytecode (table form); unanimity corners pinned, Prop 3 holds by construction")
 			tb.AddNote("bias pre-filter: genomes with max|F| above the cutoff are scored analytically (Theorem 12) and never simulated")

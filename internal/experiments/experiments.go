@@ -31,13 +31,12 @@ type Options struct {
 	// runs in seconds (used by `go test`); full-size runs are the default
 	// for the benchmark harness and cmd/bitsweep.
 	Quick bool
-	// Ctx, if non-nil, cancels in-flight simulations at round boundaries
-	// (cmd/bitsweep wires SIGINT/SIGTERM and -timeout through it). A
-	// cancelled experiment returns the context error rather than a
-	// partial table.
+	// Ctx, if non-nil, cancels the sweep's replicas (cmd/bitsweep wires
+	// SIGINT/SIGTERM and -timeout through it); a cancelled experiment
+	// returns the context error rather than a partial table.
 	Ctx context.Context
-	// Journal, if non-nil, checkpoints every finished replica so an
-	// interrupted sweep can resume without recomputation.
+	// Journal, if non-nil, checkpoints every finished replica — all but
+	// F1's — so an interrupted sweep resumes without recomputation.
 	Journal *sim.Journal
 	// Probe, if non-nil, is attached to every engine run of the suite
 	// that takes a probe: every sim task's Config.Probe, X10's count
@@ -47,17 +46,9 @@ type Options struct {
 	// choice). Probes never change results.
 	Probe engine.Probe
 	// Observer, if non-nil, receives run-level lifecycle events from
-	// every sim task of the suite (internal/obs.RunObserver is the
-	// standard choice).
+	// every sim task and unit of the suite (internal/obs.RunObserver is
+	// the standard choice).
 	Observer sim.Observer
-}
-
-// ctx resolves the run context, defaulting to context.Background().
-func (o Options) ctx() context.Context {
-	if o.Ctx != nil {
-		return o.Ctx
-	}
-	return context.Background()
 }
 
 // Result is an experiment's output: the rendered table plus named metrics
@@ -84,8 +75,9 @@ type Experiment struct {
 	Run func(Options) (*Result, error)
 }
 
-// registry is populated by the experiment files' constructors.
-func registry() []Experiment {
+// All returns every registered experiment, ordered by ID group
+// (T*, F*, X*) as registered.
+func All() []Experiment {
 	return []Experiment{
 		table1LowerBound(),
 		table2VoterUpper(),
@@ -114,15 +106,9 @@ func registry() []Experiment {
 	}
 }
 
-// All returns every registered experiment, ordered by ID group
-// (T*, F*, X*) as registered.
-func All() []Experiment {
-	return registry()
-}
-
 // ByID returns the experiment with the given ID (case-sensitive).
 func ByID(id string) (Experiment, bool) {
-	for _, e := range registry() {
+	for _, e := range All() {
 		if e.ID == id {
 			return e, true
 		}
@@ -132,7 +118,7 @@ func ByID(id string) (Experiment, bool) {
 
 // IDs returns all experiment IDs, sorted.
 func IDs() []string {
-	exps := registry()
+	exps := All()
 	ids := make([]string, 0, len(exps))
 	for _, e := range exps {
 		ids = append(ids, e.ID)

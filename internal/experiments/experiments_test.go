@@ -2,24 +2,44 @@ package experiments
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"bitspread/internal/obs"
+	"bitspread/internal/sim"
 )
 
 var quickOpts = Options{Seed: 2024, Workers: 0, Quick: true}
 
-// runExp executes an experiment in quick mode and returns its result.
+// runExp executes an experiment in quick mode and returns its result. It
+// checkpoints into a fresh journal, so every record the experiment's units
+// journal must encode as JSON (finite floats only).
 func runExp(t *testing.T, id string) *Result {
+	t.Helper()
+	return runJournaled(t, id, quickOpts, filepath.Join(t.TempDir(), "journal.jsonl"), false)
+}
+
+// runJournaled runs experiment id with opts, checkpointing into the journal
+// at path (resuming it if resume), and checks the result against the
+// pinned quick digest.
+func runJournaled(t *testing.T, id string, opts Options, path string, resume bool) *Result {
 	t.Helper()
 	e, ok := ByID(id)
 	if !ok {
 		t.Fatalf("experiment %s not registered", id)
 	}
-	res, err := e.Run(quickOpts)
+	j, err := sim.OpenJournal(path, resume)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	opts.Journal = j
+	res, err := e.Run(opts)
 	if err != nil {
 		t.Fatalf("%s failed: %v", id, err)
 	}
@@ -30,7 +50,41 @@ func runExp(t *testing.T, id string) *Result {
 		t.Fatalf("%s produced no verdict", id)
 	}
 	t.Logf("%s metrics: %v\n%s", id, res.Metrics, res.Verdict)
+	sum := sha256.Sum256([]byte(res.Table.String() + "\nverdict: " + res.Verdict))
+	if got, want := hex.EncodeToString(sum[:]), quickDigests[id]; got != want {
+		t.Errorf("%s: quick table+verdict digest %s, want %s: a quick number moved", id, got, want)
+	}
 	return res
+}
+
+// quickDigests pins the SHA-256 of every experiment's quick table plus
+// verdict at seed 2024, so a refactor that moves any quick number fails
+// the experiment's test.
+var quickDigests = map[string]string{
+	"T1":  "46738d7ca88d8c41ee53d9f5d4496aa73ff87279b63dcaabf65f7a744a6ba034",
+	"T2":  "b2c91edb2cea55039ef5054c4d4391065b43beb4a98ae143575a79f58b8d9863",
+	"T3":  "6e2ca610c9193cd985a8e077ef7f87949ac9adf337cbedec3efec01bea763894",
+	"T4":  "6894881b3e1145ea17e73b1dbece454ca325ee0ebbb963625d546b93c3e874d4",
+	"T5":  "cb539ba69ecdf4444bf474e25c98df46b13885c0c469fa43830f5cd8d0d713b6",
+	"T6":  "64a3de26ab7aa51425db9b685a897fdb73f6d5d6acf12e6f34c6135837fb96a4",
+	"T7":  "1f35a52c5b37698c099987762a754c4fa529b58404924e7aeec417adaa8ef64c",
+	"F1":  "706f59e4637bb8aa6d03677a3f359e8595f472c8f1d24d4e03a6bd1ea7a54510",
+	"F2":  "8024a8eebd5749fa5acc6742c90bb34e3a956ff1ceb7cb3237d4da3100df8220",
+	"F3":  "17d0217a3a70fb689b39cad1215436d7913a894b5e389ecdf9514eff3d2ab5d5",
+	"F4":  "c3bec3d2e86133dbd28496bb9399ab4e4d79186d53ed5cf85a5e2d5e4506e118",
+	"X1":  "2be96fd2c4f8d2db4111a9bca29ba10b8cf12ba01acd2847805afabde669dd93",
+	"X2":  "351086af6ac7674d760a41352e01f111bb0590f9fc1f9a24ddd7061edb724bd4",
+	"X3":  "571a5ad52cffca523bc2b8e76b034a39fc2eb49334cef2e35b5e5dcf4c4ec65e",
+	"X4":  "2f813a46a19ab4f108dee900626ef4f64dac8b8a2fed58558f2851578db01d5b",
+	"X5":  "28f2cc6626c704dce432eab98122d2b95a554e1c271c45e014820d0af94e4d26",
+	"X6":  "d580eae8b4b3a3ffc80f6f631329a75af42cd31660671f0c0e82342b65e23b56",
+	"X7":  "7afeee4bbdc2c82184b39a465b2a50c998249c938b5136ef265d899dfb1fe80b",
+	"X8":  "7ec7f4a27cbca20392a345c55b5f5d2f90cb4f7d282ea9e9725b8aa0f08b01fa",
+	"X9":  "669f157b54ee6a79f525c5380aa2e0887419f897bb216da20545eb8bb4ed51ac",
+	"X10": "e3015fe1e89f2a9bcfe7e41a1624539a52a76116361234f773c03a58af24bd8d",
+	"X11": "cb6d7f7d7ed94b4476d0f6228c3828ca01bdb4105ee0b764905addb04ef4598c",
+	"X12": "6c98d4cececba9d2da8c666d79decf037204e44d29413219d2b7cd6250077c83",
+	"X13": "490da0e359b14a7935ec5b5ca43b5d936c8fa6baeb37a09448f2dd3a3335b0b0",
 }
 
 func metric(t *testing.T, res *Result, key string) float64 {
@@ -360,7 +414,17 @@ func TestX11PopulationProtocols(t *testing.T) {
 }
 
 func TestX13EvolveSearch(t *testing.T) {
-	res := runExp(t, "X13")
+	path := filepath.Join(t.TempDir(), "x13.jsonl")
+	res := runJournaled(t, "X13", quickOpts, path, false)
+	// A re-render from the journal runs no search and prints the same
+	// table (runJournaled checks the digest).
+	starts := &startCounter{}
+	opts := quickOpts
+	opts.Observer = starts
+	runJournaled(t, "X13", opts, path, true)
+	if n := starts.n.Load(); n != 0 {
+		t.Errorf("re-render from the journal started %d replicas, want 0", n)
+	}
 	if v := metric(t, res, "max_ratio"); v > 2 {
 		t.Errorf("worst evolved/Voter time ratio %v exceeds the 2x acceptance bound", v)
 	}
@@ -401,10 +465,10 @@ func TestX11HonorsCancellation(t *testing.T) {
 	}
 }
 
-// Every Monte-Carlo experiment polls the context before each replica
-// (and every 1024 rounds of a hand-rolled step loop): at full size, an
-// already-cancelled context must stop it at once with the context's error
-// instead of a table. T4, T7 and X6 are closed-form chain computations
+// Every Monte-Carlo replica runs on sim's scheduler, which checks the
+// context before each unit replica and every task round: at full size,
+// an already-cancelled context must stop an experiment at once with the
+// context's error instead of a table. T4, T7 and X6 are closed-form chain computations
 // with no replica loop; they finish in milliseconds at full size.
 func TestExperimentsHonorCancellation(t *testing.T) {
 	exact := map[string]bool{"T4": true, "T7": true, "X6": true}

@@ -151,7 +151,6 @@ func x3SampleSizeBoundary() Experiment {
 			tb := table.New("X3 — one-round jump probability from X=0.2n to ≥0.9n (rule: Follower(θ=1))",
 				"ℓ schedule", "n", "ℓ", "P(teleport)")
 			maxConstant, minLog := 0.0, 1.0
-			ctx := opts.ctx()
 			schedules := []struct {
 				name string
 				of   func(n int64) int
@@ -161,23 +160,28 @@ func x3SampleSizeBoundary() Experiment {
 				{"constant ℓ=8", func(int64) int { return 8 }, "const"},
 				{"ℓ=⌈6·ln n⌉", func(n int64) int { return protocol.LogN(6).Of(n) }, "log"},
 			}
-			for _, sc := range schedules {
-				for _, n := range ns {
-					ell := sc.of(n)
-					r := protocol.Follower(ell, 1)
-					x0 := int64(0.2 * float64(n))
-					g := rng.New(subSeed(opts, uint64(n)+hash(sc.name)))
-					jumps := 0
-					for tr := 0; tr < trials; tr++ {
-						if halted(ctx, int64(tr)+1) {
-							return nil, ctx.Err()
-						}
-						if float64(engine.StepCount(r, n, 1, x0, g)) >= 0.9*float64(n) {
-							jumps++
-						}
+			// One replica per (schedule, n) cell: a cell's trials share one
+			// stream.
+			jumps, err := replicate(opts, "X3", opts.Seed, len(schedules)*len(ns), fmt.Sprintf("ns=%v trials=%d", ns, trials), func(k int, _ *rng.RNG) (int, error) {
+				sc, n := schedules[k/len(ns)], ns[k%len(ns)]
+				r := protocol.Follower(sc.of(n), 1)
+				x0 := int64(0.2 * float64(n))
+				g := rng.New(subSeed(opts, uint64(n)+hash(sc.name)))
+				jumps := 0
+				for tr := 0; tr < trials; tr++ {
+					if float64(engine.StepCount(r, n, 1, x0, g)) >= 0.9*float64(n) {
+						jumps++
 					}
-					rate := float64(jumps) / float64(trials)
-					tb.AddRowf(sc.name, n, ell, rate)
+				}
+				return jumps, nil
+			})
+			if err != nil {
+				return nil, err
+			}
+			for i, sc := range schedules {
+				for j, n := range ns {
+					rate := float64(jumps[i*len(ns)+j]) / float64(trials)
+					tb.AddRowf(sc.name, n, sc.of(n), rate)
 					if sc.kind == "const" {
 						maxConstant = math.Max(maxConstant, rate)
 					} else {

@@ -42,43 +42,53 @@ func figure1Escape() Experiment {
 			dominanceOK := true
 			maxStepRatio := 0.0
 			var xs, ys []float64
-			ctx := opts.ctx()
+			// F1 runs unjournaled: the benchmark's sweep pins the merged
+			// journal of quick T1–T3 and F1, which F1's records would move.
+			unjournaled := opts
+			unjournaled.Journal = nil
+			type exit struct {
+				T         int64 // exit round; 0: no exit within the limit
+				Up, Dom   bool  // exited above a₃n; M ≥ Y held
+				StepRatio float64
+			}
 			for _, n := range ns {
 				x0 := int64((a2 + a3) / 2 * float64(n))
 				limit := 100 * n // generous: exit is Θ(n)
-				var exitTimes []float64
-				upExits := 0
-				master := rng.New(subSeed(opts, uint64(n)))
-				for rep := 0; rep < replicas; rep++ {
-					g := master.Split()
+				exits, err := replicate(unjournaled, "F1", subSeed(opts, uint64(n)), replicas, fmt.Sprintf("n=%d", n), func(_ int, g *rng.RNG) (e exit, _ error) {
 					x := x0
 					traj := make([]int64, 0, 1024)
 					traj = append(traj, x)
 					for t := int64(1); t <= limit; t++ {
-						if halted(ctx, t) {
-							return nil, ctx.Err()
-						}
 						// Driftless: every agent resamples uniformly.
 						//bitlint:probok x stays in [0,n] by construction and n >= 1, so the ratio is a probability
 						x = g.Binomial(n, float64(x)/float64(n))
 						traj = append(traj, x)
 						if float64(x) >= a3*float64(n) || float64(x) <= a1*float64(n) {
-							exitTimes = append(exitTimes, float64(t))
-							if float64(x) >= a3*float64(n) {
-								upExits++
-							}
+							e.T, e.Up = t, float64(x) >= a3*float64(n)
 							break
 						}
 					}
 					// Doob decomposition with the exact drift oracle
 					// E[X_{t+1}|X_t=x] = x and the proof's shift of 1.
 					d := markov.Decompose(traj, 1, func(x int64) float64 { return float64(x) })
-					if !d.DominanceHolds(1e-6) {
-						dominanceOK = false
+					e.Dom = d.DominanceHolds(1e-6)
+					e.StepRatio = d.MaxMartingaleStep() / math.Sqrt(float64(n))
+					return e, nil
+				})
+				if err != nil {
+					return nil, err
+				}
+				var exitTimes []float64
+				upExits := 0
+				for _, e := range exits {
+					if e.T > 0 {
+						exitTimes = append(exitTimes, float64(e.T))
 					}
-					if r := d.MaxMartingaleStep() / math.Sqrt(float64(n)); r > maxStepRatio {
-						maxStepRatio = r
+					if e.Up {
+						upExits++
 					}
+					dominanceOK = dominanceOK && e.Dom
+					maxStepRatio = math.Max(maxStepRatio, e.StepRatio)
 				}
 				s := stats.Summarize(exitTimes)
 				tb.AddRowf(n, s.Mean, s.P99, float64(upExits)/float64(replicas), maxStepRatio, dominanceOK)
@@ -161,7 +171,6 @@ func runCaseFigure(opts Options, params caseFigureParams) (*Result, error) {
 	tb := table.New(params.id+" — crossing probability of the blocking threshold within ⌈n^0.9⌉ rounds",
 		"rule", "case", "n", "z", "X₀/n", "threshold/n", "P(cross ≤ T)")
 	maxCross := 0.0
-	ctx := opts.ctx()
 	for _, r := range rules {
 		a := bias.For(r)
 		c, ok := a.ProofConstants()
@@ -178,24 +187,21 @@ func runCaseFigure(opts Options, params caseFigureParams) (*Result, error) {
 			if !up {
 				threshold = c.A1
 			}
-			master := rng.New(subSeed(opts, uint64(n)+hash(r.Name())))
-			crossings := 0
-			for rep := 0; rep < replicas; rep++ {
-				g := master.Split()
+			crossed, err := replicate(opts, params.id, subSeed(opts, uint64(n)+hash(r.Name())), replicas, fmt.Sprintf("rule=%s n=%d", r.Name(), n), func(_ int, g *rng.RNG) (bool, error) {
 				x := x0
 				for t := int64(1); t <= budget; t++ {
-					if halted(ctx, t) {
-						return nil, ctx.Err()
-					}
 					x = engine.StepCount(r, n, c.Z, x, g)
 					if (up && float64(x) >= threshold*float64(n)) ||
 						(!up && float64(x) <= threshold*float64(n)) {
-						crossings++
-						break
+						return true, nil
 					}
 				}
+				return false, nil
+			})
+			if err != nil {
+				return nil, err
 			}
-			rate := float64(crossings) / float64(replicas)
+			rate := float64(count(crossed)) / float64(replicas)
 			maxCross = math.Max(maxCross, rate)
 			tb.AddRowf(r.Name(), a.Classify().String(), n, c.Z, c.X0Frac, threshold, rate)
 		}
@@ -226,20 +232,19 @@ func figure4Dual() Experiment {
 			minRate := 1.0
 			for _, n := range ns {
 				bound := int64(2 * float64(n) * math.Log(float64(n)))
-				master := rng.New(subSeed(opts, uint64(n)*7))
+				runs, err := replicate(opts, "F4", subSeed(opts, uint64(n)*7), replicas, fmt.Sprintf("n=%d", n), func(_ int, g *rng.RNG) (dual.CoalescenceResult, error) {
+					return dual.CoalescenceTime(n, bound, g, false), nil
+				})
+				if err != nil {
+					return nil, err
+				}
 				var steps []float64
-				absorbed := 0
-				for rep := 0; rep < replicas; rep++ {
-					if err := opts.ctx().Err(); err != nil {
-						return nil, err
-					}
-					res := dual.CoalescenceTime(n, bound, master.Split(), false)
+				for _, res := range runs {
 					if res.Absorbed {
-						absorbed++
 						steps = append(steps, float64(res.Steps))
 					}
 				}
-				rate := float64(absorbed) / float64(replicas)
+				rate := float64(len(steps)) / float64(replicas)
 				minRate = math.Min(minRate, rate)
 				s := stats.Summarize(steps)
 				tb.AddRowf(n, bound, rate, s.Mean, s.Mean/float64(bound))

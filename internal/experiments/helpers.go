@@ -1,12 +1,13 @@
 package experiments
 
 import (
-	"context"
+	"fmt"
 	"math"
 	"strconv"
 
 	"bitspread/internal/engine"
 	"bitspread/internal/protocol"
+	"bitspread/internal/rng"
 	"bitspread/internal/sim"
 )
 
@@ -19,13 +20,40 @@ func pick[T any](opts Options, quick, full T) T {
 	return full
 }
 
-// halted reports whether a hand-rolled step loop must stop at its 1-based
-// round t because ctx is done. It reads the context on a replica's first
-// round and every 1024th round after, so a cancelled run stops within
-// 1024 rounds while the hot loop pays a mask test per round, not a
-// context read.
-func halted(ctx context.Context, t int64) bool {
-	return t&1023 == 1 && ctx.Err() != nil
+// replicate runs the replicas of one Monte-Carlo cell that no engine
+// Config describes on the sim scheduler: a unit named after the cell's
+// experiment and keyed by seed, the sizing and key, which holds every
+// other input of run but the replica index. Replica i draws from g, the
+// i-th stream of rng.New(seed).SplitN(replicas) — the order a loop of
+// Split calls would give it; a cell that seeds its own stream ignores g.
+// It returns the records in replica order for the caller to fold.
+//
+// g is a copy of the stream that the replica's worker allocates: SplitN's
+// 32-byte generators sit two to a cache line, and two workers writing
+// neighbours would contend for it on every draw.
+func replicate[R any](opts Options, name string, seed uint64, replicas int, key string, run func(i int, g *rng.RNG) (R, error)) ([]R, error) {
+	gens := rng.New(seed).SplitN(replicas)
+	return sim.RunUnit(opts.Ctx, sim.Unit[R]{
+		Name:     name,
+		Key:      fmt.Sprintf("seed=%d quick=%t %s", seed, opts.Quick, key),
+		Replicas: replicas,
+		Run: func(i int) (R, error) {
+			g := *gens[i]
+			return run(i, &g)
+		},
+		Observer: opts.Observer,
+	}, opts.Workers, opts.Journal)
+}
+
+// count returns how many of bs are true.
+func count(bs []bool) int {
+	k := 0
+	for _, b := range bs {
+		if b {
+			k++
+		}
+	}
+	return k
 }
 
 // subSeed derives a distinct deterministic seed per experiment component.
@@ -57,7 +85,7 @@ func measure(opts Options, name string, cfg engine.Config, replicas int, salt ui
 	if opts.Probe != nil {
 		cfg.Probe = opts.Probe
 	}
-	out, err := sim.RunContext(opts.ctx(), sim.Task{
+	out, err := sim.RunContext(opts.Ctx, sim.Task{
 		Name:     name,
 		Config:   cfg,
 		Mode:     sim.Parallel,

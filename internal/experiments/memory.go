@@ -53,19 +53,18 @@ func x4MemoryAblation() Experiment {
 				tb.AddRowf("memory-less", 0, n, m.rate, m.meanTau, "-")
 
 				// Rows 2–3: the accumulator, synchronized and not.
-				for _, synced := range []bool{true, false} {
+				for _, row := range []struct {
+					name   string
+					synced bool
+					salt   uint64
+				}{{"accumulator+clock", true, 1}, {"accumulator, no clock", false, 2}} {
+					name, synced := row.name, row.synced
 					proto, err := memory.NewAccumulatorMinority(ell, window, synced)
 					if err != nil {
 						return nil, err
 					}
-					master := rng.New(subSeed(opts, uint64(n)*11+boolSalt(synced)))
-					conv := 0
-					var taus, fracs []float64
-					for rep := 0; rep < replicas; rep++ {
-						if err := opts.ctx().Err(); err != nil {
-							return nil, err
-						}
-						res, err := memory.Run(memory.Config{
+					runs, err := replicate(opts, "X4/"+name, subSeed(opts, uint64(n)*11+row.salt), replicas, fmt.Sprintf("n=%d window=%d budget=%d", n, window, budget), func(_ int, g *rng.RNG) (memory.Result, error) {
+						return memory.Run(memory.Config{
 							N:                 n,
 							Protocol:          proto,
 							Z:                 1,
@@ -73,18 +72,20 @@ func x4MemoryAblation() Experiment {
 							AdversarialMemory: !synced,
 							MaxRounds:         budget,
 							Probe:             opts.Probe,
-						}, master.Split())
-						if err != nil {
-							return nil, err
-						}
+						}, g)
+					})
+					if err != nil {
+						return nil, err
+					}
+					var taus, fracs []float64
+					for _, res := range runs {
 						if res.Converged {
-							conv++
 							taus = append(taus, float64(res.Rounds))
 						} else {
 							fracs = append(fracs, float64(res.FinalCount)/float64(n))
 						}
 					}
-					rate := float64(conv) / float64(replicas)
+					rate := float64(len(taus)) / float64(replicas)
 					meanTau := math.NaN()
 					if len(taus) > 0 {
 						meanTau = stats.Summarize(taus).Mean
@@ -92,10 +93,6 @@ func x4MemoryAblation() Experiment {
 					stalled := "-"
 					if len(fracs) > 0 {
 						stalled = fmt.Sprintf("%.3f", stats.Summarize(fracs).Mean)
-					}
-					name := "accumulator+clock"
-					if !synced {
-						name = "accumulator, no clock"
 					}
 					tb.AddRowf(name, proto.StateBits(), n, rate, meanTau, stalled)
 					if synced {
@@ -131,11 +128,4 @@ func x4MemoryAblation() Experiment {
 			}, nil
 		},
 	}
-}
-
-func boolSalt(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 2
 }

@@ -42,37 +42,50 @@ func x5MultiOpinion() Experiment {
 
 			maxRate, worstDrift := 0.0, 0.0
 			unseenTotal := 0
-			ctx := opts.ctx()
+			type run struct {
+				Converged bool
+				Unseen    int       // rounds in which opinion 2 appeared
+				Excursion []float64 // one-round deviations beyond 8√n, in order
+			}
 			for _, n := range ns {
 				budget := polyCap(n, exp)
 				// Mid-interval binary start, as in T1's trapped rows.
 				x1 := int64((c.A1 + c.A3) / 2 * float64(n))
-				master := rng.New(subSeed(opts, uint64(n)*17))
-				converged := 0
-				for rep := 0; rep < replicas; rep++ {
-					g := master.Split()
+				runs, err := replicate(opts, "X5", subSeed(opts, uint64(n)*17), replicas, fmt.Sprintf("n=%d", n), func(_ int, g *rng.RNG) (r run, _ error) {
 					x := []int64{n - x1, x1, 0}
 					for t := int64(1); t <= budget; t++ {
-						if halted(ctx, t) {
-							return nil, ctx.Err()
-						}
 						// Binary drift prediction before stepping.
 						predicted := a.ExpectedNext(n, x[1])
 						x = multi.Step(rule, n, 1, x, g)
 						if x[2] != 0 {
-							unseenTotal++
+							r.Unseen++
 						}
 						// Prop 5 transfers to the restricted process: the
 						// one-round mean must track x + nF(x/n) within ±1
 						// plus sampling noise; track the systematic part
 						// via a single-step deviation cap of O(√n·log n).
-						dev := math.Abs(float64(x[1]) - predicted)
-						if lim := 8 * math.Sqrt(float64(n)); dev > lim && dev > worstDrift {
-							worstDrift = dev / math.Sqrt(float64(n))
+						if dev := math.Abs(float64(x[1]) - predicted); dev > 8*math.Sqrt(float64(n)) {
+							r.Excursion = append(r.Excursion, dev)
 						}
 						if x[1] == n {
-							converged++
+							r.Converged = true
 							break
+						}
+					}
+					return r, nil
+				})
+				if err != nil {
+					return nil, err
+				}
+				converged := 0
+				for _, r := range runs {
+					if r.Converged {
+						converged++
+					}
+					unseenTotal += r.Unseen
+					for _, dev := range r.Excursion {
+						if dev > worstDrift {
+							worstDrift = dev / math.Sqrt(float64(n))
 						}
 					}
 				}

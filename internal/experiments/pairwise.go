@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"bitspread/internal/popproto"
 	"bitspread/internal/rng"
@@ -36,88 +37,69 @@ func x11PopulationProtocols() Experiment {
 				"protocol", "n", "P(success)", "mean interactions", "/ n·ln n")
 			type rowSpec struct {
 				name  string
-				run   func(n int, g *rng.RNG) (bool, int64, error)
-				track *[]float64 // per-n normalized means for metrics
+				cfg   func(n int) popproto.Config // every field but Stop
+				track *[]float64                  // per-n normalized means for metrics
 			}
 			var epiNorm, majNorm, voterNorm []float64
-			ctx := opts.ctx()
-			// allOnes is every row's success predicate with cancellation
-			// folded in: a cancelled sweep stops mid-replica. The context is
-			// polled every 1024 interactions, so the hot loop pays a
-			// counter, not a context read.
-			allOnes := func(n int) func([2]int) bool {
-				calls := 0
-				return func(out [2]int) bool {
-					if calls++; calls&1023 == 0 && ctx.Err() != nil {
-						return true
-					}
-					return out[1] == n
-				}
-			}
 			rows := []rowSpec{
-				{"Epidemic (broadcast)", func(n int, g *rng.RNG) (bool, int64, error) {
-					res, err := popproto.Run(popproto.Config{
-						N:        n,
-						Protocol: popproto.Epidemic{},
+				{"Epidemic (broadcast)", func(n int) popproto.Config {
+					return popproto.Config{N: n, Protocol: popproto.Epidemic{}, SourceState: -1,
 						Init: func(i int) popproto.State {
 							if i == 0 {
 								return 1
 							}
 							return 0
-						},
-						SourceState: -1,
-						Stop:        allOnes(n),
-					}, g)
-					return res.Stopped, res.Interactions, err
+						}}
 				}, &epiNorm},
-				{"4-state majority + source (80% wrong)", func(n int, g *rng.RNG) (bool, int64, error) {
-					res, err := popproto.Run(popproto.Config{
-						N:        n,
-						Protocol: popproto.FourStateMajority{},
+				{"4-state majority + source (80% wrong)", func(n int) popproto.Config {
+					return popproto.Config{N: n, Protocol: popproto.FourStateMajority{},
+						SourceState: int(popproto.StrongOne), MaxInteractions: int64(n) * int64(n) * 64,
 						Init: func(i int) popproto.State {
 							if i < n/5 {
 								return popproto.StrongOne
 							}
 							return popproto.StrongZero
-						},
-						SourceState:     int(popproto.StrongOne),
-						MaxInteractions: int64(n) * int64(n) * 64,
-						Stop:            allOnes(n),
-					}, g)
-					return res.Stopped, res.Interactions, err
+						}}
 				}, &majNorm},
-				{"Pairwise Voter + source (all wrong)", func(n int, g *rng.RNG) (bool, int64, error) {
-					res, err := popproto.Run(popproto.Config{
-						N:           n,
-						Protocol:    popproto.PairwiseVoter{},
-						Init:        func(int) popproto.State { return 0 },
-						SourceState: 1,
-						Stop:        allOnes(n),
-					}, g)
-					return res.Stopped, res.Interactions, err
+				{"Pairwise Voter + source (all wrong)", func(n int) popproto.Config {
+					return popproto.Config{N: n, Protocol: popproto.PairwiseVoter{}, SourceState: 1,
+						Init: func(int) popproto.State { return 0 }}
 				}, &voterNorm},
 			}
 
 			minRate := 1.0
 			for _, row := range rows {
 				for _, n := range ns {
-					master := rng.New(subSeed(opts, uint64(n)+hash(row.name)))
+					// A replica's record is its interaction count to success,
+					// 0 if it stopped without one. Every row stops at all ones,
+					// and, since one replica runs for seconds, also when the
+					// sweep is cancelled: the context is polled every 1024
+					// interactions, so the hot loop pays a counter, not a
+					// context read.
+					inters, err := replicate(opts, "X11/"+row.name, subSeed(opts, uint64(n)+hash(row.name)), replicas, fmt.Sprintf("n=%d", n), func(_ int, g *rng.RNG) (int64, error) {
+						cfg, calls := row.cfg(n), 0
+						cfg.Stop = func(out [2]int) bool {
+							if calls++; calls&1023 == 0 && opts.Ctx != nil && opts.Ctx.Err() != nil {
+								return true
+							}
+							return out[1] == n
+						}
+						res, err := popproto.Run(cfg, g)
+						if !res.Stopped {
+							res.Interactions = 0
+						}
+						return res.Interactions, err
+					})
+					if err != nil {
+						return nil, err
+					}
 					var times []float64
-					ok := 0
-					for rep := 0; rep < replicas; rep++ {
-						success, inter, err := row.run(n, master.Split())
-						if err == nil {
-							err = ctx.Err() // a cancelled run is not a success
-						}
-						if err != nil {
-							return nil, err
-						}
-						if success {
-							ok++
+					for _, inter := range inters {
+						if inter > 0 {
 							times = append(times, float64(inter))
 						}
 					}
-					rate := float64(ok) / float64(replicas)
+					rate := float64(len(times)) / float64(replicas)
 					minRate = math.Min(minRate, rate)
 					mean := stats.Summarize(times).Mean
 					norm := mean / (float64(n) * math.Log(float64(n)))
@@ -125,7 +107,7 @@ func x11PopulationProtocols() Experiment {
 					tb.AddRowf(row.name, n, rate, mean, norm)
 				}
 			}
-			epiMax := maxOf(epiNorm)
+			epiMax := slices.Max(epiNorm)
 			// Voter and majority scale ~n²: their n·ln n-normalized column
 			// must grow; fit interactions ~ n^e for the voter.
 			var xs []float64
@@ -151,14 +133,6 @@ func x11PopulationProtocols() Experiment {
 			}, nil
 		},
 	}
-}
-
-func maxOf(xs []float64) float64 {
-	m := math.Inf(-1)
-	for _, x := range xs {
-		m = math.Max(m, x)
-	}
-	return m
 }
 
 // denorm converts n·ln n-normalized means back to raw interaction counts.

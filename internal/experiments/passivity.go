@@ -31,21 +31,19 @@ func x8PricePassivity() Experiment {
 			var gapNs, gaps []float64
 			maxLogRatio := 0.0
 			for _, n := range ns {
-				master := rng.New(subSeed(opts, uint64(n)*23))
-				var active []float64
-				for rep := 0; rep < replicas; rep++ {
+				rounds, err := replicate(opts, "X8", subSeed(opts, uint64(n)*23), replicas, fmt.Sprintf("n=%d", n), func(_ int, g *rng.RNG) (float64, error) {
 					res, err := gossip.Spread(gossip.Config{
 						N: n, Informed0: 1, Mode: gossip.PushPull,
-					}, master.Split())
-					if err != nil {
-						return nil, err
+					}, g)
+					if err == nil && !res.Completed {
+						err = fmt.Errorf("experiments: X8 gossip did not complete at n=%d", n)
 					}
-					if !res.Completed {
-						return nil, fmt.Errorf("experiments: X8 gossip did not complete at n=%d", n)
-					}
-					active = append(active, float64(res.Rounds))
+					return float64(res.Rounds), err
+				})
+				if err != nil {
+					return nil, err
 				}
-				activeMean := stats.Summarize(active).Mean
+				activeMean := stats.Summarize(rounds).Mean
 				logRatio := activeMean / math.Log2(float64(n))
 				maxLogRatio = math.Max(maxLogRatio, logRatio)
 

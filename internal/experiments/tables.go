@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"bitspread/internal/bias"
+	"bitspread/internal/dist"
 	"bitspread/internal/engine"
 	"bitspread/internal/markov"
 	"bitspread/internal/protocol"
@@ -294,28 +295,28 @@ func table5Prop3() Experiment {
 			tb := table.New("T5 — escape from the correct consensus (z=0, start at consensus)",
 				"rule", "violates Prop 3", "P(escape ≤ horizon)", "mean escape round")
 			maxViolatorStay, controlEscape := 0.0, 0.0
-			ctx := opts.ctx()
 			for i, r := range rules {
 				violates := errors.Is(r.CheckProp3(), protocol.ErrProp3)
-				escapes := 0
-				var escapeRounds []float64
-				master := rng.New(subSeed(opts, uint64(i)+99))
-				for rep := 0; rep < replicas; rep++ {
-					g := master.Split()
+				// A replica's record is its escape round, 0 if it stayed.
+				escapeAt, err := replicate(opts, "T5", subSeed(opts, uint64(i)+99), replicas, fmt.Sprintf("rule=%d n=%d horizon=%d", i, n, horizon), func(_ int, g *rng.RNG) (int64, error) {
 					x := int64(0) // consensus on z=0
 					for t := int64(1); t <= horizon; t++ {
-						if halted(ctx, t) {
-							return nil, ctx.Err()
-						}
-						x = engine.StepCount(r, n, 0, x, g)
-						if x != 0 {
-							escapes++
-							escapeRounds = append(escapeRounds, float64(t))
-							break
+						if x = engine.StepCount(r, n, 0, x, g); x != 0 {
+							return t, nil
 						}
 					}
+					return 0, nil
+				})
+				if err != nil {
+					return nil, err
 				}
-				rate := float64(escapes) / float64(replicas)
+				var escapeRounds []float64
+				for _, t := range escapeAt {
+					if t > 0 {
+						escapeRounds = append(escapeRounds, float64(t))
+					}
+				}
+				rate := float64(len(escapeRounds)) / float64(replicas)
 				meanEscape := math.NaN()
 				if len(escapeRounds) > 0 {
 					meanEscape = stats.Summarize(escapeRounds).Mean
@@ -357,32 +358,35 @@ func table6JumpBound() Experiment {
 				protocol.Voter(3), protocol.Minority(3), protocol.Minority(7), protocol.TwoChoice(),
 			}
 			cs := []float64{0.1, 0.3, 0.5, 0.7}
-			ctx := opts.ctx()
-			for i, r := range rules {
-				// Prop 4 only needs Prop 3 (g[0](0)=0); all rules here satisfy it.
-				for _, c := range cs {
-					y := prop4Y(c, r.SampleSize())
-					x0 := int64(c * float64(n))
-					if x0 < 1 {
-						x0 = 1
+			// One replica per (rule, c) cell: a cell's trials share one
+			// stream. Prop 4 only needs Prop 3 (g[0](0)=0); all rules here
+			// satisfy it.
+			type jump struct {
+				MaxFrac    float64
+				Violations int
+			}
+			cells, err := replicate(opts, "T6", opts.Seed, len(rules)*len(cs), fmt.Sprintf("n=%d trials=%d", n, trials), func(k int, _ *rng.RNG) (j jump, _ error) {
+				i, c := k/len(cs), cs[k%len(cs)]
+				r := rules[i]
+				y := dist.Prop4Y(c, r.SampleSize())
+				x0 := max(int64(c*float64(n)), 1)
+				g := rng.New(subSeed(opts, uint64(i)*31+uint64(c*100)))
+				for tr := 0; tr < trials; tr++ {
+					frac := float64(engine.StepCount(r, n, 1, x0, g)) / float64(n)
+					j.MaxFrac = math.Max(j.MaxFrac, frac)
+					if frac > y {
+						j.Violations++
 					}
-					g := rng.New(subSeed(opts, uint64(i)*31+uint64(c*100)))
-					maxFrac := 0.0
-					violations := 0
-					for tr := 0; tr < trials; tr++ {
-						if halted(ctx, int64(tr)+1) {
-							return nil, ctx.Err()
-						}
-						next := engine.StepCount(r, n, 1, x0, g)
-						frac := float64(next) / float64(n)
-						maxFrac = math.Max(maxFrac, frac)
-						if frac > y {
-							violations++
-						}
-					}
-					totalViolations += violations
-					tb.AddRowf(r.Name(), c, y, maxFrac, violations)
 				}
+				return j, nil
+			})
+			if err != nil {
+				return nil, err
+			}
+			for k, j := range cells {
+				r, c := rules[k/len(cs)], cs[k%len(cs)]
+				totalViolations += j.Violations
+				tb.AddRowf(r.Name(), c, dist.Prop4Y(c, r.SampleSize()), j.MaxFrac, j.Violations)
 			}
 			tb.AddNote("prediction: 0 violations (failure probability exp(-2√n) ≈ %.1e at n=%d)",
 				math.Exp(-2*math.Sqrt(float64(n))), n)
@@ -395,12 +399,6 @@ func table6JumpBound() Experiment {
 			}, nil
 		},
 	}
-}
-
-// prop4Y mirrors dist.Prop4Y without importing dist here (kept local to
-// make the experiment self-describing).
-func prop4Y(c float64, ell int) float64 {
-	return 1 - math.Pow(1-c, float64(ell)+1)/2
 }
 
 // table7Drift reproduces Proposition 5 exactly: the conditional

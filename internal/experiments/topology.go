@@ -47,19 +47,12 @@ func x9Topology() Experiment {
 			means := make(map[string]float64, len(builders))
 			minRate := 1.0
 			for bi, b := range builders {
-				master := rng.New(subSeed(opts, uint64(bi)*37+11))
-				var taus []float64
-				conv := 0
-				for rep := 0; rep < replicas; rep++ {
-					if err := opts.ctx().Err(); err != nil {
-						return nil, err
-					}
-					g := master.Split()
+				runs, err := replicate(opts, "X9/"+b.name, subSeed(opts, uint64(bi)*37+11), replicas, fmt.Sprintf("side=%d", side), func(_ int, g *rng.RNG) (graph.Result, error) {
 					topo, err := b.build(g)
 					if err != nil {
-						return nil, fmt.Errorf("experiments: X9 %s: %w", b.name, err)
+						return graph.Result{}, fmt.Errorf("experiments: X9 %s: %w", b.name, err)
 					}
-					res, err := graph.Run(graph.Config{
+					return graph.Run(graph.Config{
 						Topology:    topo,
 						Rule:        protocol.Voter(1),
 						Z:           1,
@@ -67,15 +60,17 @@ func x9Topology() Experiment {
 						MaxRounds:   capRounds,
 						Probe:       opts.Probe,
 					}, g)
-					if err != nil {
-						return nil, err
-					}
+				})
+				if err != nil {
+					return nil, err
+				}
+				var taus []float64
+				for _, res := range runs {
 					if res.Converged {
-						conv++
 						taus = append(taus, float64(res.Rounds))
 					}
 				}
-				rate := float64(conv) / float64(replicas)
+				rate := float64(len(taus)) / float64(replicas)
 				minRate = math.Min(minRate, rate)
 				mean := math.NaN()
 				if len(taus) > 0 {

@@ -42,14 +42,18 @@ func x10Universality() Experiment {
 			tb := table.New(fmt.Sprintf("X10 — random valid rules vs their adversarial instances (n=%d, budget=%d)", n, budget),
 				"ℓ", "rules", "case F<0 / F>0 / F≡0", "deferred", "conv. cells (resolvable)", "worst rule rate")
 			master := rng.New(subSeed(opts, 777))
-			ctx := opts.ctx()
-			halt := func() bool { return ctx.Err() != nil }
 			totalCells, convCells, deferredTotal := 0, 0, 0
 			worstRate := 0.0
+			type cell struct {
+				cfg engine.Config
+				g   *rng.RNG
+			}
 			for _, ell := range ells {
 				neg, pos, zero := 0, 0, 0
-				deferred, ellConv, ellCells := 0, 0, 0
-				ellWorst := 0.0
+				deferred := 0
+				// The resolvable rules' (rule, replica) cells, drawn in the
+				// stream's order: each rule's split, then its replicas'.
+				var cells []cell
 				for ri := 0; ri < ruleCount; ri++ {
 					r := protocol.Random(ell, master.Split())
 					a := bias.For(r)
@@ -66,7 +70,6 @@ func x10Universality() Experiment {
 						continue
 					}
 					cfg, c := engine.AdversarialConfig(r, n, budget)
-					cfg.Halt = halt
 					cfg.Probe = opts.Probe
 					if a.Classify() == bias.CaseNegative {
 						// As in T1: the proof's X₀=(a₂+a₃)/2 sits within
@@ -75,22 +78,22 @@ func x10Universality() Experiment {
 						// where the trapping drift is representative.
 						cfg.X0 = int64((c.A1 + c.A3) / 2 * float64(n))
 					}
-					conv := 0
 					for rep := 0; rep < replicas; rep++ {
-						res, err := engine.RunParallel(cfg, master.Split())
-						if err == nil && res.Interrupted {
-							err = ctx.Err() // a cancelled run is not a measurement
-						}
-						if err != nil {
-							return nil, err
-						}
-						ellCells++
-						if res.Converged {
-							conv++
-							ellConv++
-						}
+						cells = append(cells, cell{cfg, master.Split()})
 					}
-					ellWorst = math.Max(ellWorst, float64(conv)/float64(replicas))
+				}
+				converged, err := replicate(opts, "X10", opts.Seed, len(cells), fmt.Sprintf("n=%d ell=%d rules=%d replicas=%d", n, ell, ruleCount, replicas), func(i int, _ *rng.RNG) (bool, error) {
+					g := *cells[i].g // a worker's own copy, as replicate's
+					res, err := engine.RunParallel(cells[i].cfg, &g)
+					return res.Converged, err
+				})
+				if err != nil {
+					return nil, err
+				}
+				ellConv, ellCells := count(converged), len(cells)
+				ellWorst := 0.0
+				for k := 0; k < ellCells; k += replicas {
+					ellWorst = math.Max(ellWorst, float64(count(converged[k:k+replicas]))/float64(replicas))
 				}
 				totalCells += ellCells
 				convCells += ellConv

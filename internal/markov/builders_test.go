@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"bitspread/internal/dist"
 	"bitspread/internal/engine"
 	"bitspread/internal/protocol"
 	"bitspread/internal/rng"
@@ -195,39 +194,5 @@ func TestSequentialLowerBoundShape(t *testing.T) {
 			t.Errorf("n=%d: expected time not increasing (%v after %v)", n, rounds, prev)
 		}
 		prev = rounds
-	}
-}
-
-// TestCountEngineDistributionChiSquare is the strongest engine validation:
-// the one-round count distribution sampled from engine.StepCount must
-// match the exact ParallelChain row under a pooled Pearson χ² test.
-func TestCountEngineDistributionChiSquare(t *testing.T) {
-	const (
-		n     = 40
-		x0    = 15
-		z     = 1
-		draws = 20000
-	)
-	r := protocol.Minority(3)
-	chain, err := ParallelChain(r, n, z)
-	if err != nil {
-		t.Fatal(err)
-	}
-	expected := make([]float64, n+1)
-	for y := 0; y <= n; y++ {
-		expected[y] = chain.Prob(x0, y) * draws
-	}
-	observed := make([]int64, n+1)
-	g := rng.New(606)
-	for i := 0; i < draws; i++ {
-		observed[engine.StepCount(r, n, z, x0, g)]++
-	}
-	stat, dof, err := dist.ChiSquareStat(observed, expected, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := dist.ChiSquareTail(stat, dof)
-	if p < 0.001 {
-		t.Errorf("count engine vs exact row: χ²=%.2f (dof %d), p=%.2g — distribution mismatch", stat, dof, p)
 	}
 }

@@ -76,16 +76,6 @@ func (c *Chain) Step(dist []float64) []float64 {
 	return out
 }
 
-// Evolve returns the distribution after t steps starting from state start.
-func (c *Chain) Evolve(start, t int) []float64 {
-	dist := make([]float64, c.Size())
-	dist[start] = 1
-	for s := 0; s < t; s++ {
-		dist = c.Step(dist)
-	}
-	return dist
-}
-
 // ExpectedHittingTimes returns h[i] = expected number of steps to reach
 // any state in targets starting from i (h = 0 on targets). It solves the
 // linear system (I - Q)h = 1 on the non-target states by dense Gaussian

@@ -60,7 +60,10 @@ func TestStepEvolveTwoState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := c.Evolve(0, 200)
+	d := []float64{1, 0}
+	for s := 0; s < 200; s++ {
+		d = c.Step(d)
+	}
 	if math.Abs(d[0]-0.4) > 1e-9 || math.Abs(d[1]-0.6) > 1e-9 {
 		t.Errorf("long-run distribution = %v, want [0.4 0.6]", d)
 	}

@@ -33,15 +33,18 @@ func TaskKey(t Task) string {
 }
 
 // journalEntry is one line of the JSONL checkpoint file: a finished replica
-// of a keyed task. Shard journals also carry Seq, the global task ordinal,
-// so MergeJournals can restore the canonical single-process line order
-// without seeing every shard's task sequence; the resume loader ignores
-// it, so a shard journal is itself a valid resumable journal.
+// of a keyed task or unit, whose record (a task's engine.Result, a unit's
+// JSON record) is kept as raw bytes. Shard journals also carry Seq, the
+// global task ordinal, so MergeJournals can restore the canonical
+// single-process line order without seeing every shard's task sequence;
+// the resume loader ignores it, so a shard journal is itself a valid
+// resumable journal. MergeJournals re-emits Result verbatim, so a merge
+// never perturbs a checkpoint through a decode/encode round trip.
 type journalEntry struct {
-	Task    string        `json:"task"`
-	Replica int           `json:"replica"`
-	Seq     *int          `json:"seq,omitempty"`
-	Result  engine.Result `json:"result"`
+	Task    string          `json:"task"`
+	Replica int             `json:"replica"`
+	Seq     *int            `json:"seq,omitempty"`
+	Result  json.RawMessage `json:"result"`
 }
 
 // PartitionFunc decides which replicas of a keyed task this process owns.
@@ -61,27 +64,21 @@ type PartitionFunc func(key string, replica int) bool
 type Journal struct {
 	mu   sync.Mutex
 	log  *durable.Log
-	done map[string]map[int]engine.Result
-	// own, when non-nil, puts the journal in partition mode: RunContext
-	// skips replicas the partition does not own, and recorded lines carry
-	// the task ordinal for canonical-order merging.
-	own PartitionFunc
-	// ord assigns each task key its global ordinal — the order RunContext
-	// first saw it. All shards of a partitioned sweep run the same task
-	// sequence, so ordinals agree across shards without coordination.
-	ord     map[string]int
-	nextOrd int
+	done map[replicaKey]json.RawMessage
+	own  PartitionFunc // JournalOptions.Partition
+	// ord assigns each task key its global ordinal — the order the
+	// scheduler first saw it. All shards of a partitioned sweep run the
+	// same task sequence, so ordinals agree across shards.
+	ord map[string]int
 	// writeErr latches the first Record failure so a driver that discards
 	// per-task errors (partition workers tolerate table-stage failures on
 	// partial data) can still fail the shard on checkpoint loss.
 	writeErr error
 }
 
-// JournalOptions configures OpenJournalOpts beyond the historical
-// (path, resume) pair.
+// JournalOptions configures OpenJournalOpts.
 type JournalOptions struct {
-	// Resume loads the existing entries at path and serves them from
-	// Lookup; without it the file is truncated and the run starts clean.
+	// Resume loads the existing entries at path (see OpenJournal).
 	Resume bool
 	// Fsync forces an fsync(2) after every Record write, so a checkpoint
 	// survives not just a process kill but a machine crash. Long-running
@@ -92,10 +89,10 @@ type JournalOptions struct {
 	// importantly the torn-final-line report when a crash cut a Record
 	// in half. Replayed state never depends on it.
 	Logf func(format string, args ...any)
-	// Partition, if non-nil, makes this a shard journal: RunContext
-	// computes and checkpoints only the replicas the partition owns
-	// (classifying the rest as Skipped), and every recorded line carries
-	// the task ordinal so MergeJournals can restore canonical order.
+	// Partition, if non-nil, makes this a shard journal: the scheduler
+	// computes only the replicas it owns (the rest are Skipped), and every
+	// line carries its task's ordinal so MergeJournals can restore
+	// canonical order.
 	Partition PartitionFunc
 }
 
@@ -108,9 +105,7 @@ func OpenJournal(path string, resume bool) (*Journal, error) {
 	return OpenJournalOpts(path, JournalOptions{Resume: resume})
 }
 
-// OpenJournalOpts is OpenJournal with the daemon-grade knobs of
-// JournalOptions: fsync-per-Record durability and a diagnostics hook for
-// crash-truncation recovery.
+// OpenJournalOpts is OpenJournal with the knobs of JournalOptions.
 func OpenJournalOpts(path string, opts JournalOptions) (*Journal, error) {
 	return OpenJournalFS(durable.OS{}, path, opts)
 }
@@ -120,7 +115,7 @@ func OpenJournalOpts(path string, opts JournalOptions) (*Journal, error) {
 // lets its crash-point tests stop every write.
 func OpenJournalFS(fsys durable.FS, path string, opts JournalOptions) (*Journal, error) {
 	j := &Journal{
-		done: map[string]map[int]engine.Result{},
+		done: map[replicaKey]json.RawMessage{},
 		own:  opts.Partition,
 		ord:  map[string]int{},
 	}
@@ -131,7 +126,7 @@ func OpenJournalFS(fsys durable.FS, path string, opts JournalOptions) (*Journal,
 			if err := json.Unmarshal(line, &e); err != nil {
 				return err
 			}
-			j.put(e.Task, e.Replica, e.Result)
+			j.done[replicaKey{e.Task, e.Replica}] = e.Result
 			return nil
 		}
 	}
@@ -143,25 +138,29 @@ func OpenJournalFS(fsys durable.FS, path string, opts JournalOptions) (*Journal,
 	return j, nil
 }
 
-func (j *Journal) put(task string, replica int, r engine.Result) {
-	m := j.done[task]
-	if m == nil {
-		m = map[int]engine.Result{}
-		j.done[task] = m
-	}
-	m[replica] = r
+// replicaKey names one replica of a keyed task or unit.
+type replicaKey struct {
+	task    string
+	replica int
 }
 
 // Lookup returns the checkpointed result of the given replica, if one was
 // recorded (in this run or a resumed one).
-func (j *Journal) Lookup(task string, replica int) (engine.Result, bool) {
+func (j *Journal) Lookup(task string, replica int) (r engine.Result, ok bool) {
+	ok = j.lookup(task, replica, &r)
+	return r, ok
+}
+
+// lookup decodes the checkpointed record of the given replica into v and
+// reports whether one was recorded and decoded.
+func (j *Journal) lookup(task string, replica int, v any) bool {
 	if j == nil {
-		return engine.Result{}, false
+		return false
 	}
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	r, ok := j.done[task][replica]
-	return r, ok
+	raw, ok := j.done[replicaKey{task, replica}]
+	j.mu.Unlock()
+	return ok && json.Unmarshal(raw, v) == nil
 }
 
 // Len returns the number of checkpointed replicas across all tasks.
@@ -171,39 +170,25 @@ func (j *Journal) Len() int {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	n := 0
-	//bitlint:maporder pure count; integer length-sum is order-insensitive
-	for _, m := range j.done {
-		n += len(m)
-	}
-	return n
+	return len(j.done)
 }
 
-// BeginTask assigns the task its global ordinal: the number of distinct
-// tasks this journal saw before it. RunContext calls it once per task,
-// owned replicas or not, so every shard of a partitioned sweep — all
-// running the identical experiment sequence — numbers the identical task
-// in the identical slot. No-op on a nil Journal.
-func (j *Journal) BeginTask(task string) {
-	if j == nil {
-		return
+// beginTask registers the task's global ordinal in a shard journal — the
+// number of distinct tasks it saw before — and returns which of the
+// task's replicas this process owns: all of them without a partition or
+// journal. The scheduler calls it once per task or unit, owned replicas or
+// not, so every shard of a partitioned sweep, all running the identical
+// sequence, numbers a task in the same slot.
+func (j *Journal) beginTask(task string) func(replica int) bool {
+	if j == nil || j.own == nil {
+		return func(int) bool { return true }
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if _, ok := j.ord[task]; !ok {
-		j.ord[task] = j.nextOrd
-		j.nextOrd++
+		j.ord[task] = len(j.ord)
 	}
-}
-
-// Owns reports whether this process computes the given replica. Without a
-// partition (or on a nil Journal) every replica is owned — the
-// single-process behaviour.
-func (j *Journal) Owns(task string, replica int) bool {
-	if j == nil || j.own == nil {
-		return true
-	}
-	return j.own(task, replica)
+	return func(replica int) bool { return j.own(task, replica) }
 }
 
 // Err returns the first Record failure, if any. Partition workers discard
@@ -225,25 +210,31 @@ func (j *Journal) Record(task string, replica int, r engine.Result) error {
 	if j == nil {
 		return nil
 	}
+	return j.record(task, replica, r)
+}
+
+// record checkpoints a replica's record, encoded as JSON, writing the line
+// to the file before returning.
+func (j *Journal) record(task string, replica int, v any) error {
+	raw, err := json.Marshal(v)
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.put(task, replica, r)
-	if j.log == nil {
-		return nil
+	if err == nil {
+		j.done[replicaKey{task, replica}] = raw
+		e := journalEntry{Task: task, Replica: replica, Result: raw}
+		if j.own != nil {
+			seq := j.ord[task]
+			e.Seq = &seq
+		}
+		err = j.log.Append(e)
 	}
-	e := journalEntry{Task: task, Replica: replica, Result: r}
-	if j.own != nil {
-		seq := j.ord[task]
-		e.Seq = &seq
-	}
-	if err := j.log.Append(e); err != nil {
+	if err != nil {
 		err = fmt.Errorf("sim: journal: %w", err)
 		if j.writeErr == nil {
 			j.writeErr = err
 		}
-		return err
 	}
-	return nil
+	return err
 }
 
 // Close closes the underlying file. The in-memory index stays readable,

@@ -42,27 +42,14 @@ func (s MergeStats) String() string {
 		s.Entries, s.Tasks, s.Sources, s.Deduped, s.Torn)
 }
 
-// mergeEntry is one shard line, and without Seq one merged line (field
-// order identical to journalEntry). Result stays raw: the merged output
-// re-emits exactly the bytes the producing engine wrote, so merge can
-// never perturb a checkpoint through a decode/encode round trip.
-type mergeEntry struct {
-	Task    string          `json:"task"`
-	Replica int             `json:"replica"`
-	Seq     *int            `json:"seq,omitempty"`
-	Result  json.RawMessage `json:"result"`
-}
-
-// taskOrder tracks where a task sits in the canonical sequence.
+// taskOrder is a task's place in the canonical sequence: its global
+// ordinal, the shard-recorded seq when the shards carry one (partition
+// mode), else its first-appearance index within its first source (plain
+// journals). A stable sort keeps ties, between plain journals that
+// numbered tasks independently, in discovery order.
 type taskOrder struct {
 	key string
-	// ord is the task's global ordinal: the shard-recorded seq when the
-	// shards carry one (partition mode), else the task's first-appearance
-	// index within its first source (plain journals).
 	ord int
-	// firstSeen breaks ordinal ties between plain journals that numbered
-	// tasks independently; it is the global discovery index.
-	firstSeen int
 }
 
 // MergeJournals merges shard journals into one canonical checkpoint
@@ -90,12 +77,11 @@ func MergeJournals(w io.Writer, srcs []MergeSource) (MergeStats, error) {
 	}
 	entries := map[string]map[int]slot{}
 	var order []taskOrder
-	orderIdx := map[string]int{}
 
 	for _, src := range srcs {
-		var parsed []mergeEntry
+		var parsed []journalEntry
 		_, err := durable.Scan(src.Data, func(line []byte) error {
-			var e mergeEntry
+			var e journalEntry
 			if err := json.Unmarshal(line, &e); err != nil {
 				return err
 			}
@@ -111,25 +97,19 @@ func MergeJournals(w io.Writer, srcs []MergeSource) (MergeStats, error) {
 		case err != nil:
 			return stats, fmt.Errorf("sim: merge: shard %s: %v", src.Name, err)
 		}
-		localOrd := 0
 		localSeen := map[string]bool{}
 		for _, e := range parsed {
-			ord := localOrd
+			// A task's ordinal is only read where the task first appears.
+			ord := len(localSeen)
 			if e.Seq != nil {
 				ord = *e.Seq
 			}
-			if !localSeen[e.Task] {
-				localSeen[e.Task] = true
-				localOrd++
-			}
-			if _, ok := orderIdx[e.Task]; !ok {
-				orderIdx[e.Task] = len(order)
-				order = append(order, taskOrder{key: e.Task, ord: ord, firstSeen: len(order)})
-			}
+			localSeen[e.Task] = true
 			m := entries[e.Task]
 			if m == nil {
 				m = map[int]slot{}
 				entries[e.Task] = m
+				order = append(order, taskOrder{key: e.Task, ord: ord})
 			}
 			if prev, ok := m[e.Replica]; ok {
 				if !bytes.Equal(prev.result, e.Result) {
@@ -144,12 +124,7 @@ func MergeJournals(w io.Writer, srcs []MergeSource) (MergeStats, error) {
 		}
 	}
 
-	sort.SliceStable(order, func(a, b int) bool {
-		if order[a].ord != order[b].ord {
-			return order[a].ord < order[b].ord
-		}
-		return order[a].firstSeen < order[b].firstSeen
-	})
+	sort.SliceStable(order, func(a, b int) bool { return order[a].ord < order[b].ord })
 
 	for _, t := range order {
 		m := entries[t.key]
@@ -160,7 +135,7 @@ func MergeJournals(w io.Writer, srcs []MergeSource) (MergeStats, error) {
 		}
 		sort.Ints(replicas)
 		for _, r := range replicas {
-			line, err := json.Marshal(mergeEntry{Task: t.key, Replica: r, Result: m[r].result})
+			line, err := json.Marshal(journalEntry{Task: t.key, Replica: r, Result: m[r].result})
 			if err != nil {
 				return stats, fmt.Errorf("sim: merge encode: %w", err)
 			}

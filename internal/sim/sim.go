@@ -1,23 +1,21 @@
 // Package sim is the Monte-Carlo experiment runner: it fans a configured
-// bit-dissemination instance out over seeded replicas, runs them as
-// lockstep batches that a bounded worker pool pulls from one queue, and
-// aggregates convergence statistics. Replica seeds are derived
-// deterministically from the task seed before any goroutine starts, and a
-// batch reproduces each of its replicas' solo runs exactly, so results are
-// reproducible regardless of scheduling.
+// bit-dissemination instance (a Task) or any keyed replica function (a
+// Unit) out over replicas, runs them as batches that a bounded worker pool
+// pulls from one queue, and aggregates convergence statistics. Replica
+// seeds are fixed before any goroutine starts, and a batch reproduces each
+// of its replicas' solo runs exactly, so results do not depend on
+// scheduling.
 //
-// The runner is hardened for long unattended sweeps: RunContext threads a
-// context.Context through every engine as a round-boundary halt check, a
-// replica that panics is recorded as Failed instead of killing the
-// process, and an optional Journal checkpoints every finished replica so
-// an interrupted sweep resumes where it stopped.
+// The runner is hardened for long unattended sweeps: a context.Context
+// cancels it (a Task's engines poll it every round), a replica that
+// panics is recorded as Failed instead of killing the process, and an
+// optional Journal checkpoints every finished replica so an interrupted
+// sweep resumes where it stopped.
 package sim
 
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"bitspread/internal/dist"
 	"bitspread/internal/engine"
@@ -69,7 +67,7 @@ type Task struct {
 	Observer Observer
 }
 
-// Observer receives run-level lifecycle events from RunContext. The
+// Observer receives run-level lifecycle events from the scheduler. The
 // method set uses only primitive argument types so implementations
 // (internal/obs.RunObserver is the standard one) need not import sim.
 // All methods may be called concurrently from the worker pool.
@@ -179,31 +177,22 @@ func Run(t Task, workers int) (Outcome, error) {
 }
 
 // RunContext executes the task's replicas on at most workers goroutines,
-// honouring ctx and checkpointing into journal (both optional). The
-// workers pull in-order lockstep batches of replicas from one channel and
-// run each through the mode's engine batch call: RunParallelReplicas,
-// RunAgentsReplicas, or RunSequential one seed at a time.
-//
-// Cancellation is polled by every engine at round boundaries, so workers
-// stop within one round of ctx ending; the partial Outcome classifies the
-// unfinished replicas as Cancelled (or TimedOut when the context died of
-// its deadline) and RunContext returns it together with ctx.Err().
-//
-// A replica that panics does not kill the process: the panic is recovered,
-// the replica is marked Failed and the cause recorded in
-// Outcome.Failures, and the remaining replicas keep running.
-//
-// With a non-nil journal, replicas already checkpointed under this task's
-// TaskKey are served from the journal without recomputation, and every
-// freshly finished replica is flushed to it before the run moves on — the
+// honouring ctx and checkpointing into journal (both optional), as
+// in-order lockstep batches of the mode's engine batch call:
+// RunParallelReplicas, RunAgentsReplicas, or RunSequential one seed at a
+// time. Every engine polls ctx at round boundaries; the partial Outcome
+// classifies unfinished replicas as Cancelled (TimedOut on a deadline)
+// and comes with ctx.Err(). A replica that panics is marked Failed, its
+// cause in Outcome.Failures, while the rest keep running. Replicas
+// checkpointed under the task's TaskKey are served from the journal, and
+// every finished one is flushed to it before its worker moves on — the
 // mechanism behind bitsweep's -resume.
 func RunContext(ctx context.Context, t Task, workers int, journal *Journal) (Outcome, error) {
 	if t.Replicas < 1 {
 		return Outcome{}, fmt.Errorf("sim: task %q has %d replicas", t.Name, t.Replicas)
 	}
-	batch, err := batchRunner(t.Mode)
-	if err != nil {
-		return Outcome{}, fmt.Errorf("sim: task %q: %w", t.Name, err)
+	if t.Mode < Parallel || t.Mode > AgentLevel {
+		return Outcome{}, fmt.Errorf("sim: task %q: unknown mode %d", t.Name, int(t.Mode))
 	}
 	// Fail the whole task on a bad configuration before spawning anything,
 	// rather than once per replica inside the pool.
@@ -212,12 +201,6 @@ func RunContext(ctx context.Context, t Task, workers int, journal *Journal) (Out
 	}
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > t.Replicas {
-		workers = t.Replicas
 	}
 
 	// Derive per-replica seeds up front for scheduling-independent
@@ -228,38 +211,20 @@ func RunContext(ctx context.Context, t Task, workers int, journal *Journal) (Out
 		seeds[i] = master.Uint64()
 	}
 
-	st := &taskState{
-		name:    t.Name,
-		results: make([]engine.Result, t.Replicas),
-		states:  make([]ReplicaState, t.Replicas),
-		errs:    make([]error, t.Replicas),
-		ctx:     ctx,
-		journal: journal,
-		obsv:    t.Observer,
-	}
-	if f := t.Config.Faults; f != nil && !f.Empty() {
-		st.faultHorizon = f.Horizon()
-	}
+	s := &replicaSet[engine.Result]{name: t.Name, ctx: ctx, journal: journal, obsv: t.Observer,
+		stopped: func(r engine.Result) bool { return r.Interrupted }}
 	if journal != nil {
-		st.key = TaskKey(t)
+		s.key = TaskKey(t)
 	}
-
-	// Lease-aware iteration: register the task's global ordinal (every
-	// shard of a partitioned sweep sees every task, so ordinals agree
-	// across shards), serve checkpointed replicas from the journal, skip
-	// replicas owned by other partitions, and run only the rest.
-	journal.BeginTask(st.key)
-	var pending []int
-	for i := 0; i < t.Replicas; i++ {
-		if r, ok := journal.Lookup(st.key, i); ok {
-			st.results[i] = r
-			continue
+	var horizon int64 // reports self-stabilization delays past a fault schedule
+	if f := t.Config.Faults; f != nil && !f.Empty() {
+		horizon = f.Horizon()
+	}
+	s.report = func(i int, r engine.Result, st ReplicaState) {
+		if st == Done && horizon > 0 && r.Converged {
+			s.obsv.Recovery(t.Name, i, r.Rounds-horizon)
 		}
-		if !journal.Owns(st.key, i) {
-			st.states[i] = Skipped
-			continue
-		}
-		pending = append(pending, i)
+		s.obsv.ReplicaDone(t.Name, i, r.Rounds, r.Converged, st.String())
 	}
 
 	cfg := t.Config
@@ -280,172 +245,44 @@ func RunContext(ctx context.Context, t Task, workers int, journal *Journal) (Out
 
 	// A Parallel batch has no size limit (it shares one AdoptCache and
 	// costs a few words per replica), an AgentLevel one is capped by
-	// agentBatchWidth, and a Sequential one holds one replica. The queue
-	// is filled before any worker starts, so no batch waits on a handoff
-	// from this goroutine, and a worker that finishes early takes the
-	// next batch.
-	width := max(len(pending), 1)
+	// agentBatchWidth, and a Sequential one holds one replica: that engine
+	// has no lockstep batch. Replica k of a batch is bit-identical to a
+	// solo run seeded with its seed.
+	width := 0
 	switch t.Mode {
 	case AgentLevel:
 		width = agentBatchWidth(cfg)
 	case Sequential:
 		width = 1
 	}
-	subs := batches(pending, workers, width)
-	next := make(chan []int, len(subs))
-	for _, sub := range subs {
-		next <- sub
-	}
-	close(next)
-	var wg sync.WaitGroup
-	for w := 0; w < min(workers, len(subs)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for sub := range next {
-				//bitlint:taintdet the worker count only sizes the lockstep batches; a batch reproduces each replica's solo run, so no recorded Result depends on it (TestRunDeterministicAcrossWorkerCounts)
-				st.runBatch(batch, cfg, sub, seeds)
-			}
-		}()
-	}
-	wg.Wait()
+	s.run(t.Replicas, workers, width, func(sub []int) ([]engine.Result, error) {
+		subSeeds := make([]uint64, len(sub))
+		for k, i := range sub {
+			subSeeds[k] = seeds[i]
+		}
+		switch t.Mode {
+		case Parallel:
+			return engine.RunParallelReplicas(cfg, subSeeds)
+		case AgentLevel:
+			return engine.RunAgentsReplicas(cfg, engine.AgentOptions{}, subSeeds)
+		}
+		res, err := engine.RunSequential(cfg, rng.New(subSeeds[0]))
+		return []engine.Result{res}, err
+	})
 
-	return st.outcome(t)
-}
-
-// batches cuts pending into in-order lockstep batches of even size, at
-// least one per worker, so every worker has work, and each at most width
-// replicas.
-func batches(pending []int, workers, width int) [][]int {
-	nb := max(min(workers, len(pending)), (len(pending)+width-1)/width)
-	subs := make([][]int, nb)
-	for k := range subs {
-		subs[k] = pending[k*len(pending)/nb : (k+1)*len(pending)/nb]
-	}
-	return subs
-}
-
-// taskState is the shared mutable state of one RunContext call. Workers
-// write disjoint replica slots, so only the journal needs locking (it has
-// its own mutex).
-type taskState struct {
-	name    string
-	results []engine.Result
-	states  []ReplicaState
-	errs    []error
-	ctx     context.Context
-	journal *Journal
-	key     string
-	obsv    Observer
-	// faultHorizon is the task's fault-schedule horizon (0 without
-	// faults); classify uses it to report self-stabilization delays.
-	faultHorizon int64
-
-	mu         sync.Mutex
-	journalErr error
-}
-
-// classify files one finished replica: state, failure cause, checkpoint,
-// observer events.
-func (st *taskState) classify(i int, res engine.Result, err error) {
-	switch {
-	case err != nil:
-		st.states[i] = Failed
-		st.errs[i] = err
-	case res.Interrupted:
-		if st.ctx.Err() == context.DeadlineExceeded {
-			st.states[i] = TimedOut
-		} else {
-			st.states[i] = Cancelled
+	out := Outcome{Task: t, Results: s.recs}
+	for i, st := range s.states {
+		if st != Done {
+			out.States = s.states
 		}
-		st.results[i] = res
-	default:
-		st.results[i] = res
-		if st.journal != nil {
-			jerr := st.journal.Record(st.key, i, res)
-			if jerr != nil {
-				st.mu.Lock()
-				if st.journalErr == nil {
-					st.journalErr = jerr
-				}
-				st.mu.Unlock()
-			} else if st.obsv != nil {
-				st.obsv.Checkpoint(st.name, i)
-			}
-		}
-		if st.obsv != nil && st.faultHorizon > 0 && res.Converged {
-			st.obsv.Recovery(st.name, i, res.Rounds-st.faultHorizon)
+		if st == Failed {
+			out.Failures = append(out.Failures, ReplicaFailure{Replica: i, Err: s.errs[i]})
 		}
 	}
-	if st.obsv != nil {
-		st.obsv.ReplicaDone(st.name, i, res.Rounds, res.Converged, st.states[i].String())
+	if s.journalErr != nil {
+		return out, fmt.Errorf("sim: task %q: %w", t.Name, s.journalErr)
 	}
-}
-
-// outcome assembles the final Outcome and decides the returned error.
-func (st *taskState) outcome(t Task) (Outcome, error) {
-	out := Outcome{Task: t, Results: st.results}
-	clean := true
-	for i, s := range st.states {
-		if s == Done {
-			continue
-		}
-		clean = false
-		if s == Failed {
-			out.Failures = append(out.Failures, ReplicaFailure{Replica: i, Err: st.errs[i]})
-		}
-	}
-	if !clean {
-		out.States = st.states
-	}
-	if st.journalErr != nil {
-		return out, fmt.Errorf("sim: task %q: %w", t.Name, st.journalErr)
-	}
-	if err := st.ctx.Err(); err != nil {
-		return out, err
-	}
-	return out, nil
-}
-
-// runBatch runs the replicas sub as one lockstep batch and files each
-// result. A panic poisons a batch's shared state, so a batch that fails
-// reruns each replica as a one-seed batch — bit-identical to its solo
-// run by the engines' batch contracts — and only a replica that fails
-// on its own is lost.
-func (st *taskState) runBatch(batch batchFunc, cfg engine.Config, sub []int, seeds []uint64) {
-	subSeeds := make([]uint64, len(sub))
-	for k, i := range sub {
-		subSeeds[k] = seeds[i]
-		if st.obsv != nil {
-			// The batch advances in lockstep, so its replicas all start
-			// when it does.
-			st.obsv.ReplicaStart(st.name, i)
-		}
-	}
-	rs, err := batchRecovered(batch, cfg, subSeeds)
-	for k, i := range sub {
-		res, rerr := rs[k], err
-		if err != nil && len(sub) > 1 {
-			one, oerr := batchRecovered(batch, cfg, seeds[i:i+1])
-			res, rerr = one[0], oerr
-		}
-		st.classify(i, res, rerr)
-	}
-}
-
-// batchRecovered invokes one batch run, converting a panic into an error
-// so a corrupted replica cannot take down the whole sweep. A failed batch
-// reports zero Results, one per seed.
-func batchRecovered(batch batchFunc, cfg engine.Config, seeds []uint64) (rs []engine.Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("replica panicked: %v", r)
-		}
-		if err != nil {
-			rs = make([]engine.Result, len(seeds))
-		}
-	}()
-	return batch(cfg, seeds)
+	return out, ctx.Err()
 }
 
 // agentBatchBudget caps the opinion-bitset memory one worker's lockstep
@@ -470,31 +307,6 @@ const agentBatchWork = 1 << 28
 func agentBatchWidth(cfg engine.Config) int {
 	n := max(cfg.N, 1)
 	return int(max(min(agentBatchBudget/max(n/4, 1), agentBatchWork/n/cfg.RoundCap()), 1))
-}
-
-// batchFunc runs one lockstep replica per seed; replica k's Result is
-// bit-identical to a solo run seeded with seeds[k].
-type batchFunc func(engine.Config, []uint64) ([]engine.Result, error)
-
-// batchRunner maps a mode to its engine's batch entry point. The
-// sequential engine has no lockstep batch, so RunContext hands it one
-// seed at a time.
-func batchRunner(m Mode) (batchFunc, error) {
-	switch m {
-	case Parallel:
-		return engine.RunParallelReplicas, nil
-	case Sequential:
-		return func(cfg engine.Config, seeds []uint64) ([]engine.Result, error) {
-			res, err := engine.RunSequential(cfg, rng.New(seeds[0]))
-			return []engine.Result{res}, err
-		}, nil
-	case AgentLevel:
-		return func(cfg engine.Config, seeds []uint64) ([]engine.Result, error) {
-			return engine.RunAgentsReplicas(cfg, engine.AgentOptions{}, seeds)
-		}, nil
-	default:
-		return nil, fmt.Errorf("unknown mode %d", int(m))
-	}
 }
 
 // ConvergedCount returns how many replicas converged.
