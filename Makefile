@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test verify fmt-check bench-check vet vet-386 race lint lint-fixtures lint-audit ci bench bench-compare fuzz-fault fuzz-vm bench-smoke reproduce
+.PHONY: build test verify fmt-check bench-check vet vet-386 race lint lint-fixtures lint-audit ci bench bench-compare fuzz-fault fuzz-merge fuzz-vm bench-smoke reproduce
 
 build:
 	$(GO) build ./...
@@ -51,14 +51,16 @@ vet-386:
 # folded into /metrics at job end and mid-job, the event hub's queue
 # handoff and once-only drop booking, and a stream that is subscribed by
 # the time its client holds the headers. The fourth repeats the held-wait
-# tests twenty times: a first completion closes and replaces the
-# coordinator's board-changed channel under its lock while held lease
-# requests select on it, and a drain or Close ends them.
+# and concurrent-complete tests twenty times: a first completion closes
+# and replaces the coordinator's board-changed channel under its lock
+# while held lease requests select on it, and a drain or Close ends them;
+# completes parse their uploads outside that lock, and the one that
+# takes it first stores the shard.
 race:
 	$(GO) test -race ./internal/engine/ ./internal/sim/ ./internal/fault/ ./internal/protocol/ ./internal/obs/ ./internal/trace/ ./internal/serve/ ./internal/fabric/ ./internal/experiments/ ./internal/vm/ ./internal/evolve/ ./cmd/bitsweep/ ./cmd/bitevolve/
 	$(GO) test -race ./cmd/bitspreadd/
 	$(GO) test -race -count=10 -run 'TestMetricsFold|TestEngineMetricsFoldExactly|TestMetricsScrapeSeesRunningJob|TestHub|TestEventStream' ./internal/obs/ ./internal/serve/
-	$(GO) test -race -count=20 -run 'TestPullWorkerWaitEndsWithSweep|TestHeldLease' ./internal/serve/
+	$(GO) test -race -count=20 -run 'TestPullWorkerWaitEndsWithSweep|TestHeldLease|TestFabricConcurrentCompletes' ./internal/serve/
 
 # Repo-specific static contracts (DESIGN.md §11, §15): bitlint
 # machine-checks the determinism, probability-domain, validate-before-work,
@@ -87,6 +89,12 @@ lint-audit:
 fuzz-fault:
 	$(GO) test -fuzz=FuzzSchedule -fuzztime=10s -run '^$$' ./internal/fault/
 
+# Fuzz smoke for the merge writer: for every task key, replica and valid
+# JSON result, a merged line must be the bytes json.Marshal writes for
+# its journal entry.
+fuzz-merge:
+	$(GO) test -fuzz=FuzzMergeLine -fuzztime=10s -run '^$$' ./internal/sim/
+
 # Fuzz smoke for the bytecode VM: compiled builtins must agree with their
 # float references on every (ell, seed) draw, and arbitrary bytes must
 # never crash the validator/evaluator pair.
@@ -102,7 +110,7 @@ fuzz-vm:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkRunAgents|BenchmarkStepCount|BenchmarkSequentialStep|BenchmarkEngineAblation|BenchmarkFabricWorkers' -benchtime 1x . ./internal/serve/
 
-ci: verify fmt-check bench-check vet vet-386 race lint lint-fixtures fuzz-fault fuzz-vm bench-smoke
+ci: verify fmt-check bench-check vet vet-386 race lint lint-fixtures fuzz-fault fuzz-merge fuzz-vm bench-smoke
 
 # Full-size reproduction check: run the whole sweep at the transcript's
 # seed and diff its stdout (tables and verdicts only; timings go to

@@ -105,6 +105,9 @@ func run(ctx context.Context, args []string, w, progress io.Writer) (err error) 
 	if *partition != "" && *journal == "" {
 		return errors.New("-partition needs -journal: the shard's only output is its checkpoint file")
 	}
+	if *partition != "" && (*spansPath != "" || *metricsPath != "") {
+		return errors.New("-partition does not take -spans or -metrics: a shard writes only its checkpoint file")
+	}
 	if *join != "" && *journal == "" {
 		return errors.New("-join needs -journal as the merge destination")
 	}

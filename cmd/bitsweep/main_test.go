@@ -184,6 +184,8 @@ func TestRunFabricFlagValidation(t *testing.T) {
 	}{
 		{"partition without journal", []string{"-partition", "0/2"}, "-partition needs -journal"},
 		{"partition with join", []string{"-partition", "0/2", "-join", "a.jsonl,b.jsonl", "-journal", "m.jsonl"}, "mutually exclusive"},
+		{"partition with spans", []string{"-partition", "0/2", "-journal", "s.jsonl", "-spans", "spans.jsonl"}, "-partition does not take -spans or -metrics"},
+		{"partition with metrics", []string{"-partition", "0/2", "-journal", "s.jsonl", "-metrics", "-"}, "-partition does not take -spans or -metrics"},
 		{"join without journal", []string{"-join", "a.jsonl,b.jsonl"}, "-join needs -journal"},
 		{"join single literal", []string{"-join", "only.jsonl", "-journal", "m.jsonl"}, "at least two shard files or a glob"},
 		{"join empty list", []string{"-join", " , ", "-journal", "m.jsonl"}, "at least two shard files or a glob"},
@@ -291,7 +293,8 @@ func TestRunPartitionJoinByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Units are named after their experiment; F1 alone runs unjournaled.
+	// Units are named after their experiment; F1 alone runs unjournaled,
+	// so the join computes it (the shards skip it).
 	unitStart := regexp.MustCompile(`"ev":"replica_start","task":"[TFX][0-9]+[/"]`)
 	f1 := 0
 	for _, m := range unitStart.FindAllString(string(spanBytes), -1) {

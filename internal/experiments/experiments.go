@@ -36,7 +36,8 @@ type Options struct {
 	// returns the context error rather than a partial table.
 	Ctx context.Context
 	// Journal, if non-nil, checkpoints every finished replica — all but
-	// F1's — so an interrupted sweep resumes without recomputation.
+	// F1's — so an interrupted sweep resumes without recomputation. A
+	// shard journal (a partition) makes F1 compute nothing.
 	Journal *sim.Journal
 	// Probe, if non-nil, is attached to every engine run of the suite
 	// that takes a probe: every sim task's Config.Probe, X10's count

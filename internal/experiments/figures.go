@@ -39,11 +39,16 @@ func figure1Escape() Experiment {
 			const a1 = 0.25
 			tb := table.New("F1 — exit of the driftless chain from (a₁n, a₃n), started at (a₂+a₃)n/2",
 				"n", "mean exit time", "p99", "frac exiting above", "max |ΔM|/√n", "M≥Y held")
+			// F1 runs unjournaled: the benchmark's sweep pins the merged
+			// journal of quick T1–T3 and F1, which F1's records would move.
+			// A shard's journal is its only output, so a partition computes
+			// none of F1; a single process and -join compute it in full.
+			if opts.Journal.Partitioned() {
+				return &Result{Table: tb}, nil
+			}
 			dominanceOK := true
 			maxStepRatio := 0.0
 			var xs, ys []float64
-			// F1 runs unjournaled: the benchmark's sweep pins the merged
-			// journal of quick T1–T3 and F1, which F1's records would move.
 			unjournaled := opts
 			unjournaled.Journal = nil
 			type exit struct {

@@ -84,7 +84,7 @@ var unitName = regexp.MustCompile(`^[TFX][0-9]+(/[^#]*)?#`)
 // Unit keys cover every input of a replica but its index, so a quick and a
 // full-size sweep never share one and neither's journal can serve the
 // other. A partition that owns nothing lists every key without computing
-// a replica; F1 runs unjournaled and is left out.
+// a replica; F1 runs unjournaled and has none.
 func TestUnitKeysSeparateQuickAndFull(t *testing.T) {
 	keys := func(quick bool) map[string]bool {
 		var mu sync.Mutex
@@ -104,10 +104,8 @@ func TestUnitKeysSeparateQuickAndFull(t *testing.T) {
 		}
 		defer j.Close()
 		for _, e := range All() {
-			if e.ID != "F1" {
-				// Tables over skipped replicas may fail; only the keys matter.
-				e.Run(Options{Seed: 2024, Quick: quick, Journal: j})
-			}
+			// Tables over skipped replicas may fail; only the keys matter.
+			e.Run(Options{Seed: 2024, Quick: quick, Journal: j})
 		}
 		return seen
 	}
@@ -118,6 +116,33 @@ func TestUnitKeysSeparateQuickAndFull(t *testing.T) {
 	for k := range quick {
 		if full[k] {
 			t.Errorf("unit key %s is shared by the quick and the full sweep", k)
+		}
+	}
+}
+
+// A partition starts none of F1's replicas, which it could not journal,
+// and reports no error; without a journal F1 starts all 75 quick ones.
+func TestPartitionSkipsF1(t *testing.T) {
+	shard, err := sim.OpenJournalOpts(filepath.Join(t.TempDir(), "shard.jsonl"), sim.JournalOptions{
+		Partition: func(string, int) bool { return true },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shard.Close()
+	e, _ := ByID("F1")
+	for _, c := range []struct {
+		journal *sim.Journal
+		want    int64
+	}{{shard, 0}, {nil, 75}} {
+		starts := &startCounter{}
+		opts := quickOpts
+		opts.Journal, opts.Observer = c.journal, starts
+		if _, err := e.Run(opts); err != nil {
+			t.Fatalf("F1 (partitioned %v): %v", c.journal.Partitioned(), err)
+		}
+		if got := starts.n.Load(); got != c.want {
+			t.Errorf("F1 (partitioned %v) started %d replicas, want %d", c.journal.Partitioned(), got, c.want)
 		}
 	}
 }

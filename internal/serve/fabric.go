@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -22,7 +23,8 @@ import (
 // fabric.Board over Partitions shards of the configured sweep and hands
 // leases to pulling workers (`bitspreadd -pull`). Completed shard bytes
 // are persisted under DataDir/fabric/ and pre-completed on restart, so a
-// crashed coordinator never re-runs finished partitions.
+// crashed coordinator never re-runs finished partitions whose files still
+// parse.
 type FabricOptions struct {
 	// Exps selects the sweep's experiments (nil: all).
 	Exps []string
@@ -55,14 +57,15 @@ func (o FabricOptions) spec() fabric.SweepSpec {
 	return fabric.SweepSpec{Exps: o.Exps, Seed: o.Seed, Quick: o.Quick, SimWorkers: o.SimWorkers}
 }
 
-// fabricState is the coordinator: the lease board plus the uploaded shard
-// bytes, both guarded by one mutex (board operations are cheap).
+// fabricState is the coordinator: the lease board plus the parsed shard
+// journals, both guarded by one mutex. Board operations are cheap; the
+// parse and the final merge run without it.
 type fabricState struct {
 	mu     sync.Mutex
 	spec   fabric.SweepSpec
 	board  *fabric.Board
-	shards [][]byte // uploaded shard journals, indexed by partition; nil = not done
-	dir    string   // persistence root, "" = memory only
+	shards []*sim.ParsedJournal // first uploads, parsed, indexed by partition; nil = not done
+	dir    string               // persistence root, "" = memory only
 	fsys   durable.FS
 	now    func() time.Time
 	logf   func(string, ...any)
@@ -72,7 +75,9 @@ type fabricState struct {
 	changed chan struct{}
 }
 
-// newFabricState builds the coordinator and replays persisted shards.
+// newFabricState builds the coordinator and replays persisted shards. A
+// persisted shard that no longer parses is logged and its partition left
+// pending, so it is leased again and the next upload replaces the file.
 func newFabricState(opts FabricOptions, dataDir string, fsys durable.FS, now func() time.Time, logf func(string, ...any)) (*fabricState, error) {
 	opts = opts.withDefaults()
 	if _, err := opts.spec().Experiments(); err != nil {
@@ -89,7 +94,7 @@ func newFabricState(opts FabricOptions, dataDir string, fsys durable.FS, now fun
 	fs := &fabricState{
 		spec:   opts.spec(),
 		board:  board,
-		shards: make([][]byte, opts.Partitions),
+		shards: make([]*sim.ParsedJournal, opts.Partitions),
 		fsys:   fsys,
 		now:    now,
 		logf:   logf,
@@ -102,18 +107,24 @@ func newFabricState(opts FabricOptions, dataDir string, fsys durable.FS, now fun
 			return nil, fmt.Errorf("serve: fabric dir: %w", err)
 		}
 		for i := 0; i < opts.Partitions; i++ {
-			data, err := os.ReadFile(fs.shardPath(i))
+			path := fs.shardPath(i)
+			data, err := os.ReadFile(path)
 			if os.IsNotExist(err) {
 				continue
 			}
 			if err != nil {
 				return nil, fmt.Errorf("serve: fabric shard %d: %w", i, err)
 			}
-			fs.shards[i] = data
+			shard, err := parseShard(path, data)
+			if err != nil {
+				logf("serve: fabric: partition %d left pending: %s no longer parses: %v", i, path, err)
+				continue
+			}
+			fs.shards[i] = shard
 			if err := board.MarkDone(i); err != nil {
 				return nil, err
 			}
-			logf("serve: fabric: partition %d pre-completed from %s (%d bytes)", i, fs.shardPath(i), len(data))
+			logf("serve: fabric: partition %d pre-completed from %s (%d bytes)", i, path, len(data))
 		}
 	}
 	return fs, nil
@@ -123,66 +134,95 @@ func (f *fabricState) shardPath(i int) string {
 	return filepath.Join(f.dir, fmt.Sprintf("shard-%d.jsonl", i))
 }
 
+// parseShard parses one shard journal and checks that it merges with
+// itself, as the final merge will need.
+func parseShard(name string, data []byte) (*sim.ParsedJournal, error) {
+	shard, err := sim.ParseJournal(sim.MergeSource{Name: name, Data: data})
+	if err != nil {
+		return nil, err
+	}
+	return shard, sim.CheckParsed(shard)
+}
+
 // errShardNotDurable marks a first upload that could not be persisted.
 var errShardNotDurable = errors.New("shard not persisted")
 
-// complete stores a partition's shard bytes. The first upload must merge
-// with itself (or it would poison the final join) and is made durable
-// before the board marks the partition done, so one that fails either
-// step leaves the partition leased, to be re-issued when its lease
-// expires; a partition has bytes exactly when the board has marked it
-// done, and only then are the held lease requests woken. A duplicate
-// completion (a re-leased partition's old holder resurfacing, a retried
-// upload) is verified merge-consistent with the stored bytes — shard
-// files are not byte-ordered deterministically under parallel sim
-// workers, but their entry sets are — and then dropped.
-func (f *fabricState) complete(leaseID string, data []byte) (partIdx int, duplicate bool, err error) {
+// complete stores a partition's shard. The upload is parsed once,
+// without f.mu, so leases, renewals and status requests go on meanwhile.
+// The first upload must merge with itself (or it would poison the final
+// join) and is made durable before the board marks the partition done,
+// so one that fails either step leaves the partition leased, to be
+// re-issued when its lease expires. A duplicate completion (a re-leased
+// partition's old holder resurfacing, a retried upload, or one that lost
+// the race to the lock) is verified merge-consistent with the stored
+// shard — shard files are not byte-ordered deterministically under
+// parallel sim workers, but their entry sets are — and then dropped.
+func (f *fabricState) complete(leaseID string, data []byte) (part int, duplicate bool, err error) {
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	part, err := f.board.PartitionOf(leaseID)
+	part, err = f.board.PartitionOf(leaseID)
+	var stored *sim.ParsedJournal
+	if err == nil {
+		stored = f.shards[part]
+	}
+	f.mu.Unlock()
 	if err != nil {
 		return 0, false, err
 	}
-	if f.shards[part] == nil {
-		if _, merr := sim.MergeJournals(io.Discard, []sim.MergeSource{{Name: "upload", Data: data}}); merr != nil {
-			return part, false, fmt.Errorf("shard %d upload is not a parseable journal: %w", part, merr)
+	upload, err := parseShard(fmt.Sprintf("shard-%d upload (lease %s)", part, leaseID), data)
+	if stored == nil {
+		if err != nil {
+			return part, false, fmt.Errorf("shard %d upload is not a parseable journal: %w", part, err)
 		}
-		if f.dir != "" {
-			if perr := durable.Publish(f.fsys, f.shardPath(part), data); perr != nil {
-				return part, false, fmt.Errorf("%w: shard %d: %v", errShardNotDurable, part, perr)
-			}
+		if stored, err = f.store(part, leaseID, upload, data); stored == nil || err != nil {
+			return part, false, err
 		}
-		f.shards[part] = data
 	}
-	// Complete cannot fail: PartitionOf accepted the ID under this lock.
-	if _, already, _ := f.board.Complete(leaseID); already {
-		if _, merr := sim.MergeJournals(io.Discard, []sim.MergeSource{
-			{Name: "stored", Data: f.shards[part]},
-			{Name: "duplicate", Data: data},
-		}); merr != nil {
-			return part, true, fmt.Errorf("duplicate shard %d upload conflicts with the stored copy: %w", part, merr)
-		}
-		return part, true, nil
+	if err == nil {
+		err = sim.CheckParsed(stored, upload)
 	}
+	if err != nil {
+		return part, true, fmt.Errorf("duplicate shard %d upload conflicts with the stored copy: %w", part, err)
+	}
+	return part, true, nil
+}
+
+// store makes upload part's shard, durable first, marks the partition
+// done and wakes the held lease requests, so a partition has a shard
+// exactly when the board has marked it done. If an earlier upload got
+// there first, store changes nothing and returns that upload's shard.
+func (f *fabricState) store(part int, leaseID string, upload *sim.ParsedJournal, data []byte) (*sim.ParsedJournal, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.shards[part] != nil {
+		return f.shards[part], nil
+	}
+	if f.dir != "" {
+		if err := durable.Publish(f.fsys, f.shardPath(part), data); err != nil {
+			return nil, fmt.Errorf("%w: shard %d: %v", errShardNotDurable, part, err)
+		}
+	}
+	f.shards[part] = upload
+	// Complete cannot fail: PartitionOf accepted the ID, and a
+	// partition's generations only grow.
+	f.board.Complete(leaseID)
 	close(f.changed)
 	f.changed = make(chan struct{})
-	return part, false, nil
+	return nil, nil
 }
 
 // merged renders the canonical merged journal, or an error while shards
-// are still outstanding.
+// are still outstanding. Stored shards never change, so the merge runs
+// without f.mu.
 func (f *fabricState) merged(w io.Writer) (sim.MergeStats, error) {
 	f.mu.Lock()
-	defer f.mu.Unlock()
 	if !f.board.Drained() {
 		st := f.board.Stats()
+		f.mu.Unlock()
 		return sim.MergeStats{}, fmt.Errorf("sweep incomplete: %d pending, %d leased of %d partitions", st.Pending, st.Leased, f.board.Count())
 	}
-	srcs := make([]sim.MergeSource, len(f.shards))
-	for i, data := range f.shards {
-		srcs[i] = sim.MergeSource{Name: fmt.Sprintf("shard-%d", i), Data: data}
-	}
-	return sim.MergeJournals(w, srcs)
+	shards := slices.Clone(f.shards)
+	f.mu.Unlock()
+	return sim.MergeParsed(w, shards...)
 }
 
 // --- HTTP API ---

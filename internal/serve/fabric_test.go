@@ -5,11 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -397,6 +399,153 @@ func TestFabricCoordinatorRestartKeepsShards(t *testing.T) {
 	resp.Body.Close()
 	if want := referenceJournalBytes(t, fopts.spec()); !bytes.Equal(got, want) {
 		t.Fatal("post-restart merge differs from reference")
+	}
+}
+
+// A persisted shard that no longer parses does not block the sweep: the
+// restarted coordinator logs it and leaves its partition pending, the
+// partition is leased again, and its upload replaces the file.
+func TestFabricCorruptPersistedShardIsReleased(t *testing.T) {
+	dir := t.TempDir()
+	fopts := &FabricOptions{Exps: []string{"T2"}, Seed: 7, Quick: true, Partitions: 2}
+	shards := [][]byte{
+		runShardBytes(t, fopts.spec(), fabric.Shard{Index: 0, Count: 2}),
+		runShardBytes(t, fopts.spec(), fabric.Shard{Index: 1, Count: 2}),
+	}
+	srv, ts := newTestServer(t, Options{DataDir: dir, Fabric: fopts})
+	for range shards {
+		_, l := postLease(t, ts, "w1")
+		if code, _, raw := postComplete(t, ts, l.LeaseID, shards[l.Partition]); code != http.StatusOK {
+			t.Fatalf("complete partition %d: %d %s", l.Partition, code, raw)
+		}
+	}
+	ts.Close()
+	srv.Close()
+
+	path := filepath.Join(dir, "fabric", "shard-1.jsonl")
+	corrupt := append([]byte("{not a journal line}\n"), shards[1]...)
+	if err := os.WriteFile(path, corrupt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var logged []string
+	logf := func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+	}
+	_, ts2 := newTestServer(t, Options{DataDir: dir, Fabric: fopts, Logf: logf})
+	mu.Lock()
+	if !slices.ContainsFunc(logged, func(l string) bool { return strings.Contains(l, "partition 1 left pending") }) {
+		t.Errorf("restart logged %q, want partition 1 left pending", logged)
+	}
+	mu.Unlock()
+	if code, body := getBody(t, ts2.URL+"/v1/fabric/journal"); code != http.StatusConflict {
+		t.Fatalf("merged journal with partition 1 pending: %d %s, want 409", code, body)
+	}
+	_, l := postLease(t, ts2, "w2")
+	if l.Status != "lease" || l.Partition != 1 {
+		t.Fatalf("lease after restart: %+v, want partition 1", l)
+	}
+	if code, cr, raw := postComplete(t, ts2, l.LeaseID, shards[1]); code != http.StatusOK || cr.Duplicate {
+		t.Fatalf("re-leased partition's upload: %d %+v %s", code, cr, raw)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, shards[1]) {
+		t.Fatalf("shard file after the upload: %v (%d of %d bytes)", err, len(got), len(shards[1]))
+	}
+	code, got := getBody(t, ts2.URL+"/v1/fabric/journal")
+	if want := referenceJournalBytes(t, fopts.spec()); code != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("merged journal: %d, byte-identical to the reference: %v", code, bytes.Equal(got, want))
+	}
+}
+
+// getBody fetches url and returns its status code and body.
+func getBody(t testing.TB, url string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, body
+}
+
+// Completes race without corrupting the coordinator: four holders of
+// partition 0 (each lease expired and was re-issued) and the holder of
+// partition 1 upload at once, while another request reads the status.
+// Exactly one partition-0 upload stores the shard and the others are
+// verified duplicates, and the merge equals the reference.
+func TestFabricConcurrentCompletes(t *testing.T) {
+	clk := newFakeClock()
+	fopts := &FabricOptions{Exps: []string{"T2"}, Seed: 7, Quick: true, Partitions: 2, LeaseTTL: 10 * time.Second}
+	s, err := New(Options{DataDir: t.TempDir(), Workers: 1, Fabric: fopts, now: clk.now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var leases []LeaseResponse
+	for i := 0; i < 5; i++ {
+		code, body := call(s, "POST", "/v1/lease", mustJSON(t, LeaseRequest{Worker: "w"}))
+		var lr LeaseResponse
+		if err := json.Unmarshal(body, &lr); code != http.StatusOK || err != nil || lr.Status != "lease" {
+			t.Fatalf("lease: code %d %s: %v", code, body, err)
+		}
+		if want := min(i/4, 1); lr.Partition != want {
+			t.Fatalf("lease %d: partition %d, want %d", i, lr.Partition, want)
+		}
+		leases = append(leases, lr)
+		if i < 3 {
+			clk.advance(11 * time.Second)
+		}
+	}
+	shards := [][]byte{
+		runShardBytes(t, fopts.spec(), fabric.Shard{Index: 0, Count: 2}),
+		runShardBytes(t, fopts.spec(), fabric.Shard{Index: 1, Count: 2}),
+	}
+
+	// The requests queue on the coordinator's lock, so the partition-0
+	// uploads look the partition up before any of them stores it. The
+	// sleep only lets them reach the lock: the checks below hold in any
+	// order.
+	s.fabric.mu.Lock()
+	answers := make([]CompleteResponse, len(leases))
+	var wg sync.WaitGroup
+	for i, l := range leases {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			code, body := call(s, "POST", "/v1/lease/"+l.LeaseID+"/complete", shards[l.Partition])
+			if err := json.Unmarshal(body, &answers[i]); code != http.StatusOK || err != nil {
+				t.Errorf("complete %s: code %d %s", l.LeaseID, code, body)
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if code, body := call(s, "GET", "/v1/fabric/status", nil); code != http.StatusOK {
+			t.Errorf("status during the completes: code %d %s", code, body)
+		}
+	}()
+	time.Sleep(20 * time.Millisecond)
+	s.fabric.mu.Unlock()
+	wg.Wait()
+	stored := 0
+	for _, a := range answers[:4] {
+		if !a.Duplicate {
+			stored++
+		}
+	}
+	if stored != 1 || answers[4].Duplicate {
+		t.Fatalf("answers %+v, want one partition-0 upload stored, three duplicates, and partition 1 stored", answers)
+	}
+	code, got := call(s, "GET", "/v1/fabric/journal", nil)
+	if want := referenceJournalBytes(t, fopts.spec()); code != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("merged journal: code %d, byte-identical to the reference: %v", code, bytes.Equal(got, want))
 	}
 }
 

@@ -173,6 +173,12 @@ func (j *Journal) Len() int {
 	return len(j.done)
 }
 
+// Partitioned reports whether j is a shard journal, one opened with a
+// JournalOptions.Partition; a nil Journal is not.
+func (j *Journal) Partitioned() bool {
+	return j != nil && j.own != nil
+}
+
 // beginTask registers the task's global ordinal in a shard journal — the
 // number of distinct tasks it saw before — and returns which of the
 // task's replicas this process owns: all of them without a partition or
