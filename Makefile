@@ -103,12 +103,13 @@ fuzz-vm:
 	$(GO) test -fuzz=FuzzProgramTotality -fuzztime=10s -run '^$$' ./internal/vm/
 
 # Bench smoke: run each engine micro-benchmark once (the agent-engine
-# scaling cells, and the exported count and sequential steps, which share
-# the bodies' step functions) and each fabric worker-count cell, whose
+# scaling cells, the exported count and sequential steps, which share the
+# bodies' step functions, and whole sequential runs, which time the Eq. 4
+# lookup per activation) and each fabric worker-count cell, whose
 # merged journal must equal the single-process reference, so a broken
 # benchmark body fails CI rather than the next perf run.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkRunAgents|BenchmarkStepCount|BenchmarkSequentialStep|BenchmarkEngineAblation|BenchmarkFabricWorkers' -benchtime 1x . ./internal/serve/
+	$(GO) test -run '^$$' -bench 'BenchmarkRunAgents|BenchmarkStepCount|BenchmarkSequentialStep|BenchmarkRunSequential|BenchmarkEngineAblation|BenchmarkFabricWorkers' -benchtime 1x . ./internal/serve/
 
 ci: verify fmt-check bench-check vet vet-386 race lint lint-fixtures fuzz-fault fuzz-merge fuzz-vm bench-smoke
 

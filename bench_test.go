@@ -288,6 +288,36 @@ func BenchmarkSequentialStep(b *testing.B) {
 	}
 }
 
+// BenchmarkRunSequential times whole sequential runs of 4 rounds (4·n
+// activations) from X₀ = n/2 at n = 2¹⁶, where the per-activation Eq. 4
+// lookup is the cost that matters; ns/activation divides by the
+// activations drawn. BenchmarkSequentialStep times the one-shot step,
+// which evaluates Eq. 4 afresh on every call.
+func BenchmarkRunSequential(b *testing.B) {
+	const n = 1 << 16
+	for _, c := range []struct {
+		name string
+		rule *bitspread.Rule
+	}{
+		{"voter1", bitspread.Voter(1)},
+		{"minority3", bitspread.Minority(3)},
+	} {
+		cfg := bitspread.Config{N: n, Rule: c.rule, Z: 1, X0: n / 2, MaxRounds: 4}
+		b.Run(c.name, func(b *testing.B) {
+			g := bitspread.NewRNG(1)
+			var activations int64
+			for i := 0; i < b.N; i++ {
+				res, err := bitspread.RunSequential(cfg, g)
+				if err != nil {
+					b.Fatal(err)
+				}
+				activations += res.Activations
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(activations), "ns/activation")
+		})
+	}
+}
+
 // BenchmarkCoalescence measures the dual process (Figure 4 engine).
 func BenchmarkCoalescence(b *testing.B) {
 	g := bitspread.NewRNG(1)

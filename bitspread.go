@@ -112,8 +112,9 @@ type (
 	// split-derived streams (deterministic per (seed, shards)).
 	AgentOptions = engine.AgentOptions
 	// AdoptCache memoizes a rule's Eq. 4 adopt probabilities per exact
-	// one-count for a fixed population, the engine behind batched replica
-	// stepping.
+	// one-count for a fixed population. Every engine run and lockstep
+	// batch reads them from one; it costs nothing until used and stays
+	// bounded at any population size.
 	AdoptCache = protocol.AdoptCache
 )
 

@@ -104,7 +104,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		leaseTTL         = fs.Duration("lease-ttl", time.Minute, "fabric lease time-to-live; a lease not renewed within this window is re-issued to another worker")
 
 		pull       = fs.String("pull", "", "run as a fabric pull worker against this coordinator URL instead of serving")
-		workerName = fs.String("worker", "", "worker name for -pull mode (lease accounting is per-worker)")
+		workerName = fs.String("worker", "", "worker name for -pull mode; it names the worker's log lines and seeds its retry jitter")
 		shardDir   = fs.String("shard-dir", "", "crash-safe shard checkpoint directory for -pull mode")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -30,8 +30,8 @@ func StepCountBatch(c *protocol.AdoptCache, z int, xs []int64, gs []*rng.RNG) {
 }
 
 // RunParallelReplicas runs one count-level replica per seed, advancing all
-// of them in lockstep so every P₀/P₁ evaluation is served by one shared
-// per-rule AdoptCache. Replica i's Result is bit-identical to
+// of them in lockstep so every P₀/P₁ evaluation is served by the round
+// driver's one AdoptCache. Replica i's Result is bit-identical to
 // RunParallel(cfg, rng.New(seeds[i])): the batching is a pure evaluation-
 // sharing transform, not a statistical approximation. Converged replicas
 // drop out of the batch; the round loop ends when none remain active or
@@ -44,18 +44,10 @@ func RunParallelReplicas(cfg Config, seeds []uint64) ([]Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	d := newDriver(&cfg, len(seeds), 0)
-	if len(d.active) == 0 {
-		return d.results, nil
-	}
-	b := &countBody{
-		cache: protocol.NewAdoptCache(cfg.Rule, cfg.N),
-		xs:    make([]int64, len(seeds)),
-		gs:    make([]*rng.RNG, len(seeds)),
-	}
+	b := &countBody{xs: make([]int64, len(seeds)), gs: make([]*rng.RNG, len(seeds))}
 	for i, seed := range seeds {
 		b.xs[i] = cfg.X0
 		b.gs[i] = rng.New(seed)
 	}
-	return d.run(b), nil
+	return newDriver(&cfg, len(seeds), 0).run(b), nil
 }

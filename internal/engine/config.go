@@ -156,11 +156,3 @@ func consensusTarget(n int64, z int) int64 {
 	}
 	return 0
 }
-
-// wrongTrap returns the all-wrong count: every non-source agent holds 1-z.
-func wrongTrap(n int64, z int) int64 {
-	if z == 1 {
-		return 1 // only the source holds 1
-	}
-	return n - 1
-}

@@ -86,12 +86,14 @@ func RunConflict(cfg ConflictConfig, g *rng.RNG) (ConflictResult, error) {
 	x := cfg.X0
 	var res ConflictResult
 	var fracSum float64
+	// The run stays off the round driver, so it keeps an Eq. 4 memo of its
+	// own; x never leaves [Sources1, N-Sources0].
+	cache := protocol.NewAdoptCache(cfg.Rule, cfg.N)
 	for t := int64(1); t <= cfg.Rounds; t++ {
 		// StepConflict's draw, keeping the sampled count for the probe.
-		p := float64(x) / float64(cfg.N)
+		p0, p1 := cache.Probs(x)
 		var sampled int64
-		x, sampled = countStep(g, cfg.N, x, cfg.Sources1, cfg.Sources0, 0,
-			cfg.Rule.AdoptProb(0, p), cfg.Rule.AdoptProb(1, p))
+		x, sampled = countStep(g, cfg.N, x, cfg.Sources1, cfg.Sources0, 0, p0, p1)
 		fracSum += float64(x) / float64(cfg.N)
 		if x == 0 || x == cfg.N {
 			res.ConsensusVisits++

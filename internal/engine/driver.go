@@ -1,12 +1,14 @@
 package engine
 
+import "bitspread/internal/protocol"
+
 // driver is the round protocol every engine shares. By Eq. 4 (Prop 5)
 // every non-source agent updates independently given X_t = x, so the
 // count, bitset, literal and sequential engines run one protocol and
 // differ only in how they draw the next one-count. The driver owns the
 // rest: the per-Config constants (absorbing target, trap, round cap, fault
-// horizon), the Halt poll, each round's fault view, the Result
-// bookkeeping, Probe emission and the convergence test. Lockstep
+// horizon), the Halt poll, each round's fault view, the Eq. 4 memo, the
+// Result bookkeeping, Probe emission and the convergence test. Lockstep
 // replicas are the general case; a solo run is one replica.
 //
 // A body supplies only its step. The driver calls it once per round; the
@@ -20,6 +22,7 @@ type driver struct {
 	roundCap  int64
 	horizon   int64 // last perturbed round; consensus counts only from here
 
+	cache   *protocol.AdoptCache // the Eq. 4 memo; the first probs call builds it
 	results []Result
 	active  []int // replicas still running, in index order
 	live    []int // replicas the current round keeps running
@@ -49,7 +52,7 @@ func newDriver(cfg *Config, replicas, shards int) *driver {
 		faults:    cfg.perturber(),
 		absorbing: cfg.Rule.CheckProp3() == nil,
 		target:    consensusTarget(cfg.N, cfg.Z),
-		trap:      wrongTrap(cfg.N, cfg.Z),
+		trap:      WorstCaseInit(cfg.N, cfg.Z),
 		roundCap:  cfg.RoundCap(),
 		results:   make([]Result, replicas),
 		src:       cfg.Z,
@@ -95,6 +98,18 @@ func (d *driver) run(b body) []Result {
 		d.active = d.live
 	}
 	return d.results
+}
+
+// probs returns P₀(x/n) and P₁(x/n) of Eq. 4, which depend on the
+// configuration only through x, from the one AdoptCache of the run or
+// batch; the literal body samples instead and never builds it. x is
+// clamped to [0, n], as AdoptProb clamps p, so a hand-rolled Perturber's
+// out-of-range count degrades instead of panicking.
+func (d *driver) probs(x int64) (p0, p1 float64) {
+	if d.cache == nil {
+		d.cache = protocol.NewAdoptCache(d.cfg.Rule, d.cfg.N)
+	}
+	return d.cache.Probs(min(max(x, 0), d.cfg.N))
 }
 
 // pinned returns how many agents hold 1 and 0 in round t without being

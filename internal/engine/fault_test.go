@@ -153,6 +153,53 @@ func TestFaultRecoveryAcrossEngines(t *testing.T) {
 	}
 }
 
+// strayCount is a hand-rolled Perturber that breaks the contract: at round
+// 2 its PerturbCount returns n+3 (above) or −2, a count outside [0, n].
+type strayCount struct{ above bool }
+
+func (strayCount) Empty() bool                            { return false }
+func (strayCount) Horizon() int64                         { return 2 }
+func (strayCount) BoundaryAt(t int64) bool                { return t == 2 }
+func (strayCount) SourceOpinion(_ int64, z int) int       { return z }
+func (strayCount) OmitProb(int64) float64                 { return 0 }
+func (strayCount) Stubborn(int64, int64) (int64, int64)   { return 0, 0 }
+func (strayCount) PerturbAgents(int64, []uint8, *rng.RNG) {}
+func (p strayCount) PerturbCount(_, n int64, _ int, _ int64, _ *rng.RNG) int64 {
+	if p.above {
+		return n + 3
+	}
+	return -2
+}
+
+// TestStrayPerturbCountDegrades: a count outside [0, n] is clamped for the
+// Eq. 4 lookup, as AdoptProb clamps p, so solo, batched and sequential
+// runs finish instead of panicking, and the batch still reproduces the
+// solo runs.
+func TestStrayPerturbCountDegrades(t *testing.T) {
+	seeds := []uint64{1, 2, 3}
+	for _, p := range []strayCount{{above: true}, {above: false}} {
+		cfg := voterCfg(64)
+		cfg.MaxRounds = 8
+		cfg.Faults = p
+		batch, err := engine.RunParallelReplicas(cfg, seeds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, seed := range seeds {
+			solo, err := engine.RunParallel(cfg, rng.New(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if batch[i] != solo {
+				t.Errorf("%+v seed %d: batched %+v vs solo %+v", p, seed, batch[i], solo)
+			}
+			if _, err := engine.RunSequential(cfg, rng.New(seed)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 // TestConsensusNotCreditedBeforeHorizon: starting at consensus with a
 // disturbance scheduled later, no engine may declare convergence at round
 // 0 — the run must live through the schedule.

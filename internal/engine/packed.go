@@ -102,33 +102,10 @@ type bitsetBody struct {
 	cfg    *Config
 	shards int // resolved shard count (packedEffectiveShards)
 	states []*packedState
-	// memo holds a replica batch's adoption coins per one-count; a solo
-	// run (nil memo) computes them in place.
-	memo map[int64][2]coin
 }
 
 func newBitsetBody(cfg *Config, opts AgentOptions) *bitsetBody {
 	return &bitsetBody{cfg: cfg, shards: packedEffectiveShards(opts.Shards, MaxPackedShards(cfg.N))}
-}
-
-// adopt returns the adoption coins of a round whose agents sample from
-// one-count x: P_0(x/n) and P_1(x/n) of Eq. 4. They are a pure function of
-// x, so memoizing them across a batch is exact: batched and solo
-// trajectories coincide realization by realization. Lookup-only access (no
-// map iteration) keeps the batch deterministic.
-func (b *bitsetBody) adopt(x int64) [2]coin {
-	if c, ok := b.memo[x]; ok {
-		return c
-	}
-	frac := float64(x) / float64(b.cfg.N)
-	c := [2]coin{
-		newCoin(rng.BernoulliThreshold(b.cfg.Rule.AdoptProb(0, frac))),
-		newCoin(rng.BernoulliThreshold(b.cfg.Rule.AdoptProb(1, frac))),
-	}
-	if b.memo != nil {
-		b.memo[x] = c
-	}
-	return c
 }
 
 // packedState is one replica of the bitset engine: its generator, bitsets
@@ -192,7 +169,8 @@ func (b *bitsetBody) round(d *driver) {
 			// sample from; the boundary may just have rewritten the bitset.
 			xs = st.cur.count()
 		}
-		law.adopt = b.adopt(xs)
+		p0, p1 := d.probs(xs)
+		law.adopt = [2]coin{newCoin(rng.BernoulliThreshold(p0)), newCoin(rng.BernoulliThreshold(p1))}
 		if b.shards == 1 {
 			st.workers[0].step(st.cur, st.next, &law, pinnedEnd)
 		} else {

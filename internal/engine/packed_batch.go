@@ -3,14 +3,15 @@ package engine
 import "bitspread/internal/rng"
 
 // RunAgentsReplicas runs one bitset agent-level replica per seed, advancing
-// all of them in lockstep so each round's adoption coins — the T₀/T₁
-// threshold pair of Eq. 4, a pure function of the round's one-count — are
-// computed once per distinct count ever visited by the batch instead of
-// once per replica-round. Replica i's Result is bit-identical to
-// RunAgents(cfg, opts, rng.New(seeds[i])): the memoization is a pure
-// evaluation-sharing transform, exactly like RunParallelReplicas at the
-// count level. Converged replicas drop out of the batch; the round loop
-// ends when none remain active or the cap expires.
+// all of them in lockstep so each round's adoption probabilities — P₀ and
+// P₁ of Eq. 4, a pure function of the round's one-count — come from the
+// round driver's one AdoptCache, computed once per distinct count ever
+// visited by the batch instead of once per replica-round. Replica i's
+// Result is bit-identical to RunAgents(cfg, opts, rng.New(seeds[i])): the
+// cache is exact, so sharing it is a pure evaluation-sharing transform,
+// exactly like RunParallelReplicas at the count level. Converged replicas
+// drop out of the batch; the round loop ends when none remain active or
+// the cap expires.
 //
 // An Unpacked configuration, which the bitset engine does not serve, falls
 // back to independent RunAgents calls, one per seed — same results, no
@@ -32,7 +33,6 @@ func RunAgentsReplicas(cfg Config, opts AgentOptions, seeds []uint64) ([]Result,
 	}
 
 	b := newBitsetBody(&cfg, opts)
-	b.memo = make(map[int64][2]coin)
 	d := newDriver(&cfg, len(seeds), b.shards)
 	b.states = make([]*packedState, len(seeds))
 	for i, seed := range seeds {

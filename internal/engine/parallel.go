@@ -55,7 +55,7 @@ func RunParallel(cfg Config, g *rng.RNG) (Result, error) {
 	if err := cfg.validate(); err != nil {
 		return Result{}, err
 	}
-	b := &countBody{rule: cfg.Rule, xs: []int64{cfg.X0}, gs: []*rng.RNG{g}}
+	b := &countBody{xs: []int64{cfg.X0}, gs: []*rng.RNG{g}}
 	return newDriver(&cfg, 1, 0).run(b)[0], nil
 }
 
@@ -63,12 +63,8 @@ func RunParallel(cfg Config, g *rng.RNG) (Result, error) {
 // lockstep batch (RunParallelReplicas): replica i holds one-count xs[i]
 // and draws from gs[i].
 type countBody struct {
-	rule *protocol.Rule
-	// cache serves P₀/P₁ to a batch; a solo run (nil cache) evaluates
-	// them in place. The cache is exact, so both give the same values.
-	cache *protocol.AdoptCache
-	xs    []int64
-	gs    []*rng.RNG
+	xs []int64
+	gs []*rng.RNG
 }
 
 func (b *countBody) round(d *driver) {
@@ -80,13 +76,7 @@ func (b *countBody) round(d *driver) {
 		if d.faults != nil {
 			x = d.perturbCount(x, g)
 		}
-		var p0, p1 float64 // P₀(x/n), P₁(x/n) of Eq. 4
-		if b.cache != nil {
-			p0, p1 = b.cache.Probs(x)
-		} else {
-			p := float64(x) / float64(n)
-			p0, p1 = b.rule.AdoptProb(0, p), b.rule.AdoptProb(1, p)
-		}
+		p0, p1 := d.probs(x)
 		x, sampled := countStep(g, n, x, pin1, pin0, d.omit, p0, p1)
 		xs[i] = x
 		d.end(i, x, sampled)

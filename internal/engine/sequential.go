@@ -11,16 +11,18 @@ import (
 // sequential process is a birth–death chain for every protocol — the
 // structural fact behind the Ω(n) lower bound of [14].
 func SequentialStep(r *protocol.Rule, n int64, z int, x int64, g *rng.RNG) int64 {
-	next, _ := sequentialStep(r, g, n, x, int64(z), int64(1-z), 0)
+	p := float64(x) / float64(n)
+	next, _ := sequentialStep(g, n, x, int64(z), int64(1-z), 0, r.AdoptProb(0, p), r.AdoptProb(1, p))
 	return next
 }
 
 // sequentialStep draws one sequential activation; both sequential writers
 // call it. pin1 and pin0 count the agents holding 1 and 0 that cannot
 // change (the source and the stubborn agents): an activated stubborn agent
-// does nothing, and a free one loses its update with probability q. The
-// second return value reports whether the activated agent drew its
-// samples, which feeds Result.Activations.
+// does nothing, and a free one loses its update with probability q; p0 and
+// p1 are P₀(x/n) and P₁(x/n) of Eq. 4. The second return value reports
+// whether the activated agent drew its samples, which feeds
+// Result.Activations.
 //
 // The single uniform is partitioned as [stubborn | omitted | down | up |
 // kept]: with pStub the stubborn share of the n-1 non-source agents, the
@@ -28,8 +30,7 @@ func SequentialStep(r *protocol.Rule, n int64, z int, x int64, g *rng.RNG) int64
 // law is that of the free agents alone. With nothing pinned beyond the
 // source and q = 0 the first two cells are empty and every bound is the
 // fault-free one, bit for bit.
-func sequentialStep(r *protocol.Rule, g *rng.RNG, n, x, pin1, pin0 int64, q float64) (int64, bool) {
-	p := float64(x) / float64(n)
+func sequentialStep(g *rng.RNG, n, x, pin1, pin0 int64, q, p0, p1 float64) (int64, bool) {
 	m1 := float64(max(x-pin1, 0))   // free agents holding 1
 	m0 := float64(max(n-x-pin0, 0)) // free agents holding 0
 	nonSource := float64(n - 1)
@@ -41,18 +42,19 @@ func sequentialStep(r *protocol.Rule, g *rng.RNG, n, x, pin1, pin0 int64, q floa
 		return x, false
 	}
 	// The activated agent holds 1 with probability m1/(n-1); it then drops
-	// to 0 with probability 1-P₁(p). Otherwise it holds 0 and rises with
-	// probability P₀(p).
-	pDown := (m1 / nonSource) * (1 - r.AdoptProb(1, p)) * (1 - q)
-	pUp := (m0 / nonSource) * r.AdoptProb(0, p) * (1 - q)
-	switch {
-	case u < base+pDown:
-		return x - 1, true
-	case u < base+pDown+pUp:
-		return x + 1, true
-	default:
-		return x, true
+	// to 0 with probability 1-P₁. Otherwise it holds 0 and rises with
+	// probability P₀. The move is picked without a branch, which would
+	// mispredict on about half of the activations.
+	pDown := (m1 / nonSource) * (1 - p1) * (1 - q)
+	pUp := (m0 / nonSource) * p0 * (1 - q)
+	var dx int64
+	if u < base+pDown+pUp {
+		dx = 1
 	}
+	if u < base+pDown {
+		dx = -1
+	}
+	return x + dx, true
 }
 
 // RunSequential simulates the sequential setting. The round cap of cfg is
@@ -92,8 +94,9 @@ func (b *sequentialBody) round(d *driver) {
 			d.results[0].Interrupted = true
 			return
 		}
+		p0, p1 := d.probs(x)
 		var did bool
-		x, did = sequentialStep(d.cfg.Rule, b.g, n, x, pin1, pin0, d.omit)
+		x, did = sequentialStep(b.g, n, x, pin1, pin0, d.omit, p0, p1)
 		if did {
 			sampled++
 		}

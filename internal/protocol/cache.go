@@ -6,18 +6,21 @@ import (
 	"sync/atomic"
 )
 
-// denseCacheLimit bounds the population size for which the cache
-// preallocates a dense per-count table (16 B per count, so at most ~16 MB).
-// Larger populations fall back to a map, which stays small in practice
-// because a run visits only a thin band of counts around its trajectory.
-const denseCacheLimit = 1 << 20
+// cacheLimit bounds what an AdoptCache holds: populations below it get a
+// dense per-count table, allocated a page at a time on first touch (16 B
+// per count, so at most ~16 MB), and larger ones a map that is emptied
+// once it holds cacheLimit counts, so no run can grow it without limit.
+const cacheLimit = 1 << 20
+
+// pageBits sets the dense table's page: 512 counts, 8 KiB.
+const pageBits = 9
 
 // AdoptCache memoizes a Rule's adopt probabilities (P₀, P₁) of Eq. 4 for a
 // fixed population size n, keyed on the exact one-count x (so p = x/n and
 // the cached values are bit-identical to calling AdoptProb directly — no
 // quantization error). The O(ℓ) pmf recurrence is paid once per distinct
-// count instead of once per replica-round, which is what makes batched
-// replica stepping cheap in the ℓ = √(n log n) regime.
+// count instead of once per lookup. Construction allocates no table, so a
+// cache costs nothing until it is used.
 //
 // An AdoptCache is NOT safe for concurrent use; give each worker goroutine
 // its own cache (they warm up independently and stay coherent because the
@@ -26,8 +29,8 @@ type AdoptCache struct {
 	rule *Rule
 	n    int64
 
-	// Exactly one of dense/sparse is used, chosen by n at construction.
-	dense  []cachedPair
+	// Exactly one of pages/sparse is used, chosen by n at construction.
+	pages  []*cachePage
 	sparse map[int64]cachedPair
 
 	hits, misses uint64
@@ -58,6 +61,10 @@ type cachedPair struct {
 	p0, p1 float64
 }
 
+// cachePage is one page of the dense table; a NaN p0 marks a count not
+// yet computed.
+type cachePage [1 << pageBits]cachedPair
+
 // NewAdoptCache returns an empty cache for rule r over a population of n
 // agents. It panics if r is nil or n < 2 (mirroring the engine's
 // population contract).
@@ -69,11 +76,8 @@ func NewAdoptCache(r *Rule, n int64) *AdoptCache {
 		panic(fmt.Sprintf("protocol: NewAdoptCache called with population %d", n))
 	}
 	c := &AdoptCache{rule: r, n: n}
-	if n < denseCacheLimit {
-		c.dense = make([]cachedPair, n+1)
-		for i := range c.dense {
-			c.dense[i] = cachedPair{p0: math.NaN(), p1: math.NaN()}
-		}
+	if n < cacheLimit {
+		c.pages = make([]*cachePage, n>>pageBits+1)
 	} else {
 		c.sparse = make(map[int64]cachedPair)
 	}
@@ -95,19 +99,29 @@ func (c *AdoptCache) Probs(x int64) (p0, p1 float64) {
 	if x < 0 || x > c.n {
 		panic(fmt.Sprintf("protocol: AdoptCache.Probs count %d outside [0,%d]", x, c.n))
 	}
-	if c.dense != nil {
-		pair := c.dense[x]
-		if !math.IsNaN(pair.p0) {
-			c.hits++
-			return pair.p0, pair.p1
+	if c.pages != nil {
+		pg := c.pages[x>>pageBits]
+		if pg == nil {
+			pg = new(cachePage)
+			for i := range pg {
+				pg[i].p0 = math.NaN()
+			}
+			c.pages[x>>pageBits] = pg
 		}
-		pair = c.compute(x)
-		c.dense[x] = pair
+		pair := &pg[x&(1<<pageBits-1)]
+		if math.IsNaN(pair.p0) {
+			*pair = c.compute(x)
+		} else {
+			c.hits++
+		}
 		return pair.p0, pair.p1
 	}
 	if pair, ok := c.sparse[x]; ok {
 		c.hits++
 		return pair.p0, pair.p1
+	}
+	if len(c.sparse) == cacheLimit {
+		clear(c.sparse)
 	}
 	pair := c.compute(x)
 	c.sparse[x] = pair

@@ -76,8 +76,9 @@ type fabricState struct {
 }
 
 // newFabricState builds the coordinator and replays persisted shards. A
-// persisted shard that no longer parses is logged and its partition left
-// pending, so it is leased again and the next upload replaces the file.
+// persisted shard that no longer parses, or that an older build stored
+// torn, is logged and its partition left pending, so it is leased again
+// and the next upload replaces the file.
 func newFabricState(opts FabricOptions, dataDir string, fsys durable.FS, now func() time.Time, logf func(string, ...any)) (*fabricState, error) {
 	opts = opts.withDefaults()
 	if _, err := opts.spec().Experiments(); err != nil {
@@ -135,8 +136,13 @@ func (f *fabricState) shardPath(i int) string {
 }
 
 // parseShard parses one shard journal and checks that it merges with
-// itself, as the final merge will need.
+// itself, as the final merge will need. A finished worker's shard ends in
+// a newline, so a torn last line, which sim.ParseJournal drops as a killed
+// writer's would be, is an error here: the shard would lack that replica.
 func parseShard(name string, data []byte) (*sim.ParsedJournal, error) {
+	if len(data) > 0 && data[len(data)-1] != '\n' {
+		return nil, fmt.Errorf("%s: last line has no newline (torn upload)", name)
+	}
 	shard, err := sim.ParseJournal(sim.MergeSource{Name: name, Data: data})
 	if err != nil {
 		return nil, err

@@ -459,6 +459,64 @@ func TestFabricCorruptPersistedShardIsReleased(t *testing.T) {
 	}
 }
 
+// A shard whose last line lacks its newline would merge without that
+// replica: the upload is refused with 400 and the partition stays leased
+// until the intact shard lands. A torn file persisted by an older build
+// is left pending at restart, like a corrupt one, and leased again.
+func TestFabricCompleteRejectsTornUpload(t *testing.T) {
+	dir := t.TempDir()
+	fopts := &FabricOptions{Exps: []string{"T2"}, Seed: 7, Quick: true, Partitions: 1}
+	shard := runShardBytes(t, fopts.spec(), fabric.Shard{Index: 0, Count: 1})
+	torn := shard[:len(shard)-1]
+	want := referenceJournalBytes(t, fopts.spec())
+
+	srv, ts := newTestServer(t, Options{DataDir: dir, Fabric: fopts})
+	_, l := postLease(t, ts, "w1")
+	if l.Status != "lease" {
+		t.Fatalf("lease: %+v", l)
+	}
+	if code, _, raw := postComplete(t, ts, l.LeaseID, torn); code != http.StatusBadRequest {
+		t.Fatalf("torn upload: %d %s, want 400", code, raw)
+	}
+	if code, body := getBody(t, ts.URL+"/v1/fabric/journal"); code != http.StatusConflict {
+		t.Fatalf("merged journal after a torn upload: %d %s, want 409", code, body)
+	}
+	if code, cr, raw := postComplete(t, ts, l.LeaseID, shard); code != http.StatusOK || cr.Duplicate {
+		t.Fatalf("intact upload: %d %+v %s", code, cr, raw)
+	}
+	if code, got := getBody(t, ts.URL+"/v1/fabric/journal"); code != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("merged journal: %d, byte-identical to the reference: %v", code, bytes.Equal(got, want))
+	}
+	ts.Close()
+	srv.Close()
+
+	if err := os.WriteFile(filepath.Join(dir, "fabric", "shard-0.jsonl"), torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var logged []string
+	logf := func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+	}
+	_, ts2 := newTestServer(t, Options{DataDir: dir, Fabric: fopts, Logf: logf})
+	mu.Lock()
+	if !slices.ContainsFunc(logged, func(l string) bool { return strings.Contains(l, "partition 0 left pending") }) {
+		t.Errorf("restart logged %q, want partition 0 left pending", logged)
+	}
+	mu.Unlock()
+	if _, l = postLease(t, ts2, "w2"); l.Status != "lease" || l.Partition != 0 {
+		t.Fatalf("lease after restart: %+v, want partition 0", l)
+	}
+	if code, cr, raw := postComplete(t, ts2, l.LeaseID, shard); code != http.StatusOK || cr.Duplicate {
+		t.Fatalf("re-leased partition's upload: %d %+v %s", code, cr, raw)
+	}
+	if code, got := getBody(t, ts2.URL+"/v1/fabric/journal"); code != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("merged journal after restart: %d, byte-identical to the reference: %v", code, bytes.Equal(got, want))
+	}
+}
+
 // getBody fetches url and returns its status code and body.
 func getBody(t testing.TB, url string) (int, []byte) {
 	t.Helper()

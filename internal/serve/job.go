@@ -69,11 +69,7 @@ func (sp *JobSpec) normalize() {
 		sp.Ell = 1
 	}
 	if sp.X0 == nil {
-		// Worst-case adversarial start: only the source holds z.
-		x0 := sp.N - 1
-		if sp.Z == 1 {
-			x0 = 1
-		}
+		x0 := engine.WorstCaseInit(sp.N, sp.Z)
 		sp.X0 = &x0
 	}
 }

@@ -43,7 +43,7 @@ func (o *PullWorkerOptions) withDefaults() error {
 		return errors.New("pull worker needs a coordinator URL")
 	}
 	if o.Name == "" {
-		return errors.New("pull worker needs a name: lease accounting is per-worker")
+		return errors.New("pull worker needs a name: it names the worker's log lines and seeds its retry jitter")
 	}
 	if o.ShardDir == "" {
 		return errors.New("pull worker needs a shard directory for its checkpoints")
