@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test verify fmt-check bench-check vet vet-386 race lint lint-fixtures lint-audit ci bench bench-compare fuzz-fault fuzz-merge fuzz-vm bench-smoke reproduce
+.PHONY: build test verify fmt-check bench-check vet vet-386 race repeat lint lint-fixtures lint-audit ci bench bench-compare fuzz-fault fuzz-merge fuzz-vm bench-smoke reproduce
 
 build:
 	$(GO) build ./...
@@ -62,6 +62,16 @@ race:
 	$(GO) test -race -count=10 -run 'TestMetricsFold|TestEngineMetricsFoldExactly|TestMetricsScrapeSeesRunningJob|TestHub|TestEventStream' ./internal/obs/ ./internal/serve/
 	$(GO) test -race -count=20 -run 'TestPullWorkerWaitEndsWithSweep|TestHeldLease|TestFabricConcurrentCompletes' ./internal/serve/
 
+# The engine's scheduling-sensitive tests, repeated a hundred times
+# without the race detector, which would slow them and change their
+# timing. A sharded bitset replica lays out its initial configuration
+# and runs every round on one goroutine per shard, so a layout whose
+# count or law depended on scheduling, two runs of one seed that
+# diverged, a probe called off the run's goroutine or an allocation
+# count that moved with scheduling could pass a single run by luck.
+repeat:
+	$(GO) test -count=100 -run 'TestShardRoundProbeAllocationFree|TestProbePathAllocationFree|TestProbeSingleGoroutine|TestShardedDeterministic|TestPackedDeterministic|TestInitialBitsUniform' ./internal/engine/
+
 # Repo-specific static contracts (DESIGN.md §11, §15): bitlint
 # machine-checks the determinism, probability-domain, validate-before-work,
 # whole-program taint, cancellation, crash-safety, and atomic-mix
@@ -111,7 +121,7 @@ fuzz-vm:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkRunAgents|BenchmarkStepCount|BenchmarkSequentialStep|BenchmarkRunSequential|BenchmarkEngineAblation|BenchmarkFabricWorkers' -benchtime 1x . ./internal/serve/
 
-ci: verify fmt-check bench-check vet vet-386 race lint lint-fixtures fuzz-fault fuzz-merge fuzz-vm bench-smoke
+ci: verify fmt-check bench-check vet vet-386 race repeat lint lint-fixtures fuzz-fault fuzz-merge fuzz-vm bench-smoke
 
 # Full-size reproduction check: run the whole sweep at the transcript's
 # seed and diff its stdout (tables and verdicts only; timings go to

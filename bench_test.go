@@ -139,9 +139,11 @@ func BenchmarkEngineAblation(b *testing.B) {
 // from X₀ = n/2 on the agent-engine variants: the byte-per-opinion
 // reference body (literal, at n = 2²⁰ only), the bitset engine (packed,
 // the RunAgents default) and the bitset engine split into NumCPU shards
-// (sharded; DESIGN.md §10). The GOMAXPROCS axis is -cpu; sharded keeps
-// NumCPU shards at every value, so -cpu 1 measures the cost of sharding
-// on one proc:
+// (sharded; DESIGN.md §10). The setup cells run one round at n = 2²⁴, so
+// they time a run's set-up — its bitsets, streams and initial layout —
+// which a 16-round cell hides. The GOMAXPROCS axis is -cpu;
+// sharded keeps NumCPU shards at every value, so -cpu 1 measures the cost
+// of sharding on one proc:
 //
 //	go test -run '^$' -bench BenchmarkRunAgents -cpu 1,2,4 .
 //
@@ -149,22 +151,25 @@ func BenchmarkEngineAblation(b *testing.B) {
 func BenchmarkRunAgents(b *testing.B) {
 	sharded := bitspread.AgentOptions{Shards: runtime.NumCPU()}
 	for _, c := range []struct {
-		n    int64
-		name string
-		opts bitspread.AgentOptions
+		n      int64
+		name   string
+		opts   bitspread.AgentOptions
+		rounds int64
 	}{
-		{1 << 20, "literal", bitspread.AgentOptions{Unpacked: true}},
-		{1 << 20, "packed", bitspread.AgentOptions{}},
-		{1 << 20, "sharded", sharded},
-		{1 << 24, "packed", bitspread.AgentOptions{}},
-		{1 << 24, "sharded", sharded},
+		{1 << 20, "literal", bitspread.AgentOptions{Unpacked: true}, 16},
+		{1 << 20, "packed", bitspread.AgentOptions{}, 16},
+		{1 << 20, "sharded", sharded, 16},
+		{1 << 24, "packed", bitspread.AgentOptions{}, 16},
+		{1 << 24, "sharded", sharded, 16},
+		{1 << 24, "packed/setup", bitspread.AgentOptions{}, 1},
+		{1 << 24, "sharded/setup", sharded, 1},
 	} {
 		cfg := bitspread.Config{
 			N:         c.n,
 			Rule:      bitspread.Minority(3),
 			Z:         1,
 			X0:        c.n / 2,
-			MaxRounds: 16,
+			MaxRounds: c.rounds,
 		}
 		b.Run(fmt.Sprintf("n=%d/%s", c.n, c.name), func(b *testing.B) {
 			g := bitspread.NewRNG(1)

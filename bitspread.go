@@ -108,8 +108,9 @@ type (
 	Config = engine.Config
 	Result = engine.Result
 	// AgentOptions tunes the literal agent-level simulator; its Shards
-	// field splits the per-round loop across goroutines with independent
-	// split-derived streams (deterministic per (seed, shards)).
+	// field splits the initial layout and the per-round loop across
+	// goroutines with independent split-derived streams (deterministic
+	// per (seed, shards)).
 	AgentOptions = engine.AgentOptions
 	// AdoptCache memoizes a rule's Eq. 4 adopt probabilities per exact
 	// one-count for a fixed population. Every engine run and lockstep

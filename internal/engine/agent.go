@@ -6,10 +6,11 @@ import (
 
 // AgentOptions tunes the literal agent-level simulator.
 type AgentOptions struct {
-	// Shards splits the bitset engine's per-round loop over that many
-	// goroutines, each consuming its own Split-derived random stream over
-	// a fixed word-aligned range of agents. Results are bit-reproducible
-	// given (seed, Shards) regardless of GOMAXPROCS or scheduling; values
+	// Shards splits the bitset engine's initial layout and per-round loop
+	// over that many goroutines, each consuming its own Split-derived
+	// random stream over a fixed word-aligned range of agents. Results are
+	// bit-reproducible given (seed, Shards) regardless of GOMAXPROCS or
+	// scheduling, and the starting layout depends on Shards too; values
 	// <= 1 select the serial body. The literal body (Unpacked) is serial
 	// and ignores it.
 	Shards int

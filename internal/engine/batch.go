@@ -24,7 +24,10 @@ func StepCountBatch(c *protocol.AdoptCache, z int, xs []int64, gs []*rng.RNG) {
 	}
 	n := c.N()
 	for i, x := range xs {
-		p0, p1 := c.Probs(x)
+		p0, p1, ok := c.Cached(x)
+		if !ok {
+			p0, p1 = c.Probs(x)
+		}
 		xs[i], _ = countStep(gs[i], n, x, int64(z), int64(1-z), 0, p0, p1)
 	}
 }

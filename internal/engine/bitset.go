@@ -37,18 +37,20 @@ func (b bitset) count() int64 {
 	return int64(c)
 }
 
-// initialBits lays out the initial configuration: the source slot 0 holds
-// z and a uniform (X0−z)-subset of the m = n−1 other slots holds ones.
-// When both the subset and its complement exceed m/64 slots, every slot
-// first flips a Bernoulli(k/m) coin, 64 at a time through the round
-// kernel's bit-sliced draw, and uniform rejection picks then add or remove
-// ones until exactly k remain. The flipped set is uniform given its size,
-// and removing a uniform member (or adding a uniform non-member) keeps it
-// uniform, so the result is an exact uniform k-subset. Otherwise the
-// smaller side is placed by Floyd's walk over an all-zero or all-one
-// background, O(min(k, m−k)) draws.
-func initialBits(cfg Config, s *wordStream) bitset {
-	b := newBitset(cfg.N)
+// initialBits lays out st.cur, the initial configuration: the source slot
+// 0 holds z and a uniform (X0−z)-subset of the m = n−1 other slots holds
+// ones. When both the subset and its complement exceed m/64 slots, every
+// slot first flips a Bernoulli(k/m) coin, 64 at a time, each worker over
+// its own words from its own stream and the shards concurrently (a
+// stepShards fill), and counts its ones. Uniform rejection picks over all
+// m slots, drawn from the main stream s, then add or remove ones until
+// exactly k remain. The flipped set is uniform given its size, whichever
+// stream each slot drew from, and removing a uniform member (or adding a
+// uniform non-member) keeps it uniform, so the result is an exact uniform
+// k-subset. Otherwise the smaller side is placed by Floyd's walk on s over
+// an all-zero or all-one background, O(min(k, m−k)) draws.
+func (st *packedState) initialBits(cfg Config, s *wordStream) {
+	b := st.cur
 	k := cfg.X0 - int64(cfg.Z)
 	m := cfg.N - 1
 	dense := k > m/64 && m-k > m/64
@@ -60,13 +62,13 @@ func initialBits(cfg Config, s *wordStream) bitset {
 	case k > m/64:
 		fill = coin{always: ^uint64(0)} // few zeros: Floyd places them over ones
 	}
-	for wi := range b {
-		first := int64(wi) << 6
-		b[wi] = s.draw(lanesFrom(first, 1)&^lanesFrom(first, cfg.N), 0, &fill, &fill)
-	}
+	st.stepShards(nil, b, &roundLaw{adopt: [2]coin{fill}}, 0)
 	switch {
 	case dense:
-		ones := b.count()
+		var ones int64
+		for _, w := range st.workers {
+			ones += w.ones
+		}
 		for ones != k {
 			i := 1 + int64(s.below(uint64(m)))
 			if bit := b.get(i); ones > k && bit == 1 || ones < k && bit == 0 {
@@ -80,7 +82,6 @@ func initialBits(cfg Config, s *wordStream) bitset {
 		floyd(b, k, m, 0, s)
 	}
 	b.set(0, uint64(cfg.Z))
-	return b
 }
 
 // floyd marks a uniform k-subset of slots 1..m by Floyd's subset-sampling

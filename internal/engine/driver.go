@@ -22,7 +22,7 @@ type driver struct {
 	roundCap  int64
 	horizon   int64 // last perturbed round; consensus counts only from here
 
-	cache   *protocol.AdoptCache // the Eq. 4 memo; the first probs call builds it
+	cache   *protocol.AdoptCache // the Eq. 4 memo, built empty
 	results []Result
 	active  []int // replicas still running, in index order
 	live    []int // replicas the current round keeps running
@@ -54,6 +54,7 @@ func newDriver(cfg *Config, replicas, shards int) *driver {
 		target:    consensusTarget(cfg.N, cfg.Z),
 		trap:      WorstCaseInit(cfg.N, cfg.Z),
 		roundCap:  cfg.RoundCap(),
+		cache:     protocol.NewAdoptCache(cfg.Rule, cfg.N),
 		results:   make([]Result, replicas),
 		src:       cfg.Z,
 	}
@@ -102,13 +103,13 @@ func (d *driver) run(b body) []Result {
 
 // probs returns P₀(x/n) and P₁(x/n) of Eq. 4, which depend on the
 // configuration only through x, from the one AdoptCache of the run or
-// batch; the literal body samples instead and never builds it. x is
+// batch; the literal body samples instead and never fills it. x is
 // clamped to [0, n], as AdoptProb clamps p, so a hand-rolled Perturber's
-// out-of-range count degrades instead of panicking.
+// out-of-range count degrades instead of panicking. It is small enough to
+// inline into every body. The count and sequential bodies, which look up
+// once per replica-round or activation, try the inlined d.cache.Cached
+// first and call probs only on a miss, so a hit there makes no call.
 func (d *driver) probs(x int64) (p0, p1 float64) {
-	if d.cache == nil {
-		d.cache = protocol.NewAdoptCache(d.cfg.Rule, d.cfg.N)
-	}
 	return d.cache.Probs(min(max(x, 0), d.cfg.N))
 }
 

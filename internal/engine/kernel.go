@@ -148,6 +148,17 @@ func lanesFrom(base, i int64) uint64 {
 	}
 }
 
+// fillWords sets each agent of [lo, hi) in b to 1 by coin c, 64 at a time,
+// writing the lanes outside [lo, hi) as zero, and returns the ones written.
+func fillWords(s *wordStream, b bitset, lo, hi int64, c *coin) (ones int64) {
+	for wi := lo >> 6; wi <= (hi-1)>>6; wi++ {
+		first := wi << 6
+		b[wi] = s.draw(lanesFrom(first, lo)&^lanesFrom(first, hi), 0, c, c)
+		ones += int64(bits.OnesCount64(b[wi]))
+	}
+	return ones
+}
+
 // stepWords advances agents [lo, hi) one round from cur into next. Agents
 // below pinnedEnd are stubborn and keep their opinion; the others first
 // flip the omission coin, and those whose update survives flip the

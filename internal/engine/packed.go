@@ -90,8 +90,14 @@ type packedWorker struct {
 	_       [11]uint64 // pad to 128 B: no false sharing between workers
 }
 
-// step advances the worker's range one round on its stream.
+// step advances the worker's range one round on its stream. With a nil
+// cur it is the initial layout's fill instead: every agent of the range
+// holds 1 by law.adopt[0], and no configuration is read.
 func (w *packedWorker) step(cur, next bitset, law *roundLaw, pinnedEnd int64) {
+	if cur == nil {
+		w.ones = fillWords(w.s, next, w.lo, w.hi, &law.adopt[0])
+		return
+	}
 	w.ones, w.updated = stepWords(w.s, cur, next, w.lo, w.hi, pinnedEnd, law)
 }
 
@@ -120,37 +126,57 @@ type packedState struct {
 }
 
 // newState draws a replica's initial configuration from g and lays out its
-// workers. The main stream serves initialization and, in the serial case,
-// the round loop itself. Its block pre-draws words, so the generator may
-// end up advanced past the variates actually consumed; chained runs on
-// one generator should Split it per run. Shard streams are derived after
-// initialization (SplitN on the same generator), so a given seed yields
-// the same starting layout at every shard count.
+// workers. A sharded replica derives its shard streams first (SplitN on
+// g), so that each shard lays out its own words from the stream it then
+// draws its rounds from; the main stream, g's own words, serves the rest
+// of the layout and, in the serial case, the round loop itself. Its block
+// pre-draws words, so the generator may end up advanced past the variates
+// actually consumed; chained runs on one generator should Split it per
+// run. A seed's starting layout thus depends on (X₀, Shards), and
+// Shards ≤ 1 draws it from the main stream alone.
 func (b *bitsetBody) newState(g *rng.RNG) *packedState {
 	n := b.cfg.N
 	main := newWordStream(g)
-	st := &packedState{g: g, cur: initialBits(*b.cfg, main), next: newBitset(n), x: b.cfg.X0}
+	st := &packedState{g: g, cur: newBitset(n), next: newBitset(n), x: b.cfg.X0}
 	st.workers = make([]*packedWorker, b.shards)
 	if b.shards == 1 {
 		st.workers[0] = &packedWorker{lo: 1, hi: n, s: main}
-		return st
-	}
-	// Word-aligned, cache-line-padded agent ranges: every bitset word has
-	// exactly one writer and shard ranges start on 64-byte boundaries.
-	// Each shard consumes its own Split-derived stream; boundary draws stay
-	// on the main generator, so rounds are reproducible for a given (seed,
-	// Shards) regardless of GOMAXPROCS or scheduling.
-	bounds := packedWordBounds(MaxPackedShards(n), b.shards)
-	streams := g.SplitN(b.shards)
-	for s := range st.workers {
-		lo := int64(bounds[s]) << 6
-		if lo == 0 {
-			lo = 1 // bit 0 is the coordinator-owned source bit
+	} else {
+		// Word-aligned, cache-line-padded agent ranges: every bitset word
+		// has exactly one writer and shard ranges start on 64-byte
+		// boundaries. Each shard consumes its own Split-derived stream;
+		// boundary draws stay on the main generator, so rounds are
+		// reproducible for a given (seed, Shards) regardless of GOMAXPROCS
+		// or scheduling.
+		bounds := packedWordBounds(MaxPackedShards(n), b.shards)
+		streams := g.SplitN(b.shards)
+		for s := range st.workers {
+			lo := max(int64(bounds[s])<<6, 1) // bit 0 is the coordinator-owned source bit
+			hi := min(int64(bounds[s+1])<<6, n)
+			st.workers[s] = &packedWorker{lo: lo, hi: hi, s: newWordStream(streams[s])}
 		}
-		hi := min(int64(bounds[s+1])<<6, n)
-		st.workers[s] = &packedWorker{lo: lo, hi: hi, s: newWordStream(streams[s])}
 	}
+	st.initialBits(*b.cfg, main)
 	return st
+}
+
+// stepShards advances every worker's range one round from cur into next
+// (or fills next, for a nil cur), the shards concurrently, and returns
+// once all are done. A worker writes only its own words and draws only
+// from its own stream, so the round does not depend on scheduling.
+func (st *packedState) stepShards(cur, next bitset, law *roundLaw, pinnedEnd int64) {
+	if len(st.workers) == 1 {
+		st.workers[0].step(cur, next, law, pinnedEnd)
+		return
+	}
+	for _, w := range st.workers {
+		st.wg.Add(1)
+		go func() {
+			defer st.wg.Done()
+			w.step(cur, next, law, pinnedEnd)
+		}()
+	}
+	st.wg.Wait()
 }
 
 // round advances every active replica one parallel round. A retired
@@ -171,18 +197,7 @@ func (b *bitsetBody) round(d *driver) {
 		}
 		p0, p1 := d.probs(xs)
 		law.adopt = [2]coin{newCoin(rng.BernoulliThreshold(p0)), newCoin(rng.BernoulliThreshold(p1))}
-		if b.shards == 1 {
-			st.workers[0].step(st.cur, st.next, &law, pinnedEnd)
-		} else {
-			for _, w := range st.workers {
-				st.wg.Add(1)
-				go func(w *packedWorker) {
-					defer st.wg.Done()
-					w.step(st.cur, st.next, &law, pinnedEnd)
-				}(w)
-			}
-			st.wg.Wait()
-		}
+		st.stepShards(st.cur, st.next, &law, pinnedEnd)
 
 		// Fixed-order reduction of the per-shard counts, then the
 		// coordinator-owned source bit.

@@ -76,7 +76,10 @@ func (b *countBody) round(d *driver) {
 		if d.faults != nil {
 			x = d.perturbCount(x, g)
 		}
-		p0, p1 := d.probs(x)
+		p0, p1, ok := d.cache.Cached(x)
+		if !ok {
+			p0, p1 = d.probs(x)
+		}
 		x, sampled := countStep(g, n, x, pin1, pin0, d.omit, p0, p1)
 		xs[i] = x
 		d.end(i, x, sampled)

@@ -95,8 +95,8 @@ func TestEngineRealizationGolden(t *testing.T) {
 			"ff53133a94e0ee814b6981cc51df7142c1a537a97cf7724c1fdb4b3c843da5f7",
 			"312d1919390006e46418abc4aacca233d35f66125f7070ad90d53ebdab4c9b2b"},
 		{"packed-shards3", agents(engine.AgentOptions{Shards: 3}),
-			"51046346507bbabf987c39796fee137822bf4d11a313409a47b6eb56a43b81f6",
-			"1bbef9dd92b84baf3111dc02362b268ff12a4d9b00c31039781007c80d919fd4"},
+			"cd222f1c78b617aedf0b7febbc07c6e163cbb06bac03a0a8730d99a932eb1976",
+			"10e4eaa4cf6e7c6703c460c830f1c270a22cbd193c6d2fe54daff0563c1223d0"},
 	}
 
 	for _, e := range solo {
@@ -132,7 +132,7 @@ func TestEngineRealizationGolden(t *testing.T) {
 			"193d59a99dd3bf96f7acf83754fa2ac5620cfbb882f79276e9cd298610a636f7"},
 		{"RunAgentsReplicas", func(cfg engine.Config, seeds []uint64) ([]engine.Result, error) {
 			return engine.RunAgentsReplicas(cfg, engine.AgentOptions{Shards: 2}, seeds)
-		}, "c45f2b3c92c4e2cdedba5a02bf2a69064cbff5584a594ed0a75f1990b43ad817"},
+		}, "6e4e5dd475c009409534a49d9774471f06f34247ca1adcc5b3497f9351f5a7a5"},
 	}
 	for _, e := range replicas {
 		d := newDigest()

@@ -94,7 +94,10 @@ func (b *sequentialBody) round(d *driver) {
 			d.results[0].Interrupted = true
 			return
 		}
-		p0, p1 := d.probs(x)
+		p0, p1, ok := d.cache.Cached(x)
+		if !ok {
+			p0, p1 = d.probs(x)
+		}
 		var did bool
 		x, did = sequentialStep(b.g, n, x, pin1, pin0, d.omit, p0, p1)
 		if did {

@@ -88,8 +88,39 @@ func NewAdoptCache(r *Rule, n int64) *AdoptCache {
 func (c *AdoptCache) N() int64 { return c.n }
 
 // Probs returns (P₀(x/n), P₁(x/n)), computing and memoizing them on first
-// use. It panics if x is outside [0, n].
+// use. It panics if x is outside [0, n]. A hit is Cached's; everything
+// else — the guard, paging, misses, the map and the range check — is
+// probsSlow's, out of line.
 func (c *AdoptCache) Probs(x int64) (p0, p1 float64) {
+	if p0, p1, ok := c.Cached(x); ok {
+		return p0, p1
+	}
+	return c.probsSlow(x)
+}
+
+// Cached is Probs' hit path: it returns the pair of count x and true when
+// the dense table holds it and the guard is off, and false otherwise,
+// computing nothing. It makes no call, so it inlines into a hot loop,
+// which calls Probs only when it returns false (Go's inliner charges any
+// out-of-line call most of its budget, so Probs itself cannot inline). A
+// count above n lands on a page entry that is never computed, and a
+// negative one past the page table, so neither is ever reported cached.
+func (c *AdoptCache) Cached(x int64) (p0, p1 float64, ok bool) {
+	if i := uint64(x) >> pageBits; i < uint64(len(c.pages)) && !adoptCacheGuard.Load() {
+		if pg := c.pages[i]; pg != nil {
+			if e := &pg[x&(1<<pageBits-1)]; !math.IsNaN(e.p0) {
+				c.hits++
+				return e.p0, e.p1, true
+			}
+		}
+	}
+	return 0, 0, false
+}
+
+// probsSlow is Probs out of line: it claims the cache while the guard is
+// on, checks x, makes the page x lands in, and computes a count on its
+// first lookup.
+func (c *AdoptCache) probsSlow(x int64) (p0, p1 float64) {
 	if adoptCacheGuard.Load() {
 		if !c.busy.CompareAndSwap(0, 1) {
 			panic("protocol: AdoptCache.Probs called concurrently; an AdoptCache is single-goroutine — give each worker its own cache")

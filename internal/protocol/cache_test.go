@@ -60,6 +60,38 @@ func TestAdoptCacheHitAccounting(t *testing.T) {
 	}
 }
 
+// TestAdoptCacheCached: the inlined hit path reports only computed dense
+// entries, bit-identical to Probs, and leaves the rest to Probs: a count
+// before its first lookup, counts outside [0, n] (the last page's tail
+// above n, and negatives), any lookup under the guard, and a sparse cache.
+func TestAdoptCacheCached(t *testing.T) {
+	const n = 100
+	c := NewAdoptCache(Minority(3), n)
+	if _, _, ok := c.Cached(40); ok {
+		t.Error("Cached(40) hit before any Probs")
+	}
+	p0, p1 := c.Probs(40)
+	if q0, q1, ok := c.Cached(40); !ok || q0 != p0 || q1 != p1 {
+		t.Errorf("Cached(40) = %v, %v, %v after Probs; want %v, %v, true", q0, q1, ok, p0, p1)
+	}
+	for _, x := range []int64{n + 1, 1<<pageBits - 1, -1, -1 << pageBits} {
+		if _, _, ok := c.Cached(x); ok {
+			t.Errorf("Cached(%d) hit outside [0, %d]", x, n)
+		}
+	}
+	prev := SetAdoptCacheGuard(true)
+	_, _, guarded := c.Cached(40)
+	SetAdoptCacheGuard(prev)
+	if guarded {
+		t.Error("Cached hit with the guard on, so the guard's claim was skipped")
+	}
+	s := NewAdoptCache(Minority(3), cacheLimit)
+	s.Probs(40)
+	if _, _, ok := s.Cached(40); ok {
+		t.Error("Cached hit in a sparse cache")
+	}
+}
+
 // TestAdoptCacheSparseRegime: populations above the dense limit must work
 // through the map path.
 func TestAdoptCacheSparseRegime(t *testing.T) {
